@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from dsr.bench import ExperimentGrid, run_bench
+from dsr.bench import DEFAULT_SOLVER, ExperimentGrid, run_bench
 from dsr.scenes import default_scene
 from dsr.solvers import ALGORITHMS
 from dsr.volumes import FrameDims
@@ -30,7 +30,7 @@ def main(argv=None) -> int:
                     help="input SNR of the measurements in dB")
     ap.add_argument("--lambdas", type=float, nargs="*", default=[],
                     help="explicit candidate weights (default: noise-scaled sweep)")
-    ap.add_argument("--max-iter", type=int, default=100)
+    ap.add_argument("--max-iter", type=int, default=DEFAULT_SOLVER["max_iter"])
     args = ap.parse_args(argv)
 
     w, h, t = args.size

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .io import write_dsrv, write_json
-from .patches import PatchGeometry
 from .scenes import ObjectSpec, SceneSpec, default_scene, synth_scene
 from .solvers import (
     ALGORITHMS,
+    DEFAULT_SOLVER,
     SolverConfig,
     default_lambda_grid,
     run_pipeline,
@@ -46,18 +46,6 @@ from .volumes import (
 __all__ = ["ExperimentGrid", "DEFAULT_SOLVER", "sparse_split", "run_bench",
            "bench_from_config", "objects_from_config"]
 
-DEFAULT_SOLVER = {
-    "patch": 5,
-    "stride": 3,
-    "window": (11, 11, 3),
-    "group_size": 10,
-    "nu": 0.02,
-    "rho": 1.0,
-    "max_iter": 100,
-    "tol": 1e-4,
-}
-
-
 @dataclass
 class ExperimentGrid:
     """Which cells the bench runs and how measurements are degraded."""
@@ -70,6 +58,7 @@ class ExperimentGrid:
 
     def __post_init__(self):
         self.factors = tuple(int(f) for f in self.factors)
+        self.input_snr_db = float(self.input_snr_db)
         self.algorithms = tuple(str(a) for a in self.algorithms)
         self.lambdas = tuple(float(v) for v in self.lambdas)
         self.seeds = tuple(int(s) for s in self.seeds)
@@ -112,15 +101,6 @@ def sparse_split(vol: DepthVolume, rate: float, seed: int, split: float
     return _as_measurements(chosen[:n_rec]), _as_measurements(chosen[n_rec:])
 
 
-def _geometry_from(solver: dict) -> PatchGeometry:
-    return PatchGeometry(
-        patch_side=int(solver["patch"]),
-        stride=int(solver["stride"]),
-        window=tuple(int(v) for v in solver["window"]),
-        group_size=int(solver["group_size"]),
-    )
-
-
 def _solve_cell(ref: DepthVolume, guide, grid: ExperimentGrid, algo: str,
                 factor: int, seed: int, solver: dict) -> DepthVolume:
     op = SamplingOperator.decimation(ref.dims, factor)
@@ -128,20 +108,12 @@ def _solve_cell(ref: DepthVolume, guide, grid: ExperimentGrid, algo: str,
     if algo == "linear":
         est, _ = run_pipeline(psi, guide, SolverConfig(algo="linear"))
         return est
-    base = dict(
-        algo=algo,
-        rho=float(solver["rho"]),
-        nu=float(solver["nu"]),
-        max_iter=int(solver["max_iter"]),
-        tol=float(solver["tol"]),
-        geometry=_geometry_from(solver),
-    )
     cands = list(grid.lambdas) or default_lambda_grid(psi, grid.input_snr_db)
+    cfg = SolverConfig.from_settings(algo, cands[0], solver)
     if len(cands) == 1:
-        est, _ = run_pipeline(psi, guide, SolverConfig(lam=cands[0], **base))
+        est, _ = run_pipeline(psi, guide, cfg)
     else:
-        _, est, _ = select_lambda(psi, guide, SolverConfig(lam=cands[0], **base),
-                                  cands, ref)
+        _, est, _ = select_lambda(psi, guide, cfg, cands, ref)
     return est
 
 
@@ -210,7 +182,8 @@ def bench_from_config(config: dict, out_dir) -> dict:
     """Build scene/grid/solver settings from a parsed config mapping and run.
 
     Sections "scene", "grid" and "solver" are all optional; missing keys fall
-    back to the package defaults.
+    back to the package defaults, and unknown grid or solver keys are a
+    DataError.
     """
     if not isinstance(config, dict):
         raise DataError("bench config must be a JSON object")
@@ -224,16 +197,8 @@ def bench_from_config(config: dict, out_dir) -> dict:
     else:
         spec = default_scene(dims, seed)
 
-    grid_cfg = dict(config.get("grid", {}))
     try:
-        grid = ExperimentGrid(
-            factors=tuple(grid_cfg.get("factors", (2, 3, 4, 5))),
-            input_snr_db=float(grid_cfg.get("input_snr_db", 30.0)),
-            algorithms=tuple(grid_cfg.get("algorithms",
-                                          ExperimentGrid.algorithms)),
-            lambdas=tuple(grid_cfg.get("lambdas", ())),
-            seeds=tuple(grid_cfg.get("seeds", (0,))),
-        )
+        grid = ExperimentGrid(**config.get("grid", {}))
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid grid config: {exc}") from exc
     return run_bench(spec, grid, config.get("solver"), out_dir)

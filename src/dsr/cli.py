@@ -25,9 +25,8 @@ from .io import (
     write_json,
     write_measurements,
 )
-from .patches import PatchGeometry
 from .scenes import SceneSpec, default_scene, synth_scene
-from .solvers import ALGORITHMS, SolverConfig, run_pipeline, select_lambda
+from .solvers import ALGORITHMS, DEFAULT_SOLVER, SolverConfig, run_pipeline, select_lambda
 from .volumes import (
     FrameDims,
     IntensityVolume,
@@ -137,16 +136,15 @@ def build_parser() -> _Parser:
                    help="intensity volume (.dsrv) or PGM manifest file")
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=None,
                    metavar="FLOAT[,FLOAT...]")
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=0.02)
-    p.add_argument("--patch", type=_positive_int, default=5)
-    p.add_argument("--window", type=_window_arg, default=(11, 11, 3),
-                   metavar="WxWxT")
-    p.add_argument("--stride", type=_positive_int, default=3)
-    p.add_argument("--group-size", type=_positive_int, default=10)
-    p.add_argument("--max-iter", type=_positive_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--nu", type=float)
+    p.add_argument("--patch", type=_positive_int)
+    p.add_argument("--window", type=_window_arg, metavar="WxWxT")
+    p.add_argument("--stride", type=_positive_int)
+    p.add_argument("--group-size", type=_positive_int)
+    p.add_argument("--max-iter", type=_positive_int)
+    p.add_argument("--tol", type=float)
+    p.set_defaults(**DEFAULT_SOLVER)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--ref", type=Path, default=None,
                    help="reference volume for selecting among lambda candidates")
@@ -219,12 +217,8 @@ def _validate_solve(parser: _Parser, args) -> None:
 def cmd_solve(args) -> int:
     psi, _ = read_measurements(args.meas)
     guide = _load_guide(args.guide) if args.guide is not None else None
-    geometry = PatchGeometry(patch_side=args.patch, stride=args.stride,
-                             window=args.window, group_size=args.group_size)
-    cfg = SolverConfig(algo=args.algo,
-                       lam=args.lam[0] if args.lam else None,
-                       rho=args.rho, nu=args.nu, max_iter=args.max_iter,
-                       tol=args.tol, geometry=geometry)
+    cfg = SolverConfig.from_settings(args.algo, args.lam[0] if args.lam else None,
+                                     vars(args))
     if args.lam is not None and len(args.lam) > 1:
         ref = read_dsrv(args.ref)
         lam, est, report = select_lambda(psi, guide, cfg, args.lam, ref)
@@ -247,7 +241,6 @@ def cmd_solve(args) -> int:
         "group_size": args.group_size,
         "max_iter": args.max_iter,
         "tol": args.tol,
-        "seed": args.seed,
         "meas": str(args.meas),
         "guide": str(args.guide) if args.guide else None,
         "iterations": report.iterations,

@@ -32,7 +32,6 @@ __all__ = [
     "scatter_sum",
     "compute_counts",
     "aggregate_average",
-    "dump_groups",
 ]
 
 
@@ -290,13 +289,3 @@ def aggregate_average(table: PatchGroupTable, blocks) -> np.ndarray:
         raise DataError("group table does not cover every voxel")
     return scatter_sum(blocks, table) / counts
 
-
-def dump_groups(table: PatchGroupTable, path) -> None:
-    """Write one CSV-ish line per group: p, reference triple, member triples."""
-    with open(path, "w", newline="\n") as fh:
-        for p in range(table.n_groups):
-            ref = table.members[p, 0]
-            cells = [str(p), str(ref[0]), str(ref[1]), str(ref[2])]
-            for trip in table.members[p]:
-                cells.extend(str(v) for v in trip)
-            fh.write(",".join(cells) + "\n")

@@ -9,37 +9,17 @@ low-rank generalization, which is what the solvers apply blockwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, NumericError
 
 __all__ = [
-    "ShrinkParams",
     "shrink_threshold",
     "nu_shrink",
     "nu_huber",
     "prox_nuclear",
     "prox_low_rank",
 ]
-
-
-@dataclass(frozen=True)
-class ShrinkParams:
-    """Validated regularization parameter bundle."""
-
-    lam: float
-    nu: float = 0.02
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise DataError(f"lam must be positive, got {self.lam}")
-        if not 0.0 < self.nu <= 1.0:
-            raise DataError(f"nu must lie in (0, 1], got {self.nu}")
-        if not self.rho > 0:
-            raise DataError(f"rho must be positive, got {self.rho}")
 
 
 def _check_lam_nu(lam: float, nu: float, allow_zero_nu: bool) -> None:

@@ -27,6 +27,7 @@ from .volumes import (
     DepthVolume,
     Measurements,
     SamplingOperator,
+    adjoint_sampling,
     linear_interpolate,
     mask_fill,
     occupancy,
@@ -36,9 +37,9 @@ from .volumes import (
 __all__ = [
     "ALGORITHMS",
     "SolverConfig",
+    "DEFAULT_SOLVER",
     "TraceEntry",
     "SolveReport",
-    "stop_check",
     "default_initialization",
     "admm_phi_step",
     "simplified_phi_step",
@@ -99,6 +100,31 @@ class SolverConfig:
             return "self-depth"
         return None
 
+    @classmethod
+    def from_settings(cls, algo: str, lam: float | None, settings) -> "SolverConfig":
+        """Config from a mapping holding the flat settings named in DEFAULT_SOLVER,
+        as ``dsr solve`` and ``dsr bench`` take them; other keys are ignored."""
+        geometry = PatchGeometry(patch_side=int(settings["patch"]),
+                                 stride=int(settings["stride"]),
+                                 window=tuple(int(v) for v in settings["window"]),
+                                 group_size=int(settings["group_size"]))
+        return cls(algo=algo, lam=lam, rho=float(settings["rho"]),
+                   nu=float(settings["nu"]), max_iter=int(settings["max_iter"]),
+                   tol=float(settings["tol"]), geometry=geometry)
+
+
+#: The flat solver settings and their defaults, read from the dataclasses.
+DEFAULT_SOLVER = {
+    "patch": PatchGeometry.patch_side,
+    "stride": PatchGeometry.stride,
+    "window": PatchGeometry.window,
+    "group_size": PatchGeometry.group_size,
+    "nu": SolverConfig.nu,
+    "rho": SolverConfig.rho,
+    "max_iter": SolverConfig.max_iter,
+    "tol": SolverConfig.tol,
+}
+
 
 @dataclass
 class TraceEntry:
@@ -119,18 +145,6 @@ class SolveReport:
     lam: float | None = None
 
 
-def stop_check(phi_prev: np.ndarray, phi_cur: np.ndarray, tol: float) -> bool:
-    """True when the relative change between successive iterates is within tol."""
-    prev = np.asarray(phi_prev, dtype=np.float64).reshape(-1)
-    cur = np.asarray(phi_cur, dtype=np.float64).reshape(-1)
-    if prev.size != cur.size:
-        raise DataError("iterates must have equal size")
-    denom = float(np.linalg.norm(prev))
-    if denom == 0.0:
-        raise DataError("relative change undefined for an all-zero previous iterate")
-    return float(np.linalg.norm(cur - prev)) / denom <= tol
-
-
 def admm_phi_step(ht_psi: np.ndarray, occ: np.ndarray, counts: np.ndarray,
                   bt_z: np.ndarray, rho: float) -> np.ndarray:
     """Diagonal solve of the data+coupling quadratic: per voxel
@@ -142,12 +156,6 @@ def simplified_phi_step(ht_psi: np.ndarray, occ: np.ndarray,
                         phi_tilde: np.ndarray, rho: float) -> np.ndarray:
     """Diagonal solve mixing measurements with the aggregated block average."""
     return (ht_psi + rho * phi_tilde) / (occ + rho)
-
-
-def _scattered_measurements(psi: Measurements) -> np.ndarray:
-    out = np.zeros(psi.operator.dims.total_voxels)
-    out[psi.operator.indices] = psi.values
-    return out
 
 
 def default_initialization(psi: Measurements) -> DepthVolume:
@@ -166,16 +174,64 @@ def objective_nuclear(phi: DepthVolume, psi: Measurements, op: SamplingOperator,
     return 0.5 * float(resid @ resid) + lam * float(sv.sum())
 
 
-def _objective_values(phi_values: np.ndarray, psi: Measurements,
-                      table: PatchGroupTable, lam: float) -> float:
-    resid = psi.values - phi_values[psi.operator.indices]
-    sv = np.linalg.svd(extract_blocks(phi_values, table), compute_uv=False)
-    return 0.5 * float(resid @ resid) + lam * float(sv.sum())
+def _relative(diff: np.ndarray, ref: np.ndarray) -> float:
+    """||diff|| / ||ref||, or ||diff|| itself when ref is all zero."""
+    change = float(np.linalg.norm(diff))
+    scale = float(np.linalg.norm(ref))
+    return change / scale if scale > 0 else change
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NumericError(f"{what} diverged to non-finite values")
+def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
+             init: DepthVolume | None) -> tuple[DepthVolume, SolveReport]:
+    """The alternation both solvers share; only the volume update and, for
+    admm3d, the block and dual updates depend on the algorithm."""
+    t_start = time.perf_counter()
+    op = psi.operator
+    occ = occupancy(op).astype(np.float64)
+    counts = table.counts().astype(np.float64)
+    ht_psi = adjoint_sampling(op, psi).values
+    idx = table.gather_indices()
+
+    phi = (init if init is not None else default_initialization(psi)).values.copy()
+    rho = cfg.rho
+    admm = cfg.algo == "admm3d"
+    if admm:
+        blocks = phi[idx]
+        dual = np.zeros_like(blocks)
+
+    trace: list[TraceEntry] = []
+    stop_reason = "max_iter"
+    for k in range(cfg.max_iter):
+        if admm:
+            bt_z = scatter_sum(blocks + dual / rho, table)
+            new_phi = admm_phi_step(ht_psi, occ, counts, bt_z, rho)
+        else:
+            blocks = prox_low_rank(phi[idx], cfg.lam, cfg.nu)
+            phi_tilde = scatter_sum(blocks, table) / counts
+            new_phi = simplified_phi_step(ht_psi, occ, phi_tilde, rho)
+        if not np.all(np.isfinite(new_phi)):
+            raise NumericError("iterate diverged to non-finite values")
+        entry = TraceEntry(rel_change=_relative(new_phi - phi, phi))
+        if admm:
+            b_phi = new_phi[idx]
+            blocks = prox_low_rank(b_phi - dual / rho, cfg.lam / rho, cfg.nu)
+            dual = dual + rho * (blocks - b_phi)
+            entry.primal_residual = _relative(blocks - b_phi, b_phi)
+        if cfg.track_objective:
+            entry.objective = objective_nuclear(DepthVolume(op.dims, new_phi),
+                                                psi, op, table, cfg.lam)
+        phi = new_phi
+        trace.append(entry)
+        # the initialization is a fixed point of the first ADMM volume update
+        # (blocks start as exact extractions), so the change test is only
+        # meaningful from the second iteration on
+        if k >= 1 and entry.rel_change <= cfg.tol:
+            stop_reason = "tolerance"
+            break
+
+    report = SolveReport(len(trace), stop_reason, trace,
+                         time.perf_counter() - t_start, cfg.algo, cfg.lam)
+    return DepthVolume(op.dims, phi), report
 
 
 def solve_admm(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
@@ -184,53 +240,12 @@ def solve_admm(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
 
     Per iteration: diagonal data step on the volume, blockwise low-rank
     proximal step with threshold lam/rho, then the dual ascent update.
-    Stops when the relative change of the volume falls within cfg.tol.
+    Stops when the relative change of the volume falls within cfg.tol (the
+    absolute change while the previous iterate is all zero).
     """
     if cfg.algo != "admm3d":
         raise DataError(f"solve_admm called with algo {cfg.algo!r}")
-    t_start = time.perf_counter()
-    op = psi.operator
-    occ = occupancy(op).astype(np.float64)
-    counts = table.counts().astype(np.float64)
-    ht_psi = _scattered_measurements(psi)
-    idx = table.gather_indices()
-
-    phi = (init if init is not None else default_initialization(psi)).values.copy()
-    rho = cfg.rho
-    blocks = phi[idx]
-    dual = np.zeros_like(blocks)
-
-    trace: list[TraceEntry] = []
-    stop_reason = "max_iter"
-    for k in range(cfg.max_iter):
-        z = blocks + dual / rho
-        new_phi = admm_phi_step(ht_psi, occ, counts, scatter_sum(z, table), rho)
-        _check_finite(new_phi, "ADMM iterate")
-        b_phi = new_phi[idx]
-        blocks = prox_low_rank(b_phi - dual / rho, cfg.lam / rho, cfg.nu)
-        dual = dual + rho * (blocks - b_phi)
-
-        gap = float(np.linalg.norm(blocks - b_phi))
-        denom = float(np.linalg.norm(b_phi))
-        entry = TraceEntry(
-            rel_change=float(np.linalg.norm(new_phi - phi)) / float(np.linalg.norm(phi)),
-            primal_residual=gap / denom if denom > 0 else gap,
-        )
-        if cfg.track_objective:
-            entry.objective = _objective_values(new_phi, psi, table, cfg.lam)
-        # the initialization is a fixed point of the first volume update
-        # (blocks start as exact extractions), so the change test is only
-        # meaningful from the second iteration on
-        hit = k >= 1 and stop_check(phi, new_phi, cfg.tol)
-        phi = new_phi
-        trace.append(entry)
-        if hit:
-            stop_reason = "tolerance"
-            break
-
-    report = SolveReport(len(trace), stop_reason, trace,
-                         time.perf_counter() - t_start, cfg.algo, cfg.lam)
-    return DepthVolume(op.dims, phi), report
+    return _iterate(psi, table, cfg, init)
 
 
 def solve_simplified(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
@@ -239,39 +254,7 @@ def solve_simplified(psi: Measurements, table: PatchGroupTable, cfg: SolverConfi
     count-normalized aggregation, then the diagonal data step."""
     if cfg.algo not in ("gds3d", "gds2d", "ds3d"):
         raise DataError(f"solve_simplified called with algo {cfg.algo!r}")
-    t_start = time.perf_counter()
-    op = psi.operator
-    occ = occupancy(op).astype(np.float64)
-    counts = table.counts().astype(np.float64)
-    ht_psi = _scattered_measurements(psi)
-    idx = table.gather_indices()
-
-    phi = (init if init is not None else default_initialization(psi)).values.copy()
-    rho = cfg.rho
-
-    trace: list[TraceEntry] = []
-    stop_reason = "max_iter"
-    for k in range(cfg.max_iter):
-        blocks = prox_low_rank(phi[idx], cfg.lam, cfg.nu)
-        phi_tilde = scatter_sum(blocks, table) / counts
-        new_phi = simplified_phi_step(ht_psi, occ, phi_tilde, rho)
-        _check_finite(new_phi, "iterate")
-
-        entry = TraceEntry(
-            rel_change=float(np.linalg.norm(new_phi - phi)) / float(np.linalg.norm(phi)))
-        if cfg.track_objective:
-            entry.objective = _objective_values(new_phi, psi, table, cfg.lam)
-        # same guard as the full splitting: never stop on the first iterate
-        hit = k >= 1 and stop_check(phi, new_phi, cfg.tol)
-        phi = new_phi
-        trace.append(entry)
-        if hit:
-            stop_reason = "tolerance"
-            break
-
-    report = SolveReport(len(trace), stop_reason, trace,
-                         time.perf_counter() - t_start, cfg.algo, cfg.lam)
-    return DepthVolume(op.dims, phi), report
+    return _iterate(psi, table, cfg, init)
 
 
 def run_pipeline(psi: Measurements, guide, cfg: SolverConfig

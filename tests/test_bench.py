@@ -193,6 +193,15 @@ class TestConfig:
         summary = bench_from_config(config, tmp_path)
         assert "linear" in summary
 
+    @pytest.mark.parametrize("grid", [{"factor": [2], "algorithms": ["linear"]},
+                                      {"factors": 2, "algorithms": ["linear"]},
+                                      None])
+    def test_bad_grid_rejected(self, tmp_path, grid):
+        with pytest.raises(DataError):
+            bench_from_config({"scene": {"w": 12, "h": 12, "t": 2}, "grid": grid},
+                              tmp_path)
+        assert not (tmp_path / "table.csv").exists()
+
     def test_non_mapping_rejected(self, tmp_path):
         with pytest.raises(DataError):
             bench_from_config(["not", "a", "dict"], tmp_path)

@@ -11,8 +11,8 @@ import dsr
 import dsr.cli as cli_mod
 from dsr.cli import main
 from dsr.errors import NumericError
-from dsr.io import read_dsrv, read_json, read_measurements
-from dsr.volumes import FrameDims
+from dsr.io import read_dsrv, read_json, read_measurements, write_dsrv
+from dsr.volumes import DepthVolume, FrameDims
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,20 @@ class TestSolve:
         assert run["lambda_candidates"] == [2.0]
         assert run["stop_reason"] in ("tolerance", "max_iter")
         assert run["iterations"] >= 2
+        assert "seed" not in run  # the solve path draws no random numbers
+
+    def test_all_zero_depth_exits_0(self, workspace, tmp_path):
+        write_dsrv(tmp_path / "zero.dsrv",
+                   DepthVolume(FrameDims(24, 24, 4), np.zeros(24 * 24 * 4)))
+        assert main(["degrade", "--depth", str(tmp_path / "zero.dsrv"),
+                     "--factor", "2", "--out", str(tmp_path / "meas")]) == 0
+        out = tmp_path / "solved"
+        assert main(["solve", "--algo", "gds3d", "--meas", str(tmp_path / "meas"),
+                     "--guide", str(workspace / "scene" / "guide.dsrv"),
+                     "--lambda", "1", *SOLVE_GEOM, "--out", str(out)]) == 0
+        assert not np.any(read_dsrv(out / "est.dsrv").values)
+        run = read_json(out / "run.json")
+        assert (run["stop_reason"], run["iterations"]) == ("tolerance", 2)
 
     def test_lambda_selection_with_ref(self, workspace, tmp_path):
         out = tmp_path / "sel"

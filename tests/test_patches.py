@@ -12,7 +12,6 @@ from dsr.patches import (
     aggregate_average,
     build_groups,
     compute_counts,
-    dump_groups,
     extract_block,
     extract_blocks,
     grid_positions,
@@ -214,19 +213,6 @@ class TestBlockOperators:
         group = PatchGroup(PatchRef(11, 0, 0), [PatchRef(11, 0, 0)])
         with pytest.raises(DataError):
             extract_block(random_volume, group, PatchGeometry(patch_side=3, stride=2))
-
-
-def test_dump_groups(tmp_path, random_guide):
-    table = _table(random_guide)
-    path = tmp_path / "groups.csv"
-    dump_groups(table, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == table.n_groups
-    first = lines[0].split(",")
-    assert first[0] == "0"
-    assert [int(v) for v in first[1:4]] == [int(v) for v in table.members[0, 0]]
-    # 4 leading cells plus one triple per member
-    assert len(first) == 4 + 3 * table.geometry.group_size
 
 
 @settings(max_examples=15, deadline=None)

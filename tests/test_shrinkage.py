@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dsr.errors import DataError
 from dsr.shrinkage import (
-    ShrinkParams,
     nu_huber,
     nu_shrink,
     prox_low_rank,
@@ -202,14 +201,3 @@ class TestProxLowRank:
         with pytest.raises(DataError):
             prox_low_rank(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0, 0.5)
 
-
-class TestShrinkParams:
-    def test_accepts_valid(self):
-        p = ShrinkParams(lam=2.0, nu=0.02, rho=0.5)
-        assert p.lam == 2.0
-
-    @pytest.mark.parametrize("kw", [dict(lam=0.0), dict(lam=1.0, nu=0.0),
-                                    dict(lam=1.0, nu=1.2), dict(lam=1.0, rho=0.0)])
-    def test_rejects_invalid(self, kw):
-        with pytest.raises(DataError):
-            ShrinkParams(**kw)
