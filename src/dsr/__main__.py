@@ -1,0 +1,8 @@
+"""``python -m dsr``: the ``dsr`` command without an installed launcher."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

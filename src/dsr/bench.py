@@ -182,12 +182,17 @@ def bench_from_config(config: dict, out_dir) -> dict:
     """Build scene/grid/solver settings from a parsed config mapping and run.
 
     Sections "scene", "grid" and "solver" are all optional; missing keys fall
-    back to the package defaults, and unknown grid or solver keys are a
-    DataError.
+    back to the package defaults, and unknown scene, grid or solver keys are
+    a DataError.
     """
     if not isinstance(config, dict):
         raise DataError("bench config must be a JSON object")
-    scene_cfg = dict(config.get("scene", {}))
+    scene_cfg = config.get("scene", {})
+    if not isinstance(scene_cfg, dict):
+        raise DataError("scene config must be a JSON object")
+    unknown = set(scene_cfg) - {"w", "h", "t", "seed", "objects"}
+    if unknown:
+        raise DataError(f"unknown scene config keys: {sorted(unknown)}")
     dims = FrameDims(int(scene_cfg.get("w", 64)), int(scene_cfg.get("h", 64)),
                      int(scene_cfg.get("t", 16)))
     seed = int(scene_cfg.get("seed", 0))

@@ -68,15 +68,29 @@ def nu_huber(x, lam: float, nu: float):
     return out
 
 
-def _svd_shrink(mat: np.ndarray, fn) -> np.ndarray:
+def _spectral_shrink(mat: np.ndarray, fn) -> np.ndarray:
+    """Apply fn to the singular values of every matrix in a stack.
+
+    Works through the Gram matrix of the smaller side: with G = B^T B =
+    V diag(s**2) V^T, the result is B V diag(fn(s)/s) V^T (for a wide B,
+    B B^T and the product on the left). One small symmetric eigenproblem per
+    matrix costs about half a full SVD. Singular values below about
+    sqrt(eps) * s_max come out inexact, which moves the result by at most
+    their size because fn(s) <= s; fn(0) = 0, so directions with s = 0 drop.
+    """
     arr = np.asarray(mat, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DataError("matrix entries must be finite")
+    wide = arr.shape[-2] < arr.shape[-1]
+    arr_t = np.swapaxes(arr, -1, -2)
     try:
-        u, s, vh = np.linalg.svd(arr, full_matrices=False)
+        w, v = np.linalg.eigh(arr @ arr_t if wide else arr_t @ arr)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
-    return (u * fn(s)[..., None, :]) @ vh
+        raise NumericError(f"Gram eigendecomposition failed: {exc}") from exc
+    s = np.sqrt(np.maximum(w, 0.0))
+    scale = np.divide(fn(s), s, out=np.zeros_like(s), where=s > 0)
+    proj = (v * scale[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return proj @ arr if wide else arr @ proj
 
 
 def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
@@ -88,11 +102,11 @@ def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
         raise DataError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
         return np.asarray(mat, dtype=np.float64).copy()
-    return _svd_shrink(mat, lambda s: np.maximum(s - lam, 0.0))
+    return _spectral_shrink(mat, lambda s: np.maximum(s - lam, 0.0))
 
 
 def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
     """Apply ``nu_shrink`` to the singular values; proximal map of the
     nonconvex low-rank penalty. Reduces to ``prox_nuclear`` at nu = 1."""
     _check_lam_nu(lam, nu, allow_zero_nu=True)
-    return _svd_shrink(mat, lambda s: np.asarray(nu_shrink(s, lam, nu)))
+    return _spectral_shrink(mat, lambda s: np.asarray(nu_shrink(s, lam, nu)))

@@ -117,12 +117,21 @@ def soft_threshold_ref(y, lam: float):
     return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
 
 
-def singular_values_eigh(mat: np.ndarray) -> np.ndarray:
-    """Singular values through the Gram matrix eigenproblem (independent of
-    np.linalg.svd's bidiagonalization path)."""
-    gram = mat.T @ mat
-    eig = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(eig, 0.0, None))[::-1]
+def shrink_values_ref(s, lam: float, nu: float) -> np.ndarray:
+    """The nu shrinkage of nonnegative values: s - lam*s**(nu-1) above
+    lam**(1/(2-nu)), zero at or below it."""
+    s = np.asarray(s, dtype=np.float64)
+    out = np.zeros_like(s)
+    keep = s > lam ** (1.0 / (2.0 - nu))
+    out[keep] = s[keep] - lam * s[keep] ** (nu - 1.0)
+    return out
+
+
+def prox_low_rank_ref(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
+    """Shrink the singular values from a full SVD and recompose; accepts a
+    stack of matrices."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    return (u * shrink_values_ref(s, lam, nu)[..., None, :]) @ vh
 
 
 def prox_nuclear_ref(mat: np.ndarray, lam: float) -> np.ndarray:

@@ -202,6 +202,17 @@ class TestConfig:
                               tmp_path)
         assert not (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize("scene", [{"width": 12, "height": 12, "frames": 2},
+                                       {"w": 12, "h": 12, "t": 2, "seeds": [1]},
+                                       [["w", 12]],
+                                       "w=12"])
+    def test_bad_scene_rejected(self, tmp_path, scene):
+        with pytest.raises(DataError):
+            bench_from_config({"scene": scene,
+                               "grid": {"factors": [2], "algorithms": ["linear"]}},
+                              tmp_path)
+        assert not (tmp_path / "table.csv").exists()
+
     def test_non_mapping_rejected(self, tmp_path):
         with pytest.raises(DataError):
             bench_from_config(["not", "a", "dict"], tmp_path)

@@ -273,6 +273,7 @@ ENTRY_POINT = "dsr.cli:main"
 _MODULE, _FUNC = ENTRY_POINT.split(":")
 ENTRY_POINT_CMD = [sys.executable, "-c",
                    f"import sys; from {_MODULE} import {_FUNC}; sys.exit({_FUNC}())"]
+MODULE_CMD = [sys.executable, "-m", "dsr"]
 LAUNCHER = shutil.which("dsr")
 needs_launcher = pytest.mark.skipif(LAUNCHER is None,
                                     reason="dsr console script not on PATH")
@@ -290,7 +291,8 @@ def _run(cmd: list[str]) -> subprocess.CompletedProcess:
 
 class TestConsoleScript:
     """The exit-code contract through a real process: the entry point run as
-    pip's launcher runs it, and the installed launcher wherever there is one."""
+    pip's launcher runs it, ``python -m dsr``, and the installed launcher
+    wherever there is one."""
 
     @staticmethod
     def _check_help(cmd):
@@ -311,6 +313,12 @@ class TestConsoleScript:
 
     def test_usage_error_exits_one(self):
         self._check_usage_error(ENTRY_POINT_CMD)
+
+    def test_module_help_exits_zero(self):
+        self._check_help(MODULE_CMD)
+
+    def test_module_usage_error_exits_one(self):
+        self._check_usage_error(MODULE_CMD)
 
     @needs_launcher
     def test_launcher_help_exits_zero(self):

@@ -270,6 +270,21 @@ def test_all_zero_depth_returns_zeros(rng, algo, fn):
     assert [e.rel_change for e in rep.trace] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.02])
+@pytest.mark.parametrize("algo", ["gds3d", "ds3d", "admm3d"])
+def test_constant_depth_stays_constant(algo, nu):
+    """Constant depth makes every block exactly rank 1, so the other Gram
+    eigenvalues of the prox round to zero or below it."""
+    dims = FrameDims(24, 24, 4)
+    vol = DepthVolume(dims, np.full(dims.total_voxels, 5.0))
+    guide = IntensityVolume(dims, np.full(dims.total_voxels, 0.5))
+    psi = apply_sampling(SamplingOperator.decimation(dims, 2), vol)
+    est, rep = run_pipeline(psi, guide, SolverConfig(algo=algo, lam=1.0, nu=nu))
+    assert np.all(np.isfinite(est.values))
+    assert rep.stop_reason == "tolerance"
+    assert float(np.max(np.abs(est.values - 5.0))) <= 0.1
+
+
 class TestRunPipeline:
     def test_linear_returns_initialization(self, problem):
         _, _, psi, _ = problem
