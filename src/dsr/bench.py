@@ -69,8 +69,9 @@ class ExperimentGrid:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise DataError(f"unknown algorithm {a!r}")
-        if any(v <= 0 for v in self.lambdas):
-            raise DataError("lambda candidates must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in self.lambdas):
+            raise DataError(f"lambda candidates must be positive and finite, "
+                            f"got {self.lambdas}")
 
 
 def sparse_split(vol: DepthVolume, rate: float, seed: int, split: float

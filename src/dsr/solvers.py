@@ -75,6 +75,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise DataError(f"unknown algorithm {self.algo!r}, expected one of {ALGORITHMS}")
+        for name in ("lam", "rho", "tol"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         if self.algo != "linear":
             if self.lam is None or not self.lam > 0:
                 raise DataError(f"lam must be positive for {self.algo}, got {self.lam}")

@@ -300,7 +300,44 @@ def linear_interpolate(m: Measurements, hi_dims: FrameDims) -> DepthVolume:
     return DepthVolume(hi_dims, out.reshape(-1))
 
 
-def mask_fill(m: Measurements, chunk: int = 4096) -> DepthVolume:
+def _nearest_sample(mask: np.ndarray) -> np.ndarray:
+    """Scan index of the nearest True pixel of an (H, W) mask, for every pixel.
+
+    Distance is Euclidean; ties go to the smallest scan index ``y*W + x``.
+    The mask must hold at least one True pixel. Each candidate is ranked by
+    the exact int64 key ``d2 * (W*H) + scan_index``, so the smallest key is
+    the (distance, scan index) minimum. First every column's nearest sample
+    is found from running maxima and minima of the measured rows (the upper
+    row wins an equal split), then column offsets dx = 1, 2, ... are swept
+    until ``dx**2 * (W*H)`` exceeds every key held, the second pass of
+    Felzenszwalb and Huttenlocher's separable distance transform done as a
+    bounded brute force over columns. Cost: O(H*W * largest distance to a
+    column's nearest sample).
+    """
+    h, w = mask.shape
+    n = h * w
+    rows = np.arange(h, dtype=np.int64)[:, None]
+    # rows -h and 2h stand for "none": farther than any sample of the column
+    above = np.maximum.accumulate(np.where(mask, rows, -h), axis=0)
+    below = np.minimum.accumulate(np.where(mask, rows, 2 * h)[::-1], axis=0)[::-1]
+    d_above = rows - above
+    d_below = below - rows
+    take_above = d_above <= d_below
+    dy = np.where(take_above, d_above, d_below)
+    key = dy * dy * n + np.where(take_above, above, below) * w + np.arange(w)
+    key[:, ~mask.any(axis=0)] = (w * w + h * h) * n  # beyond every real key
+
+    best = key.copy()
+    for dx in range(1, w):
+        step = dx * dx * n
+        if step > best.max():
+            break
+        np.minimum(best[:, dx:], key[:, :-dx] + step, out=best[:, dx:])
+        np.minimum(best[:, :-dx], key[:, dx:] + step, out=best[:, :-dx])
+    return best % n
+
+
+def mask_fill(m: Measurements) -> DepthVolume:
     """Fill unmeasured voxels with the nearest measured voxel in the same frame.
 
     Distance is Euclidean in pixel coordinates; ties go to the measured voxel
@@ -310,28 +347,14 @@ def mask_fill(m: Measurements, chunk: int = 4096) -> DepthVolume:
     if op.kind != "mask":
         raise DataError("mask_fill requires a mask operator")
     w, h, t = op.dims.width, op.dims.height, op.dims.frames
-    n = op.dims.pixels_per_frame
-    mask = op.mask.reshape(t, n)
-    out = np.zeros((t, n))
+    mask = op.mask.reshape(t, h, w)
+    out = np.zeros((t, h * w))
     out.reshape(-1)[op.indices] = m.values
 
     for k in range(t):
-        meas_idx = np.flatnonzero(mask[k])  # ascending scan order
-        if meas_idx.size == 0:
+        if not mask[k].any():
             raise DataError(f"frame {k} has no measurements to fill from")
-        miss_idx = np.flatnonzero(~mask[k])
-        if miss_idx.size == 0:
-            continue
-        mx = (meas_idx % w).astype(np.float64)
-        my = (meas_idx // w).astype(np.float64)
-        vals = out[k, meas_idx]
-        for lo in range(0, miss_idx.size, chunk):
-            part = miss_idx[lo:lo + chunk]
-            px = (part % w).astype(np.float64)
-            py = (part // w).astype(np.float64)
-            d2 = (px[:, None] - mx[None, :]) ** 2 + (py[:, None] - my[None, :]) ** 2
-            nearest = np.argmin(d2, axis=1)  # first minimum = smallest scan index
-            out[k, part] = vals[nearest]
+        out[k] = out[k][_nearest_sample(mask[k]).reshape(-1)]
     return DepthVolume(op.dims, out.reshape(-1))
 
 

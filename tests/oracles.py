@@ -197,3 +197,36 @@ def nuclear_objective_oracle(psi_values: np.ndarray, meas_indices: np.ndarray,
     resid = psi_values - phi[meas_indices]
     objective = 0.5 * float(resid @ resid) + lam * float(sv.sum())
     return phi, objective
+
+
+# ------------------------------------------------------------ nearest fill
+
+def mask_fill_ref(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Brute-force nearest fill of a (T, H, W) boolean mask.
+
+    ``values`` holds the measured values in flat scan order. Every missing
+    pixel is compared with every measured pixel of its frame, 4096 missing
+    pixels at a time; ``np.argmin`` keeps the first minimum, so ties go to
+    the smallest scan index. Returns the filled (T, H, W) array.
+    """
+    chunk = 4096
+    n_t, height, width = mask.shape
+    n = height * width
+    flat_mask = mask.reshape(n_t, n)
+    out = np.zeros((n_t, n))
+    out.reshape(-1)[np.flatnonzero(flat_mask)] = values
+    for k in range(n_t):
+        meas_idx = np.flatnonzero(flat_mask[k])
+        if meas_idx.size == 0:
+            raise ValueError(f"frame {k} has no measurements to fill from")
+        miss_idx = np.flatnonzero(~flat_mask[k])
+        mx = (meas_idx % width).astype(np.float64)
+        my = (meas_idx // width).astype(np.float64)
+        vals = out[k, meas_idx]
+        for lo in range(0, miss_idx.size, chunk):
+            part = miss_idx[lo:lo + chunk]
+            px = (part % width).astype(np.float64)
+            py = (part // width).astype(np.float64)
+            d2 = (px[:, None] - mx[None, :]) ** 2 + (py[:, None] - my[None, :]) ** 2
+            out[k, part] = vals[np.argmin(d2, axis=1)]
+    return out.reshape(n_t, height, width)

@@ -202,6 +202,15 @@ class TestConfig:
                               tmp_path)
         assert not (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize("lambdas", [[float("nan")], [float("inf")], [2.0, -1.0]])
+    def test_bad_lambdas_rejected(self, tmp_path, lambdas):
+        with pytest.raises(DataError):
+            bench_from_config({"scene": {"w": 12, "h": 12, "t": 2},
+                               "grid": {"factors": [2], "algorithms": ["gds3d"],
+                                        "lambdas": lambdas}},
+                              tmp_path)
+        assert not (tmp_path / "table.csv").exists()
+
     @pytest.mark.parametrize("scene", [{"width": 12, "height": 12, "frames": 2},
                                        {"w": 12, "h": 12, "t": 2, "seeds": [1]},
                                        [["w", 12]],

@@ -11,8 +11,9 @@ import dsr
 import dsr.cli as cli_mod
 from dsr.cli import main
 from dsr.errors import NumericError
-from dsr.io import read_dsrv, read_json, read_measurements, write_dsrv
-from dsr.volumes import DepthVolume, FrameDims
+from dsr.io import (read_dsrv, read_json, read_measurements, write_dsrv,
+                    write_measurements)
+from dsr.volumes import DepthVolume, FrameDims, SamplingOperator, apply_sampling
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +187,33 @@ class TestSolve:
         code = main(["solve", "--algo", "linear", "--meas",
                      str(workspace / "meas"), "--out", str(tmp_path / "out")])
         assert code == 3
+
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "inf"),
+                                            ("--rho", "inf"), ("--lambda", "inf")])
+    def test_non_finite_setting_exits_2(self, workspace, tmp_path, capsys,
+                                        flag, value):
+        settings = {"--lambda": "2.0", "--rho": "1.0", "--tol": "1e-4", flag: value}
+        out = tmp_path / "out"
+        code = main(["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
+                     "--guide", str(workspace / "scene" / "guide.dsrv"),
+                     *SOLVE_GEOM, *[a for kv in settings.items() for a in kv],
+                     "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("algo", ["linear", "ds3d"])
+    def test_empty_mask_frame_exits_2(self, workspace, tmp_path, capsys, algo):
+        depth = read_dsrv(workspace / "scene" / "depth.dsrv")
+        mask = np.random.default_rng(0).uniform(size=depth.dims.total_voxels) < 0.2
+        n = depth.dims.pixels_per_frame
+        mask[n:2 * n] = False  # frame 1 has no samples
+        op = SamplingOperator.from_mask(depth.dims, mask)
+        write_measurements(tmp_path / "meas", apply_sampling(op, depth))
+        code = main(["solve", "--algo", algo, "--meas", str(tmp_path / "meas"),
+                     "--lambda", "2.0", *SOLVE_GEOM, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "frame 1 has no measurements to fill from" in capsys.readouterr().err
 
     def test_pgm_manifest_guide(self, workspace, tmp_path):
         # render the guide to PGM frames and feed them back via a manifest

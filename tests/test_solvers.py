@@ -4,6 +4,7 @@ import pytest
 import dsr.solvers as solvers_mod
 from dsr.errors import DataError
 from dsr.patches import PatchGeometry, build_groups, extract_blocks
+from dsr.scenes import default_scene, synth_scene
 from dsr.shrinkage import prox_low_rank
 from dsr.solvers import (
     SolveReport,
@@ -96,6 +97,13 @@ class TestSolverConfig:
     def test_parameter_validation(self, kw):
         with pytest.raises(DataError):
             SolverConfig(algo="gds3d", lam=1.0, **kw)
+
+    @pytest.mark.parametrize("kw", [dict(tol=np.nan), dict(tol=np.inf),
+                                    dict(rho=np.inf), dict(lam=np.inf)])
+    def test_non_finite_settings_rejected(self, kw):
+        for algo in ("gds3d", "linear"):
+            with pytest.raises(DataError, match="must be finite"):
+                SolverConfig(**{"algo": algo, "lam": 1.0, **kw})
 
     def test_gds2d_collapses_temporal_window(self):
         cfg = SolverConfig(algo="gds2d", lam=1.0,
@@ -283,6 +291,19 @@ def test_constant_depth_stays_constant(algo, nu):
     assert np.all(np.isfinite(est.values))
     assert rep.stop_reason == "tolerance"
     assert float(np.max(np.abs(est.values - 5.0))) <= 0.1
+
+
+@pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
+def test_nu_near_zero_matches_nu_zero(algo):
+    """nu -> 0+ is continuous: the threshold lam**(1/(2-nu)) and the shrink
+    lam*s**(nu-1) move by O(nu), so the iterates stay within rounding."""
+    depth, guide = synth_scene(default_scene(FrameDims(24, 24, 4), seed=0))
+    psi = apply_sampling(SamplingOperator.decimation(depth.dims, 2), depth)
+    ests = [run_pipeline(psi, guide, SolverConfig(algo=algo, lam=2.0, nu=nu,
+                                                  max_iter=10))[0].values
+            for nu in (0.0, 1e-12)]
+    assert all(np.all(np.isfinite(e)) for e in ests)
+    assert float(np.max(np.abs(ests[1] - ests[0]))) <= 1e-9
 
 
 class TestRunPipeline:

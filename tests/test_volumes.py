@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from dsr.volumes import (
     per_frame_snr,
     snr_db,
 )
-from oracles import bilinear_naive, nearest_fill_naive
+from oracles import bilinear_naive, mask_fill_ref, nearest_fill_naive
 
 
 class TestFrameDims:
@@ -302,6 +304,77 @@ class TestMaskFill:
         op = SamplingOperator.decimation(random_volume.dims, 2)
         with pytest.raises(DataError):
             mask_fill(apply_sampling(op, random_volume))
+
+
+@st.composite
+def fill_masks(draw):
+    """(T, H, W) masks with every frame fillable: 1x1, 1xN and Nx1 frames,
+    single samples, full frames and unsampled rows and columns all occur."""
+    width = draw(st.integers(1, 13))
+    height = draw(st.integers(1, 13))
+    n_frames = draw(st.integers(1, 3))
+    frames = []
+    for _ in range(n_frames):
+        kind = draw(st.sampled_from(["one", "sparse", "dense", "full"]))
+        if kind == "full":
+            frame = np.ones(width * height, dtype=bool)
+        else:
+            frame = np.zeros(width * height, dtype=bool)
+            if kind != "one":
+                bits = draw(st.lists(st.integers(0, 9), min_size=frame.size,
+                                     max_size=frame.size))
+                frame = np.array(bits) < (2 if kind == "sparse" else 7)
+            frame[draw(st.integers(0, frame.size - 1))] = True
+        frames.append(frame.reshape(height, width))
+    return np.stack(frames)
+
+
+def _fill(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    n_t, height, width = mask.shape
+    op = SamplingOperator.from_mask(FrameDims(width, height, n_t), mask.reshape(-1))
+    return mask_fill(Measurements(values, op)).frames()
+
+
+class TestMaskFillExact:
+    """mask_fill against the brute-force reference, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fill_masks())
+    def test_matches_reference(self, mask):
+        values = np.arange(1, int(mask.sum()) + 1) * 1.25  # one value per sample
+        assert _fill(mask, values).tobytes() == mask_fill_ref(mask, values).tobytes()
+
+    @pytest.mark.parametrize("samples,pick", [
+        ([(2, 0), (0, 2), (4, 2), (2, 4)], (2, 0)),  # four at distance 2
+        ([(0, 2), (4, 2)], (0, 2)),                  # same row, left wins
+        ([(2, 4), (2, 0)], (2, 0)),                  # same column, upper wins
+        ([(3, 3), (1, 1), (3, 1), (1, 3)], (1, 1)),  # four diagonals
+        ([(4, 3), (0, 1)], (0, 1)),                  # distance^2 5 both ways
+    ])
+    def test_equidistant_tie_takes_smallest_scan_index(self, samples, pick):
+        mask = np.zeros((1, 5, 5), dtype=bool)
+        for x, y in samples:
+            mask[0, y, x] = True
+        values = np.arange(1.0, mask.sum() + 1)  # scan order
+        out = _fill(mask, values)
+        assert out[0, 2, 2] == out[0, pick[1], pick[0]]
+
+    def test_320x240_frame_at_2_5_percent(self, rng):
+        mask = rng.uniform(size=(1, 240, 320)) < 0.025
+        values = rng.uniform(1, 9, int(mask.sum()))
+        assert _fill(mask, values).tobytes() == mask_fill_ref(mask, values).tobytes()
+
+    def test_peak_memory_stays_within_a_few_frames(self, rng):
+        dims = FrameDims(320, 240, 4)
+        op = SamplingOperator.from_mask(dims, rng.uniform(size=dims.total_voxels) < 0.025)
+        m = Measurements(rng.uniform(1, 9, op.n_measurements), op)
+        tracemalloc.start()
+        try:
+            mask_fill(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * dims.pixels_per_frame * 8
 
 
 class TestLuma:
