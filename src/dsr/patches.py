@@ -166,12 +166,11 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     big_l = geom.group_size
     half_x, half_y, half_t = wx // 2, wy // 2, (wt - 1) // 2
 
-    frames = guide.frames()
-    # (ny_all, nx_all, B) stack of vectorized patches per frame
-    stacks = [
-        sliding_window_view(frames[k], (ps, ps)).reshape(h - ps + 1, w - ps + 1, -1)
-        for k in range(t_total)
-    ]
+    # (T, ny_all, nx_all, B) vectorized patches, copied in one allocation:
+    # per-frame copies are mid-sized blocks that glibc moves from mmap to the
+    # heap once one is freed, so a later call would peak higher than the first
+    stacks = sliding_window_view(guide.frames(), (ps, ps), axis=(1, 2)).reshape(
+        t_total, h - ps + 1, w - ps + 1, -1)
     yy, xx = np.indices((h - ps + 1, w - ps + 1))
 
     xs = grid_positions(w, ps, geom.stride)
