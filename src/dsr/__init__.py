@@ -23,7 +23,7 @@ from .patches import (
     extract_blocks,
     scatter_sum,
 )
-from .shrinkage import nu_huber, nu_shrink, prox_low_rank, prox_nuclear
+from .shrinkage import nu_shrink, prox_low_rank, prox_nuclear
 from .solvers import (
     SolveReport,
     SolverConfig,

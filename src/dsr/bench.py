@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericError
-from .io import write_dsrv, write_json
+from .io import write_dsrv, write_frame_snr, write_json
 from .scenes import ObjectSpec, SceneSpec, default_scene, synth_scene
 from .solvers import (
     ALGORITHMS,
@@ -62,6 +62,9 @@ class ExperimentGrid:
         self.algorithms = tuple(str(a) for a in self.algorithms)
         self.lambdas = tuple(float(v) for v in self.lambdas)
         self.seeds = tuple(int(s) for s in self.seeds)
+        if not (np.isfinite(self.input_snr_db) or self.input_snr_db == np.inf):
+            raise DataError(f"input_snr_db must be finite or +inf, "
+                            f"got {self.input_snr_db}")
         if not self.factors or not self.algorithms or not self.seeds:
             raise DataError("factors, algorithms and seeds must be nonempty")
         if any(f < 1 for f in self.factors):
@@ -128,6 +131,10 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
     unknown = set(solver) - set(DEFAULT_SOLVER)
     if unknown:
         raise DataError(f"unknown solver config keys: {sorted(unknown)}")
+    try:
+        SolverConfig.from_settings("linear", None, solver)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"invalid solver config: {exc}") from exc
 
     ref, guide = synth_scene(scene_spec)
     lines = ["algo," + ",".join(f"{f}x" for f in grid.factors)]
@@ -145,10 +152,7 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
                         first_est = est
                 cell = float(np.mean(overall))
                 curve = np.mean(np.stack(frame_curves), axis=0)
-                frame_lines = ["frame,snr_db"]
-                frame_lines += [f"{k},{v:.4f}" for k, v in enumerate(curve)]
-                (out / f"frames_{algo}_{factor}.csv").write_text(
-                    "\n".join(frame_lines) + "\n")
+                write_frame_snr(out / f"frames_{algo}_{factor}.csv", curve)
                 write_dsrv(out / f"recon_{algo}_{factor}x.dsrv", first_est)
             except (DataError, NumericError):
                 cell = float("nan")
@@ -157,9 +161,12 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
         lines.append(algo + "," + ",".join(f"{c:.2f}" for c in cells))
     (out / "table.csv").write_text("\n".join(lines) + "\n")
 
+    grid_info = asdict(grid)
+    if not math.isfinite(grid.input_snr_db):
+        grid_info["input_snr_db"] = "inf"  # the encoding of ``dsr degrade``
     write_json(out / "run.json", {
         "scene": asdict(scene_spec),
-        "grid": asdict(grid),
+        "grid": grid_info,
         "solver": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in solver.items()},
     })

@@ -22,6 +22,7 @@ from .io import (
     read_json,
     read_measurements,
     write_dsrv,
+    write_frame_snr,
     write_json,
     write_measurements,
 )
@@ -260,9 +261,8 @@ def cmd_eval(args) -> int:
     overall = snr_db(ref.values, est.values)
     if args.per_frame is not None:
         curve = per_frame_snr(ref, est)
-        lines = ["frame,snr_db"] + [f"{k},{v:.4f}" for k, v in enumerate(curve)]
         args.per_frame.parent.mkdir(parents=True, exist_ok=True)
-        args.per_frame.write_text("\n".join(lines) + "\n")
+        write_frame_snr(args.per_frame, curve)
     print(f"{overall:.4f}")
     return 0
 

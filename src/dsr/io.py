@@ -26,11 +26,11 @@ __all__ = [
     "write_dsrv",
     "load_pgm",
     "import_pgm_sequence",
-    "render_pgm",
     "write_measurements",
     "read_measurements",
     "write_json",
     "read_json",
+    "write_frame_snr",
 ]
 
 _DSRV_HEADER = struct.Struct("<4sHBBIII")
@@ -153,35 +153,11 @@ def import_pgm_sequence(directory, manifest) -> IntensityVolume:
     return IntensityVolume.from_frames(np.stack(frames))
 
 
-def render_pgm(volume, path_prefix) -> list[Path]:
-    """Write one 16-bit PGM per frame with shared global normalization.
-
-    The volume minimum maps to 0 and the maximum to 65535 across all frames,
-    so temporal variation stays visible; a constant volume renders mid-gray.
-    """
-    frames = volume.frames()
-    lo = float(frames.min())
-    hi = float(frames.max())
-    if hi > lo:
-        scaled = np.rint((frames - lo) / (hi - lo) * 65535.0)
-    else:
-        scaled = np.full(frames.shape, 32768.0)
-    raster = scaled.astype(">u2")
-    t, h, w = frames.shape
-    header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    prefix = Path(path_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for k in range(t):
-        out = prefix.parent / f"{prefix.name}_t{k:04d}.pgm"
-        out.write_bytes(header + raster[k].tobytes())
-        paths.append(out)
-    return paths
-
-
 def write_json(path, obj) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
+    NaN and infinities raise ValueError: they are not valid JSON."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path) -> dict:
@@ -191,6 +167,12 @@ def read_json(path) -> dict:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_frame_snr(path, curve) -> None:
+    """Per-frame SNR table: a ``frame,snr_db`` header, then one row per frame."""
+    lines = ["frame,snr_db"] + [f"{k},{v:.4f}" for k, v in enumerate(curve)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _meas_volume(values: np.ndarray) -> DepthVolume:

@@ -12,7 +12,6 @@ the diagonal of the composed operator is the per-voxel reference count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,12 +21,8 @@ from .volumes import FrameDims
 
 __all__ = [
     "PatchGeometry",
-    "PatchRef",
-    "PatchGroup",
     "PatchGroupTable",
     "build_groups",
-    "extract_block",
-    "adjoint_accumulate",
     "extract_blocks",
     "scatter_sum",
     "compute_counts",
@@ -58,32 +53,6 @@ class PatchGeometry:
         if self.group_size < 1:
             raise DataError("group_size must be >= 1")
 
-    @property
-    def patch_pixels(self) -> int:
-        return self.patch_side * self.patch_side
-
-
-class PatchRef(NamedTuple):
-    """Top-left corner and frame of a patch."""
-
-    x: int
-    y: int
-    t: int
-
-
-@dataclass
-class PatchGroup:
-    """One reference patch with its ordered list of matched members.
-
-    ``members[0]`` is always the reference. ``padded`` marks groups whose
-    search window held fewer candidates than the group size; those repeat
-    the reference to keep the block shape fixed.
-    """
-
-    reference: PatchRef
-    members: list[PatchRef]
-    padded: bool = False
-
 
 def grid_positions(extent: int, patch_side: int, stride: int) -> list[int]:
     """Stride-grid top-left positions along one axis, last position clamped."""
@@ -101,8 +70,11 @@ class PatchGroupTable:
     """All patch groups for a volume, in packed array form.
 
     ``members`` holds (x, y, t) triples with shape (P, L, 3); row p, column 0
-    is the reference of group p. Gather indices and reference counts are
-    derived lazily and cached since every solver iteration reuses them.
+    is the reference of group p. ``padded[p]`` marks a group whose search
+    window held fewer candidates than the group size; it repeats the
+    reference to keep the block shape fixed. Gather indices and reference
+    counts are derived lazily and cached since every solver iteration reuses
+    them.
     """
 
     geometry: PatchGeometry
@@ -119,14 +91,6 @@ class PatchGroupTable:
     @property
     def references(self) -> np.ndarray:
         return self.members[:, 0, :]
-
-    def group(self, p: int) -> PatchGroup:
-        refs = [PatchRef(*map(int, trip)) for trip in self.members[p]]
-        return PatchGroup(refs[0], refs, bool(self.padded[p]))
-
-    @property
-    def groups(self) -> list[PatchGroup]:
-        return [self.group(p) for p in range(self.n_groups)]
 
     def gather_indices(self) -> np.ndarray:
         """Flat voxel index per (group, in-patch pixel, member), shape (P, B, L)."""
@@ -219,40 +183,6 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
                 p += 1
 
     return PatchGroupTable(geom, dims, members, padded)
-
-
-def _member_flat_indices(group: PatchGroup, geom_side: int, dims) -> np.ndarray:
-    w = dims.width
-    n = dims.pixels_per_frame
-    off = (np.arange(geom_side)[:, None] * w + np.arange(geom_side)[None, :]).reshape(-1)
-    out = np.empty((geom_side * geom_side, len(group.members)), dtype=np.int64)
-    for col, ref in enumerate(group.members):
-        if not (0 <= ref.x <= dims.width - geom_side
-                and 0 <= ref.y <= dims.height - geom_side
-                and 0 <= ref.t < dims.frames):
-            raise DataError(f"member {ref} out of bounds for {dims}")
-        out[:, col] = ref.t * n + ref.y * w + ref.x + off
-    return out
-
-
-def extract_block(vol, group: PatchGroup, geom: PatchGeometry) -> np.ndarray:
-    """Gather one group into a B x L block; column l is member l, row-major."""
-    idx = _member_flat_indices(group, geom.patch_side, vol.dims)
-    return vol.values[idx]
-
-
-def adjoint_accumulate(block: np.ndarray, group: PatchGroup, acc) -> "DepthVolume":
-    """Add each block entry back into its source voxel of ``acc`` (in place)."""
-    block = np.asarray(block, dtype=np.float64)
-    side = int(round(np.sqrt(block.shape[0])))
-    if side * side != block.shape[0]:
-        raise DataError(f"block row count {block.shape[0]} is not a square patch size")
-    if block.ndim != 2 or block.shape[1] != len(group.members):
-        raise DataError(f"block shape {block.shape} does not match group of "
-                        f"{len(group.members)} members")
-    idx = _member_flat_indices(group, side, acc.dims)
-    np.add.at(acc.values, idx.reshape(-1), block.reshape(-1))
-    return acc
 
 
 def extract_blocks(values: np.ndarray, table: PatchGroupTable) -> np.ndarray:

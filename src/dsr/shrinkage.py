@@ -16,17 +16,15 @@ from .errors import DataError, NumericError
 __all__ = [
     "shrink_threshold",
     "nu_shrink",
-    "nu_huber",
     "prox_nuclear",
     "prox_low_rank",
 ]
 
 
-def _check_lam_nu(lam: float, nu: float, allow_zero_nu: bool) -> None:
+def _check_lam_nu(lam: float, nu: float) -> None:
     if not lam > 0:
         raise DataError(f"lam must be positive, got {lam}")
-    lo_ok = nu > 0 or (allow_zero_nu and nu == 0)
-    if not (lo_ok and nu <= 1.0):
+    if not 0.0 <= nu <= 1.0:
         raise DataError(f"nu out of range: {nu}")
 
 
@@ -41,7 +39,7 @@ def nu_shrink(x, lam: float, nu: float):
     nu = 1 is classical soft thresholding; nu = 0 is the hard-thresholding
     limit. Accepts scalars or arrays; zero maps to zero.
     """
-    _check_lam_nu(lam, nu, allow_zero_nu=True)
+    _check_lam_nu(lam, nu)
     arr = np.asarray(x, dtype=np.float64)
     mag = np.abs(arr)
     out = np.zeros_like(arr)
@@ -49,20 +47,6 @@ def nu_shrink(x, lam: float, nu: float):
     if np.any(active):
         m = mag[active]
         out[active] = np.sign(arr[active]) * np.maximum(m - lam * m ** (nu - 1.0), 0.0)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def nu_huber(x, lam: float, nu: float):
-    """Smoothed penalty matching the shrinkage: quadratic below the threshold
-    knee, |x|**nu / nu minus a continuity offset above it."""
-    _check_lam_nu(lam, nu, allow_zero_nu=False)
-    arr = np.asarray(x, dtype=np.float64)
-    mag = np.abs(arr)
-    knee = shrink_threshold(lam, nu)
-    offset = (1.0 / nu - 0.5) * lam ** (nu / (2.0 - nu))
-    out = np.where(mag < knee, mag ** 2 / (2.0 * lam), mag ** nu / nu - offset)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -108,5 +92,5 @@ def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
 def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
     """Apply ``nu_shrink`` to the singular values; proximal map of the
     nonconvex low-rank penalty. Reduces to ``prox_nuclear`` at nu = 1."""
-    _check_lam_nu(lam, nu, allow_zero_nu=True)
+    _check_lam_nu(lam, nu)
     return _spectral_shrink(mat, lambda s: np.asarray(nu_shrink(s, lam, nu)))

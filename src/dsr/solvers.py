@@ -75,7 +75,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise DataError(f"unknown algorithm {self.algo!r}, expected one of {ALGORITHMS}")
-        for name in ("lam", "rho", "tol"):
+        for name in ("lam", "rho", "nu", "tol"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value}")

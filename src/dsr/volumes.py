@@ -29,7 +29,6 @@ __all__ = [
     "per_frame_snr",
     "linear_interpolate",
     "mask_fill",
-    "luma",
 ]
 
 
@@ -56,29 +55,24 @@ class FrameDims:
         return self.width * self.height * self.frames
 
 
-def _as_volume_values(values, dims: FrameDims) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size != dims.total_voxels:
-        raise DataError(
-            f"value array has {arr.size} entries, dims require {dims.total_voxels}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DataError("volume values must be finite")
-    return arr
-
-
 @dataclass
-class DepthVolume:
-    """Dense depth sequence in scene-relative units."""
+class _Volume:
+    """Scalar field on a pixel grid: validated flat values plus (T, H, W) views."""
 
     dims: FrameDims
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_volume_values(self.values, self.dims)
+        arr = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        if arr.size != self.dims.total_voxels:
+            raise DataError(f"value array has {arr.size} entries, "
+                            f"dims require {self.dims.total_voxels}")
+        if not np.all(np.isfinite(arr)):
+            raise DataError("volume values must be finite")
+        self.values = arr
 
     @classmethod
-    def from_frames(cls, frames: np.ndarray) -> "DepthVolume":
+    def from_frames(cls, frames: np.ndarray):
         """Build from a (T, H, W) array."""
         arr = np.asarray(frames, dtype=np.float64)
         if arr.ndim != 3:
@@ -92,29 +86,17 @@ class DepthVolume:
         return self.values.reshape(d.frames, d.height, d.width)
 
 
-@dataclass
-class IntensityVolume:
+class DepthVolume(_Volume):
+    """Dense depth sequence in scene-relative units."""
+
+
+class IntensityVolume(_Volume):
     """Dense intensity sequence, values normalized to [0, 1]."""
 
-    dims: FrameDims
-    values: np.ndarray
-
     def __post_init__(self):
-        self.values = _as_volume_values(self.values, self.dims)
+        super().__post_init__()
         if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
             raise DataError("intensity values must lie in [0, 1]")
-
-    @classmethod
-    def from_frames(cls, frames: np.ndarray) -> "IntensityVolume":
-        arr = np.asarray(frames, dtype=np.float64)
-        if arr.ndim != 3:
-            raise DataError(f"expected (T, H, W) array, got shape {arr.shape}")
-        t, h, w = arr.shape
-        return cls(FrameDims(w, h, t), arr.reshape(-1))
-
-    def frames(self) -> np.ndarray:
-        d = self.dims
-        return self.values.reshape(d.frames, d.height, d.width)
 
 
 class SamplingOperator:
@@ -357,13 +339,3 @@ def mask_fill(m: Measurements) -> DepthVolume:
         out[k] = out[k][_nearest_sample(mask[k]).reshape(-1)]
     return DepthVolume(op.dims, out.reshape(-1))
 
-
-def luma(rgb_frames: np.ndarray) -> IntensityVolume:
-    """Convert (T, H, W, 3) RGB data in [0, 1] to a luma intensity volume."""
-    arr = np.asarray(rgb_frames, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[-1] != 3:
-        raise DataError(f"expected (T, H, W, 3) RGB data, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise DataError("RGB values must lie in [0, 1]")
-    y = 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
-    return IntensityVolume.from_frames(np.clip(y, 0.0, 1.0))

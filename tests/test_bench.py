@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,9 @@ class TestExperimentGrid:
 
     @pytest.mark.parametrize("kw", [dict(factors=(0,)), dict(factors=()),
                                     dict(algorithms=("magic",)),
-                                    dict(lambdas=(-1.0,)), dict(seeds=())])
+                                    dict(lambdas=(-1.0,)), dict(seeds=()),
+                                    dict(input_snr_db=float("nan")),
+                                    dict(input_snr_db=float("-inf"))])
     def test_validation(self, kw):
         with pytest.raises(DataError):
             ExperimentGrid(**kw)
@@ -141,6 +145,18 @@ class TestRunBench:
         run_bench(SMALL_SCENE, grid, SMALL_SOLVER, tmp_path)
         table = (tmp_path / "table.csv").read_text().splitlines()
         assert table[1] == "linear,inf"
+
+    def test_noise_free_run_json_is_strict_json(self, tmp_path):
+        bench_from_config({"scene": {"w": 12, "h": 12, "t": 2},
+                           "grid": {"factors": [2], "algorithms": ["linear"],
+                                    "input_snr_db": float("inf")}},
+                          tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        run = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
+        assert run["grid"]["input_snr_db"] == "inf"
 
     def test_failed_cell_prints_nan_and_run_continues(self, tmp_path):
         # no candidate weights can be derived for noiseless data, so the
@@ -219,6 +235,19 @@ class TestConfig:
         with pytest.raises(DataError):
             bench_from_config({"scene": scene,
                                "grid": {"factors": [2], "algorithms": ["linear"]}},
+                              tmp_path)
+        assert not (tmp_path / "table.csv").exists()
+
+    @pytest.mark.parametrize("solver", [{"nu": float("nan")}, {"rho": float("inf")},
+                                        {"patch": "five"}])
+    @pytest.mark.parametrize("algo", ["linear", "gds3d"])
+    def test_bad_solver_setting_rejected(self, tmp_path, algo, solver):
+        # checked once before any cell runs, whichever algorithms the grid holds
+        with pytest.raises(DataError):
+            bench_from_config({"scene": {"w": 12, "h": 12, "t": 2},
+                               "grid": {"factors": [2], "algorithms": [algo],
+                                        "lambdas": [1.0]},
+                               "solver": solver},
                               tmp_path)
         assert not (tmp_path / "table.csv").exists()
 

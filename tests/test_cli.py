@@ -202,6 +202,14 @@ class TestSolve:
         assert "must be finite" in capsys.readouterr().err
         assert not (out / "run.json").exists()
 
+    def test_non_finite_nu_exits_2_for_linear(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["solve", "--algo", "linear", "--meas", str(workspace / "meas"),
+                     "--nu", "nan", "--out", str(out)])
+        assert code == 2
+        assert "nu must be finite" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
     @pytest.mark.parametrize("algo", ["linear", "ds3d"])
     def test_empty_mask_frame_exits_2(self, workspace, tmp_path, capsys, algo):
         depth = read_dsrv(workspace / "scene" / "depth.dsrv")
@@ -216,12 +224,15 @@ class TestSolve:
         assert "frame 1 has no measurements to fill from" in capsys.readouterr().err
 
     def test_pgm_manifest_guide(self, workspace, tmp_path):
-        # render the guide to PGM frames and feed them back via a manifest
-        from dsr.io import render_pgm
-        guide = read_dsrv(workspace / "scene" / "guide.dsrv")
-        paths = render_pgm(guide, tmp_path / "g")
+        # write the guide as 16-bit PGM frames and feed them back via a manifest
+        frames = read_dsrv(workspace / "scene" / "guide.dsrv").frames()
+        t, h, w = frames.shape
+        header = f"P5\n{w} {h}\n65535\n".encode()
+        names = [f"g_t{k:04d}.pgm" for k in range(t)]
+        for name, frame in zip(names, np.rint(frames * 65535).astype(">u2")):
+            (tmp_path / name).write_bytes(header + frame.tobytes())
         manifest = tmp_path / "frames.txt"
-        manifest.write_text("\n".join(p.name for p in paths) + "\n")
+        manifest.write_text("\n".join(names) + "\n")
         out = tmp_path / "solved"
         assert main(["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
                      "--guide", str(manifest), "--lambda", "2.0", *SOLVE_GEOM,

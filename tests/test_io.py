@@ -11,8 +11,8 @@ from dsr.io import (
     read_dsrv,
     read_json,
     read_measurements,
-    render_pgm,
     write_dsrv,
+    write_frame_snr,
     write_json,
     write_measurements,
 )
@@ -181,43 +181,6 @@ class TestImportPgmSequence:
             import_pgm_sequence(tmp_path, "absent.txt")
 
 
-class TestRenderPgm:
-    def test_global_normalization(self, tmp_path):
-        # min and max of the whole volume pin 0 and 65535, even across frames
-        frames = np.zeros((2, 2, 2))
-        frames[0, 0, 0] = -1.0
-        frames[1, 1, 1] = 3.0
-        vol = DepthVolume.from_frames(frames)
-        paths = render_pgm(vol, tmp_path / "out")
-        assert [p.name for p in paths] == ["out_t0000.pgm", "out_t0001.pgm"]
-        f0 = load_pgm(paths[0]) * 65535
-        f1 = load_pgm(paths[1]) * 65535
-        assert f0[0, 0] == 0.0
-        assert f1[1, 1] == 65535.0
-        # zeros sit at 1/4 of the [-1, 3] range
-        assert f0[1, 1] == pytest.approx(np.rint(65535 / 4))
-
-    def test_constant_volume_renders_mid_gray(self, tmp_path):
-        vol = DepthVolume(FrameDims(3, 2, 2), np.full(12, 4.2))
-        paths = render_pgm(vol, tmp_path / "flat")
-        for p in paths:
-            raw = p.read_bytes()
-            raster = np.frombuffer(raw.split(b"65535\n", 1)[1], dtype=">u2")
-            assert np.all(raster == 32768)
-
-    def test_sixteen_bit_header(self, tmp_path):
-        vol = DepthVolume(FrameDims(4, 3, 1), np.arange(12.0))
-        (path,) = render_pgm(vol, tmp_path / "g")
-        assert path.read_bytes().startswith(b"P5\n4 3\n65535\n")
-
-    def test_round_trip_through_loader(self, tmp_path, random_volume):
-        paths = render_pgm(random_volume, tmp_path / "seq")
-        lo, hi = random_volume.values.min(), random_volume.values.max()
-        for k, p in enumerate(paths):
-            expect = (random_volume.frames()[k] - lo) / (hi - lo)
-            np.testing.assert_allclose(load_pgm(p), expect, atol=1.0 / 65535)
-
-
 class TestJson:
     def test_write_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -232,6 +195,11 @@ class TestJson:
         write_json(path, obj)
         assert read_json(path) == obj
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_refused(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"v": value})
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -241,6 +209,12 @@ class TestJson:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_json(tmp_path / "absent.json")
+
+
+def test_frame_snr_csv_bytes(tmp_path):
+    path = tmp_path / "frames.csv"
+    write_frame_snr(path, np.array([12.34567, float("inf"), -0.5]))
+    assert path.read_bytes() == b"frame,snr_db\n0,12.3457\n1,inf\n2,-0.5000\n"
 
 
 class TestMeasurementDir:

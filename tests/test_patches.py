@@ -6,18 +6,14 @@ from hypothesis import strategies as st
 from dsr.errors import DataError
 from dsr.patches import (
     PatchGeometry,
-    PatchGroup,
-    PatchRef,
-    adjoint_accumulate,
     aggregate_average,
     build_groups,
     compute_counts,
-    extract_block,
     extract_blocks,
     grid_positions,
     scatter_sum,
 )
-from dsr.volumes import DepthVolume, FrameDims, IntensityVolume
+from dsr.volumes import FrameDims, IntensityVolume
 from oracles import counts_naive, extract_naive, match_groups_naive, scatter_naive
 
 SMALL_GEOM = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=4)
@@ -49,7 +45,6 @@ class TestPatchGeometry:
     def test_defaults(self):
         g = PatchGeometry()
         assert (g.patch_side, g.stride, g.window, g.group_size) == (5, 3, (11, 11, 3), 10)
-        assert g.patch_pixels == 25
 
     def test_stride_larger_than_patch_rejected(self):
         with pytest.raises(DataError):
@@ -127,20 +122,12 @@ class TestBuildGroups:
 class TestBlockOperators:
     def test_extract_against_naive(self, random_volume, random_guide):
         table = _table(random_guide)
-        frames = random_volume.frames()
-        for p in range(0, table.n_groups, 7):
-            group = table.group(p)
-            got = extract_block(random_volume, group, table.geometry)
-            expect = extract_naive(frames, [(m.x, m.y, m.t) for m in group.members], 3)
-            np.testing.assert_array_equal(got, expect)
-
-    def test_batched_extract_matches_per_group(self, random_volume, random_guide):
-        table = _table(random_guide)
         blocks = extract_blocks(random_volume.values, table)
         assert blocks.shape == (table.n_groups, 9, 4)
-        for p in range(0, table.n_groups, 5):
-            np.testing.assert_array_equal(
-                blocks[p], extract_block(random_volume, table.group(p), table.geometry))
+        frames = random_volume.frames()
+        for p in range(table.n_groups):
+            members = [tuple(map(int, trip)) for trip in table.members[p]]
+            np.testing.assert_array_equal(blocks[p], extract_naive(frames, members, 3))
 
     def test_scatter_against_naive(self, rng, random_guide):
         table = _table(random_guide)
@@ -188,31 +175,6 @@ class TestBlockOperators:
         blocks = extract_blocks(random_volume.values, table)
         out = aggregate_average(table, blocks)
         np.testing.assert_allclose(out, random_volume.values, atol=1e-12)
-
-    def test_adjoint_accumulate_single_group(self, rng, random_volume, random_guide):
-        table = _table(random_guide)
-        group = table.group(3)
-        block = rng.standard_normal((9, 4))
-        acc = DepthVolume(random_volume.dims, np.zeros(random_volume.dims.total_voxels))
-        adjoint_accumulate(block, group, acc)
-        frames_shape = (random_volume.dims.frames, random_volume.dims.height,
-                        random_volume.dims.width)
-        expect = scatter_naive([block], [[(m.x, m.y, m.t) for m in group.members]],
-                               3, frames_shape)
-        np.testing.assert_allclose(acc.values, expect.reshape(-1), atol=1e-12)
-
-    def test_adjoint_accumulate_validates_shape(self, random_volume):
-        group = PatchGroup(PatchRef(0, 0, 0), [PatchRef(0, 0, 0)] * 2)
-        acc = DepthVolume(random_volume.dims, np.zeros(random_volume.dims.total_voxels))
-        with pytest.raises(DataError):
-            adjoint_accumulate(np.zeros((10, 2)), group, acc)  # 10 is not square
-        with pytest.raises(DataError):
-            adjoint_accumulate(np.zeros((9, 3)), group, acc)  # wrong member count
-
-    def test_out_of_bounds_member_rejected(self, random_volume):
-        group = PatchGroup(PatchRef(11, 0, 0), [PatchRef(11, 0, 0)])
-        with pytest.raises(DataError):
-            extract_block(random_volume, group, PatchGeometry(patch_side=3, stride=2))
 
 
 @settings(max_examples=15, deadline=None)

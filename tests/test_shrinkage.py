@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dsr.errors import DataError
 from dsr.shrinkage import (
-    nu_huber,
     nu_shrink,
     prox_low_rank,
     prox_nuclear,
@@ -94,34 +93,6 @@ class TestNuShrink:
         """Soft thresholding plus the clamp to [-lam, lam] recovers the input."""
         assert nu_shrink(x, lam, 1.0) + np.clip(x, -lam, lam) == pytest.approx(
             x, abs=1e-12)
-
-
-class TestNuHuber:
-    def test_quadratic_below_knee(self):
-        lam, nu = 2.0, 0.4
-        knee = shrink_threshold(lam, nu)
-        x = 0.5 * knee
-        assert nu_huber(x, lam, nu) == pytest.approx(x * x / (2 * lam))
-
-    def test_continuous_at_knee(self):
-        for nu in (0.02, 0.5, 1.0):
-            lam = 1.3
-            knee = shrink_threshold(lam, nu)
-            below = nu_huber(knee * (1 - 1e-9), lam, nu)
-            above = nu_huber(knee * (1 + 1e-9), lam, nu)
-            assert below == pytest.approx(above, rel=1e-6)
-
-    def test_nu_one_is_classical_huber_tail(self):
-        # above the knee: |x| - lam/2
-        assert nu_huber(5.0, 2.0, 1.0) == pytest.approx(5.0 - 1.0)
-
-    def test_even(self, rng):
-        x = rng.standard_normal(50) * 4
-        np.testing.assert_allclose(nu_huber(x, 1.1, 0.3), nu_huber(-x, 1.1, 0.3))
-
-    def test_rejects_nu_zero(self):
-        with pytest.raises(DataError):
-            nu_huber(1.0, 1.0, 0.0)
 
 
 class TestProxNuclear:

@@ -16,7 +16,6 @@ from dsr.volumes import (
     adjoint_sampling,
     apply_sampling,
     linear_interpolate,
-    luma,
     mask_fill,
     occupancy,
     per_frame_snr,
@@ -375,24 +374,6 @@ class TestMaskFillExact:
         finally:
             tracemalloc.stop()
         assert peak < 32 * dims.pixels_per_frame * 8
-
-
-class TestLuma:
-    def test_coefficients(self):
-        rgb = np.zeros((1, 1, 3, 3))
-        rgb[0, 0, 0] = [1.0, 0.0, 0.0]
-        rgb[0, 0, 1] = [0.0, 1.0, 0.0]
-        rgb[0, 0, 2] = [0.0, 0.0, 1.0]
-        out = luma(rgb).frames()
-        np.testing.assert_allclose(out[0, 0], [0.299, 0.587, 0.114], atol=1e-12)
-
-    def test_shape_checked(self):
-        with pytest.raises(DataError):
-            luma(np.zeros((2, 3, 4)))
-
-    def test_range_checked(self):
-        with pytest.raises(DataError):
-            luma(np.full((1, 2, 2, 3), 1.5))
 
 
 @settings(max_examples=30, deadline=None)
