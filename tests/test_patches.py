@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dsr.errors import DataError
 from dsr.patches import (
     PatchGeometry,
+    PatchGroupTable,
     aggregate_average,
     build_groups,
     compute_counts,
@@ -128,6 +129,15 @@ class TestBlockOperators:
         for p in range(table.n_groups):
             members = [tuple(map(int, trip)) for trip in table.members[p]]
             np.testing.assert_array_equal(blocks[p], extract_naive(frames, members, 3))
+
+    def test_batched_extract_matches_per_group(self, random_volume, random_guide):
+        table = _table(random_guide)
+        blocks = extract_blocks(random_volume.values, table)
+        for p in range(0, table.n_groups, 5):
+            single = PatchGroupTable(table.geometry, table.dims,
+                                     table.members[p:p + 1], table.padded[p:p + 1])
+            np.testing.assert_array_equal(
+                blocks[p], extract_blocks(random_volume.values, single)[0])
 
     def test_scatter_against_naive(self, rng, random_guide):
         table = _table(random_guide)
