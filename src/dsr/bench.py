@@ -176,13 +176,16 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
 def objects_from_config(entries) -> tuple[ObjectSpec, ...]:
     objs = []
     for i, entry in enumerate(entries):
-        vals = [float(v) for v in entry]
+        try:
+            vals = [float(v) for v in entry]
+            corner_size = [int(v) for v in vals[:4]]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"object {i}: {exc}") from exc
         if len(vals) != 8:
             raise DataError(f"object {i} needs 8 numbers "
                             "(x0,y0,w,h,depth,contrast,vx,vy), got "
                             f"{len(vals)}")
-        objs.append(ObjectSpec(int(vals[0]), int(vals[1]), int(vals[2]),
-                               int(vals[3]), vals[4], vals[5], vals[6], vals[7]))
+        objs.append(ObjectSpec(*corner_size, *vals[4:]))
     return tuple(objs)
 
 
@@ -201,14 +204,17 @@ def bench_from_config(config: dict, out_dir) -> dict:
     unknown = set(scene_cfg) - {"w", "h", "t", "seed", "objects"}
     if unknown:
         raise DataError(f"unknown scene config keys: {sorted(unknown)}")
-    dims = FrameDims(int(scene_cfg.get("w", 64)), int(scene_cfg.get("h", 64)),
-                     int(scene_cfg.get("t", 16)))
-    seed = int(scene_cfg.get("seed", 0))
-    if "objects" in scene_cfg:
-        spec = SceneSpec(dims=dims, seed=seed,
-                         objects=objects_from_config(scene_cfg["objects"]))
-    else:
-        spec = default_scene(dims, seed)
+    try:
+        dims = FrameDims(int(scene_cfg.get("w", 64)), int(scene_cfg.get("h", 64)),
+                         int(scene_cfg.get("t", 16)))
+        seed = int(scene_cfg.get("seed", 0))
+        if "objects" in scene_cfg:
+            spec = SceneSpec(dims=dims, seed=seed,
+                             objects=objects_from_config(scene_cfg["objects"]))
+        else:
+            spec = default_scene(dims, seed)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"invalid scene config: {exc}") from exc
 
     try:
         grid = ExperimentGrid(**config.get("grid", {}))

@@ -79,14 +79,6 @@ def _lambda_arg(text: str) -> list[float]:
     return vals
 
 
-def _objects_arg(text: str):
-    entries = [seg.split(",") for seg in text.split(";") if seg.strip()]
-    try:
-        return objects_from_config(entries)
-    except (DataError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _load_guide(path: Path) -> IntensityVolume:
     """A .dsrv file is read directly; anything else is a PGM manifest."""
     if path.suffix == ".dsrv":
@@ -109,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=_positive_int, default=64)
     p.add_argument("--t", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objects", type=_objects_arg, default=None,
+    p.add_argument("--objects", default=None,
                    metavar="x0,y0,w,h,depth,contrast,vx,vy[;...]")
     p.set_defaults(func=cmd_simulate)
 
@@ -168,7 +160,8 @@ def build_parser() -> _Parser:
 def cmd_simulate(args) -> int:
     dims = FrameDims(args.w, args.h, args.t)
     if args.objects is not None:
-        spec = SceneSpec(dims=dims, seed=args.seed, objects=args.objects)
+        entries = [seg.split(",") for seg in args.objects.split(";") if seg.strip()]
+        spec = SceneSpec(dims=dims, seed=args.seed, objects=objects_from_config(entries))
     else:
         spec = default_scene(dims, args.seed)
     depth, guide = synth_scene(spec)

@@ -19,20 +19,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError
 from .volumes import FrameDims
 
-__all__ = [
-    "PatchGeometry",
-    "PatchGroupTable",
-    "build_groups",
-    "extract_blocks",
-    "scatter_sum",
-    "compute_counts",
-    "aggregate_average",
-]
+__all__ = ["PatchGeometry", "PatchGroupTable", "build_groups", "extract_blocks",
+           "scatter_sum", "compute_counts", "aggregate_average"]
 
 
 @dataclass(frozen=True)
 class PatchGeometry:
-    """Patch, stride, search window and group-size settings."""
+    """Patch, stride, search window and group-size settings.
+
+    The search covers top-left offsets up to wx // 2 and wy // 2 either way,
+    so an even extent searches wx + 1 columns (wy + 1 rows).
+    """
 
     patch_side: int = 5
     stride: int = 3
@@ -70,19 +67,18 @@ class PatchGroupTable:
     """All patch groups for a volume, in packed array form.
 
     ``members`` holds (x, y, t) triples with shape (P, L, 3); row p, column 0
-    is the reference of group p. ``padded[p]`` marks a group whose search
-    window held fewer candidates than the group size; it repeats the
-    reference to keep the block shape fixed. Gather indices and reference
-    counts are derived lazily and cached since every solver iteration reuses
-    them.
+    is the reference of group p. A group whose search window held fewer
+    candidates than the group size repeats the reference in its last columns
+    to keep the block shape fixed; no real candidate equals the reference.
+    Gather indices and reference counts are derived lazily and cached since
+    every solver iteration reuses them.
     """
 
     geometry: PatchGeometry
     dims: FrameDims
     members: np.ndarray
-    padded: np.ndarray
-    _gather: np.ndarray | None = field(default=None, repr=False)
-    _counts: np.ndarray | None = field(default=None, repr=False)
+    _gather: np.ndarray | None = field(default=None, init=False, repr=False)
+    _counts: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_groups(self) -> int:
@@ -121,68 +117,50 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     first. Matching depends only on the guide, never on the depth being
     reconstructed.
     """
-    dims = guide.dims
-    w, h, t_total = dims.width, dims.height, dims.frames
+    w, h, t_total = guide.dims.width, guide.dims.height, guide.dims.frames
     ps = geom.patch_side
     if ps > min(w, h):
         raise DataError(f"patch side {ps} exceeds frame size {w}x{h}")
     wx, wy, wt = geom.window
-    big_l = geom.group_size
     half_x, half_y, half_t = wx // 2, wy // 2, (wt - 1) // 2
 
-    # (T, ny_all, nx_all, B) vectorized patches, copied in one allocation:
-    # per-frame copies are mid-sized blocks that glibc moves from mmap to the
-    # heap once one is freed, so a later call would peak higher than the first
-    stacks = sliding_window_view(guide.frames(), (ps, ps), axis=(1, 2)).reshape(
-        t_total, h - ps + 1, w - ps + 1, -1)
-    yy, xx = np.indices((h - ps + 1, w - ps + 1))
+    # an inf border makes every candidate outside the frame score inf; in the
+    # bordered frame, the window of a reference at (y, x) starts at (y, x)
+    bordered = np.pad(guide.frames(), ((0, 0), (half_y, half_y), (half_x, half_x)),
+                      constant_values=np.inf)
+    windows = sliding_window_view(bordered, (ps, ps), axis=(1, 2))
+    ys, xs = (np.array(grid_positions(n, ps, geom.stride)) for n in (h, w))
+    n_refs = len(ys) * len(xs)
+    ref_y, ref_x = (a.reshape(-1, 1) for a in np.meshgrid(ys, xs, indexing="ij"))
+    members = np.empty((t_total, n_refs, geom.group_size, 3), dtype=np.int32)
+    # SSD per reference and window offset (dt, dy, dx), offsets ascending: the
+    # candidate (t, y, x) ascends with the offset, so a stable sort of a row
+    # is the (dist, t, y, x) order; the center offset is the reference itself
+    shape = (2 * half_t + 1, 2 * half_y + 1, 2 * half_x + 1)
+    dist = np.empty((n_refs,) + shape)
+    flat = dist.reshape(n_refs, -1)
+    center = flat.shape[1] // 2
+    n_pick = geom.group_size - 1
 
-    xs = grid_positions(w, ps, geom.stride)
-    ys = grid_positions(h, ps, geom.stride)
-    n_groups = len(xs) * len(ys) * t_total
-    members = np.empty((n_groups, big_l, 3), dtype=np.int32)
-    padded = np.zeros(n_groups, dtype=bool)
-
-    p = 0
     for t in range(t_total):
-        t_lo, t_hi = max(0, t - half_t), min(t_total - 1, t + half_t)
-        for y in ys:
-            y_lo, y_hi = max(0, y - half_y), min(h - ps, y + half_y)
-            ysl = slice(y_lo, y_hi + 1)
-            for x in xs:
-                x_lo, x_hi = max(0, x - half_x), min(w - ps, x + half_x)
-                xsl = slice(x_lo, x_hi + 1)
-                ref_patch = stacks[t][y, x]
+        refs = windows[t][(ys + half_y)[:, None], xs + half_x].reshape(n_refs, -1)
+        dist.fill(np.inf)
+        for dt in range(max(0, half_t - t), min(shape[0], t_total + half_t - t)):
+            for dy in range(shape[1]):
+                rows = (ys + dy)[:, None]
+                for dx in range(shape[2]):
+                    cand = windows[t + dt - half_t][rows, xs + dx].reshape(n_refs, -1)
+                    dist[:, dt, dy, dx] = ((cand - refs) ** 2).sum(axis=-1)
+        flat[:, center] = np.inf
+        pick = np.argsort(flat, axis=1, kind="stable")[:, :n_pick]
+        # an inf pick is no candidate: the center offset pads with the reference
+        pick = np.where(np.isinf(np.take_along_axis(flat, pick, axis=1)), center, pick)
+        pick = np.pad(pick, ((0, 0), (1, n_pick - pick.shape[1])), constant_values=center)
+        ot, oy, ox = np.unravel_index(pick, shape)
+        members[t] = np.stack([ref_x + ox - half_x, ref_y + oy - half_y,
+                               t + ot - half_t], axis=-1)
 
-                dist, cand_t, cand_y, cand_x = [], [], [], []
-                for ct in range(t_lo, t_hi + 1):
-                    sub = stacks[ct][ysl, xsl]
-                    d = ((sub - ref_patch) ** 2).sum(axis=2)
-                    dist.append(d.reshape(-1))
-                    cand_y.append(yy[ysl, xsl].reshape(-1))
-                    cand_x.append(xx[ysl, xsl].reshape(-1))
-                    cand_t.append(np.full(d.size, ct, dtype=np.int64))
-                dist = np.concatenate(dist)
-                cand_t = np.concatenate(cand_t)
-                cand_y = np.concatenate(cand_y)
-                cand_x = np.concatenate(cand_x)
-
-                keep = ~((cand_t == t) & (cand_y == y) & (cand_x == x))
-                dist, cand_t, cand_y, cand_x = (
-                    dist[keep], cand_t[keep], cand_y[keep], cand_x[keep])
-                order = np.lexsort((cand_x, cand_y, cand_t, dist))[:big_l - 1]
-
-                members[p, 0] = (x, y, t)
-                n_sel = order.size
-                members[p, 1:1 + n_sel, 0] = cand_x[order]
-                members[p, 1:1 + n_sel, 1] = cand_y[order]
-                members[p, 1:1 + n_sel, 2] = cand_t[order]
-                if n_sel < big_l - 1:
-                    members[p, 1 + n_sel:] = (x, y, t)
-                    padded[p] = True
-                p += 1
-
-    return PatchGroupTable(geom, dims, members, padded)
+    return PatchGroupTable(geom, guide.dims, members.reshape(-1, geom.group_size, 3))
 
 
 def extract_blocks(values: np.ndarray, table: PatchGroupTable) -> np.ndarray:

@@ -34,6 +34,11 @@ class ObjectSpec:
     vx: float = 0.0
     vy: float = 0.0
 
+    def __post_init__(self):
+        for name in ("depth", "contrast", "vx", "vy"):
+            if not np.isfinite(getattr(self, name)):
+                raise DataError(f"object {name} must be finite, got {getattr(self, name)}")
+
     def position(self, t: int) -> tuple[int, int]:
         """Top-left corner at frame t, rounded to the pixel grid."""
         return (int(round(self.x0 + self.vx * t)), int(round(self.y0 + self.vy * t)))

@@ -79,17 +79,16 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value}")
-        if self.algo != "linear":
-            if self.lam is None or not self.lam > 0:
-                raise DataError(f"lam must be positive for {self.algo}, got {self.lam}")
-            if not 0.0 <= self.nu <= 1.0:
-                raise DataError(f"nu must lie in [0, 1], got {self.nu}")
-            if not self.rho > 0:
-                raise DataError(f"rho must be positive, got {self.rho}")
-            if self.max_iter < 1:
-                raise DataError("max_iter must be >= 1")
-            if self.tol < 0:
-                raise DataError("tol must be nonnegative")
+        if self.algo != "linear" and (self.lam is None or not self.lam > 0):
+            raise DataError(f"lam must be positive for {self.algo}, got {self.lam}")
+        if not 0.0 <= self.nu <= 1.0:
+            raise DataError(f"nu must lie in [0, 1], got {self.nu}")
+        if not self.rho > 0:
+            raise DataError(f"rho must be positive, got {self.rho}")
+        if self.max_iter < 1:
+            raise DataError("max_iter must be >= 1")
+        if self.tol < 0:
+            raise DataError("tol must be nonnegative")
         if self.algo == "gds2d" and self.geometry.window[2] != 1:
             # frame-by-frame matching: collapse the temporal search extent
             wx, wy, _ = self.geometry.window

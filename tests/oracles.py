@@ -25,7 +25,7 @@ def match_groups_naive(guide_frames: np.ndarray, patch: int, stride: int,
     (x, y, t) with the reference first, plus a padded flag."""
     n_t, height, width = guide_frames.shape
     wx, wy, wt = window
-    half_x, half_y, half_t = (wx - 1) // 2, (wy - 1) // 2, (wt - 1) // 2
+    half_x, half_y, half_t = wx // 2, wy // 2, (wt - 1) // 2
     groups = []
     for t in range(n_t):
         for y in grid_positions_naive(height, patch, stride):

@@ -230,7 +230,11 @@ class TestConfig:
     @pytest.mark.parametrize("scene", [{"width": 12, "height": 12, "frames": 2},
                                        {"w": 12, "h": 12, "t": 2, "seeds": [1]},
                                        [["w", 12]],
-                                       "w=12"])
+                                       "w=12",
+                                       {"w": 12, "h": 12, "t": 2,
+                                        "objects": [[2, 2, 5, 5, 1, 0.3, float("nan"), 0]]},
+                                       {"w": 12, "h": 12, "t": 2, "objects": 5},
+                                       {"w": 12, "h": "a", "t": 2}])
     def test_bad_scene_rejected(self, tmp_path, scene):
         with pytest.raises(DataError):
             bench_from_config({"scene": scene,
@@ -239,7 +243,8 @@ class TestConfig:
         assert not (tmp_path / "table.csv").exists()
 
     @pytest.mark.parametrize("solver", [{"nu": float("nan")}, {"rho": float("inf")},
-                                        {"patch": "five"}])
+                                        {"patch": "five"}, {"nu": 2}, {"rho": -1},
+                                        {"max_iter": 0}, {"tol": -1}])
     @pytest.mark.parametrize("algo", ["linear", "gds3d"])
     def test_bad_solver_setting_rejected(self, tmp_path, algo, solver):
         # checked once before any cell runs, whichever algorithms the grid holds

@@ -51,6 +51,16 @@ class TestSimulate:
         assert len(meta["objects"]) == 1
         assert meta["objects"][0]["depth"] == 1.5
 
+    @pytest.mark.parametrize("objects", ["2,2,5,5,1,0.3,nan,0", "2,2,5,5,inf,0.3,1,0",
+                                         "2,2,5,5,1,0.3,1", "2,nan,5,5,1,0.3,1,0",
+                                         "2,2,five,5,1,0.3,1,0"])
+    def test_bad_objects_exit_2(self, tmp_path, capsys, objects):
+        out = tmp_path / "s"
+        assert main(["simulate", "--out", str(out), "--w", "12", "--h", "12",
+                     "--t", "2", "--objects", objects]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         for d in ("a", "b"):
             assert main(["simulate", "--out", str(tmp_path / d),
@@ -208,6 +218,18 @@ class TestSolve:
                      "--nu", "nan", "--out", str(out)])
         assert code == 2
         assert "nu must be finite" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rho", "-1", "rho must be positive"), ("--nu", "3", "nu must lie in [0, 1]"),
+        ("--tol", "-1", "tol must be nonnegative")])
+    def test_out_of_range_setting_exits_2_for_linear(self, workspace, tmp_path, capsys,
+                                                      flag, value, message):
+        out = tmp_path / "out"
+        code = main(["solve", "--algo", "linear", "--meas", str(workspace / "meas"),
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize("algo", ["linear", "ds3d"])

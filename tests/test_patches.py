@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from dsr.patches import (
     grid_positions,
     scatter_sum,
 )
+from dsr.scenes import default_scene, synth_scene
 from dsr.volumes import FrameDims, IntensityVolume
 from oracles import counts_naive, extract_naive, match_groups_naive, scatter_naive
 
@@ -22,6 +25,12 @@ SMALL_GEOM = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=
 
 def _table(guide, geom=SMALL_GEOM):
     return build_groups(guide, geom)
+
+
+def _padded(members) -> bool:
+    """A padded group repeats its reference in the last column; no real
+    candidate equals the reference."""
+    return len(members) > 1 and np.array_equal(members[-1], members[0])
 
 
 class TestGridPositions:
@@ -61,15 +70,40 @@ class TestPatchGeometry:
 
 
 class TestBuildGroups:
-    def test_matches_brute_force(self, random_guide):
-        """Members, ordering and padding all agree with the naive matcher."""
-        table = _table(random_guide)
-        expect = match_groups_naive(random_guide.frames(), 3, 2, (5, 5, 3), 4)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, data):
+        """Members, their order and the padding agree with the naive matcher,
+        also with tied distances, frames smaller than the window, even window
+        extents and groups larger than the candidate count."""
+        patch = data.draw(st.integers(1, 4), label="patch")
+        stride = data.draw(st.integers(1, patch), label="stride")
+        dims = FrameDims(data.draw(st.integers(patch, patch + 8), label="w"),
+                         data.draw(st.integers(patch, patch + 8), label="h"),
+                         data.draw(st.integers(1, 4), label="t"))
+        window = (data.draw(st.integers(1, 6), label="wx"),
+                  data.draw(st.integers(1, 6), label="wy"),
+                  data.draw(st.sampled_from([1, 3, 5]), label="wt"))
+        # up to one more than the number of patch positions in the volume
+        positions = (dims.width - patch + 1) * (dims.height - patch + 1) * dims.frames
+        big_l = data.draw(st.integers(1, positions + 1), label="L")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = data.draw(st.sampled_from([
+            rng.uniform(0, 1, dims.total_voxels),
+            rng.integers(0, 3, dims.total_voxels) / 2,  # values k/2: many tied SSDs
+            # values k/10: SSDs equal up to rounding, so their order follows
+            # the order in which the squared differences are added
+            rng.integers(0, 4, dims.total_voxels) / 10,
+            np.full(dims.total_voxels, 0.5),
+        ]), label="guide")
+        guide = IntensityVolume(dims, values)
+        table = build_groups(guide, PatchGeometry(patch, stride, window, big_l))
+        expect = match_groups_naive(guide.frames(), patch, stride, window, big_l)
         assert table.n_groups == len(expect)
         for p, (members, padded) in enumerate(expect):
             got = [tuple(map(int, trip)) for trip in table.members[p]]
             assert got == members, f"group {p} differs"
-            assert bool(table.padded[p]) == padded
+            assert _padded(table.members[p]) == padded
 
     def test_reference_comes_first(self, random_guide):
         table = _table(random_guide)
@@ -104,7 +138,7 @@ class TestBuildGroups:
         guide = IntensityVolume(dims, np.linspace(0, 1, 9))
         table = build_groups(guide, SMALL_GEOM)
         assert table.n_groups == 1
-        assert bool(table.padded[0])
+        assert _padded(table.members[0])
         np.testing.assert_array_equal(table.members[0],
                                       np.zeros((4, 3), dtype=np.int32))
 
@@ -118,6 +152,17 @@ class TestBuildGroups:
         a = _table(random_guide)
         b = _table(random_guide)
         np.testing.assert_array_equal(a.members, b.members)
+
+    def test_peak_memory_stays_within_16_volumes(self):
+        dims = FrameDims(320, 240, 8)
+        _, guide = synth_scene(default_scene(dims))
+        tracemalloc.start()
+        try:
+            build_groups(guide, PatchGeometry())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * dims.total_voxels * 8
 
 
 class TestBlockOperators:
@@ -134,8 +179,7 @@ class TestBlockOperators:
         table = _table(random_guide)
         blocks = extract_blocks(random_volume.values, table)
         for p in range(0, table.n_groups, 5):
-            single = PatchGroupTable(table.geometry, table.dims,
-                                     table.members[p:p + 1], table.padded[p:p + 1])
+            single = PatchGroupTable(table.geometry, table.dims, table.members[p:p + 1])
             np.testing.assert_array_equal(
                 blocks[p], extract_blocks(random_volume.values, single)[0])
 

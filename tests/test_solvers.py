@@ -95,8 +95,9 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kw", [dict(rho=0.0), dict(nu=1.5),
                                     dict(max_iter=0), dict(tol=-1.0)])
     def test_parameter_validation(self, kw):
-        with pytest.raises(DataError):
-            SolverConfig(algo="gds3d", lam=1.0, **kw)
+        for algo in ("gds3d", "linear"):
+            with pytest.raises(DataError):
+                SolverConfig(algo=algo, lam=1.0, **kw)
 
     @pytest.mark.parametrize("kw", [dict(tol=np.nan), dict(tol=np.inf),
                                     dict(rho=np.inf), dict(lam=np.inf)])
