@@ -16,7 +16,7 @@ validation measurement sets.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from .volumes import (
 )
 
 __all__ = ["ExperimentGrid", "DEFAULT_SOLVER", "sparse_split", "run_bench",
-           "bench_from_config", "objects_from_config"]
+           "bench_from_config", "objects_from_config", "scene_from_config"]
 
 @dataclass
 class ExperimentGrid:
@@ -105,20 +105,15 @@ def sparse_split(vol: DepthVolume, rate: float, seed: int, split: float
     return _as_measurements(chosen[:n_rec]), _as_measurements(chosen[n_rec:])
 
 
-def _solve_cell(ref: DepthVolume, guide, grid: ExperimentGrid, algo: str,
-                factor: int, seed: int, solver: dict) -> DepthVolume:
+def _solve_cell(ref: DepthVolume, guide, grid: ExperimentGrid, base: SolverConfig,
+                algo: str, factor: int, seed: int) -> DepthVolume:
     op = SamplingOperator.decimation(ref.dims, factor)
     psi = add_noise(apply_sampling(op, ref), grid.input_snr_db, seed)
     if algo == "linear":
-        est, _ = run_pipeline(psi, guide, SolverConfig(algo="linear"))
-        return est
+        return run_pipeline(psi, guide, base)[0]
     cands = list(grid.lambdas) or default_lambda_grid(psi, grid.input_snr_db)
-    cfg = SolverConfig.from_settings(algo, cands[0], solver)
-    if len(cands) == 1:
-        est, _ = run_pipeline(psi, guide, cfg)
-    else:
-        _, est, _ = select_lambda(psi, guide, cfg, cands, ref)
-    return est
+    cfg = replace(base, algo=algo, lam=cands[0])
+    return select_lambda(psi, guide, cfg, cands, ref)[1]
 
 
 def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
@@ -132,7 +127,8 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
     if unknown:
         raise DataError(f"unknown solver config keys: {sorted(unknown)}")
     try:
-        SolverConfig.from_settings("linear", None, solver)
+        # linear keeps the window whole; a gds2d cell collapses only its own copy
+        base = SolverConfig.from_settings("linear", None, solver)
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid solver config: {exc}") from exc
 
@@ -145,7 +141,7 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
             try:
                 overall, frame_curves, first_est = [], [], None
                 for seed in grid.seeds:
-                    est = _solve_cell(ref, guide, grid, algo, factor, seed, solver)
+                    est = _solve_cell(ref, guide, grid, base, algo, factor, seed)
                     overall.append(snr_db(ref.values, est.values))
                     frame_curves.append(per_frame_snr(ref, est))
                     if first_est is None:
@@ -167,8 +163,7 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
     write_json(out / "run.json", {
         "scene": asdict(scene_spec),
         "grid": grid_info,
-        "solver": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in solver.items()},
+        "solver": solver,
     })
     return summary
 
@@ -178,15 +173,38 @@ def objects_from_config(entries) -> tuple[ObjectSpec, ...]:
     for i, entry in enumerate(entries):
         try:
             vals = [float(v) for v in entry]
-            corner_size = [int(v) for v in vals[:4]]
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"object {i}: {exc}") from exc
         if len(vals) != 8:
             raise DataError(f"object {i} needs 8 numbers "
                             "(x0,y0,w,h,depth,contrast,vx,vy), got "
                             f"{len(vals)}")
-        objs.append(ObjectSpec(*corner_size, *vals[4:]))
+        if not all(v.is_integer() for v in vals[:4]):
+            raise DataError(f"object {i}: x0, y0, w and h must be whole numbers, "
+                            f"got {vals[:4]}")
+        objs.append(ObjectSpec(*(int(v) for v in vals[:4]), *vals[4:]))
     return tuple(objs)
+
+
+def scene_from_config(scene_cfg) -> SceneSpec:
+    """Scene spec from a mapping with the optional keys "w", "h", "t" (default
+    64x64x16), "seed" (0) and "objects" (default: ``default_scene``'s object).
+    Unknown keys and malformed values are a DataError."""
+    if not isinstance(scene_cfg, dict):
+        raise DataError("scene config must be a JSON object")
+    unknown = set(scene_cfg) - {"w", "h", "t", "seed", "objects"}
+    if unknown:
+        raise DataError(f"unknown scene config keys: {sorted(unknown)}")
+    try:
+        dims = FrameDims(int(scene_cfg.get("w", 64)), int(scene_cfg.get("h", 64)),
+                         int(scene_cfg.get("t", 16)))
+        seed = int(scene_cfg.get("seed", 0))
+        if "objects" in scene_cfg:
+            return SceneSpec(dims=dims, seed=seed,
+                             objects=objects_from_config(scene_cfg["objects"]))
+        return default_scene(dims, seed)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"invalid scene config: {exc}") from exc
 
 
 def bench_from_config(config: dict, out_dir) -> dict:
@@ -198,24 +216,7 @@ def bench_from_config(config: dict, out_dir) -> dict:
     """
     if not isinstance(config, dict):
         raise DataError("bench config must be a JSON object")
-    scene_cfg = config.get("scene", {})
-    if not isinstance(scene_cfg, dict):
-        raise DataError("scene config must be a JSON object")
-    unknown = set(scene_cfg) - {"w", "h", "t", "seed", "objects"}
-    if unknown:
-        raise DataError(f"unknown scene config keys: {sorted(unknown)}")
-    try:
-        dims = FrameDims(int(scene_cfg.get("w", 64)), int(scene_cfg.get("h", 64)),
-                         int(scene_cfg.get("t", 16)))
-        seed = int(scene_cfg.get("seed", 0))
-        if "objects" in scene_cfg:
-            spec = SceneSpec(dims=dims, seed=seed,
-                             objects=objects_from_config(scene_cfg["objects"]))
-        else:
-            spec = default_scene(dims, seed)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"invalid scene config: {exc}") from exc
-
+    spec = scene_from_config(config.get("scene", {}))
     try:
         grid = ExperimentGrid(**config.get("grid", {}))
     except (TypeError, ValueError) as exc:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bench import bench_from_config, sparse_split, objects_from_config
+from .bench import bench_from_config, scene_from_config, sparse_split
 from .errors import DataError, NumericError
 from .io import (
     import_pgm_sequence,
@@ -26,10 +26,9 @@ from .io import (
     write_json,
     write_measurements,
 )
-from .scenes import SceneSpec, default_scene, synth_scene
-from .solvers import ALGORITHMS, DEFAULT_SOLVER, SolverConfig, run_pipeline, select_lambda
+from .scenes import synth_scene
+from .solvers import ALGORITHMS, DEFAULT_SOLVER, GUIDED_ALGORITHMS, SolverConfig, select_lambda
 from .volumes import (
-    FrameDims,
     IntensityVolume,
     SamplingOperator,
     add_noise,
@@ -158,12 +157,11 @@ def build_parser() -> _Parser:
 
 
 def cmd_simulate(args) -> int:
-    dims = FrameDims(args.w, args.h, args.t)
+    scene = {"w": args.w, "h": args.h, "t": args.t, "seed": args.seed}
     if args.objects is not None:
-        entries = [seg.split(",") for seg in args.objects.split(";") if seg.strip()]
-        spec = SceneSpec(dims=dims, seed=args.seed, objects=objects_from_config(entries))
-    else:
-        spec = default_scene(dims, args.seed)
+        scene["objects"] = [seg.split(",") for seg in args.objects.split(";")
+                            if seg.strip()]
+    spec = scene_from_config(scene)
     depth, guide = synth_scene(spec)
     args.out.mkdir(parents=True, exist_ok=True)
     write_dsrv(args.out / "depth.dsrv", depth)
@@ -202,7 +200,7 @@ def cmd_sparse(args) -> int:
 def _validate_solve(parser: _Parser, args) -> None:
     if args.algo != "linear" and args.lam is None:
         parser.error(f"--lambda is required for --algo {args.algo}")
-    if args.algo in ("gds3d", "gds2d", "admm3d") and args.guide is None:
+    if args.algo in GUIDED_ALGORITHMS and args.guide is None:
         parser.error(f"--guide is required for --algo {args.algo}")
     if args.lam is not None and len(args.lam) > 1 and args.ref is None:
         parser.error("--ref is required when --lambda lists several candidates")
@@ -211,14 +209,11 @@ def _validate_solve(parser: _Parser, args) -> None:
 def cmd_solve(args) -> int:
     psi, _ = read_measurements(args.meas)
     guide = _load_guide(args.guide) if args.guide is not None else None
-    cfg = SolverConfig.from_settings(args.algo, args.lam[0] if args.lam else None,
-                                     vars(args))
-    if args.lam is not None and len(args.lam) > 1:
-        ref = read_dsrv(args.ref)
-        lam, est, report = select_lambda(psi, guide, cfg, args.lam, ref)
-    else:
-        lam = cfg.lam
-        est, report = run_pipeline(psi, guide, cfg)
+    settings = {k: getattr(args, k) for k in DEFAULT_SOLVER}
+    cands = args.lam or [None]
+    cfg = SolverConfig.from_settings(args.algo, cands[0], settings)
+    ref = read_dsrv(args.ref) if len(cands) > 1 else None
+    lam, est, report = select_lambda(psi, guide, cfg, cands, ref)
 
     args.out.mkdir(parents=True, exist_ok=True)
     write_dsrv(args.out / "est.dsrv", est)
@@ -227,14 +222,7 @@ def cmd_solve(args) -> int:
         "algo": args.algo,
         "lambda": lam,
         "lambda_candidates": args.lam,
-        "rho": args.rho,
-        "nu": args.nu,
-        "patch": args.patch,
-        "window": list(args.window),
-        "stride": args.stride,
-        "group_size": args.group_size,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
+        **settings,
         "meas": str(args.meas),
         "guide": str(args.guide) if args.guide else None,
         "iterations": report.iterations,

@@ -36,6 +36,7 @@ from .volumes import (
 
 __all__ = [
     "ALGORITHMS",
+    "GUIDED_ALGORITHMS",
     "SolverConfig",
     "DEFAULT_SOLVER",
     "TraceEntry",
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 ALGORITHMS = ("admm3d", "gds3d", "gds2d", "ds3d", "linear")
+
+#: The algorithms whose block matching runs on the intensity guide.
+GUIDED_ALGORITHMS = ("admm3d", "gds3d", "gds2d")
 
 #: Multipliers applied to the estimated measurement-noise standard deviation
 #: when no explicit candidate list is given. The shrinkage threshold scales
@@ -97,7 +101,7 @@ class SolverConfig:
     @property
     def guide_mode(self) -> str | None:
         """What the block matching runs on: the intensity guide or the depth itself."""
-        if self.algo in ("admm3d", "gds3d", "gds2d"):
+        if self.algo in GUIDED_ALGORITHMS:
             return "intensity"
         if self.algo == "ds3d":
             return "self-depth"
@@ -292,18 +296,24 @@ def run_pipeline(psi: Measurements, guide, cfg: SolverConfig
 
 
 def select_lambda(psi: Measurements, guide, cfg: SolverConfig,
-                  candidates, ref: DepthVolume
-                  ) -> tuple[float, DepthVolume, SolveReport]:
-    """Run the pipeline per candidate weight and keep the best-SNR result.
+                  candidates, ref: DepthVolume | None = None
+                  ) -> tuple[float | None, DepthVolume, SolveReport]:
+    """Solve at each candidate weight and keep the result of best SNR against ref.
 
-    Candidates are tried in ascending order and ties keep the earlier
-    (smaller) weight, so the selection is deterministic.
+    A single candidate is solved once and not scored, so it needs no ref (it
+    may be None, as for linear). Several are tried in ascending order and ties
+    keep the earlier (smaller) weight, so the selection is deterministic.
     """
-    cands = [float(c) for c in candidates]
-    if not cands:
+    candidates = list(candidates)
+    if not candidates:
         raise DataError("empty candidate list")
+    if len(candidates) == 1:
+        est, rep = run_pipeline(psi, guide, replace(cfg, lam=candidates[0]))
+        return candidates[0], est, rep
+    if ref is None:
+        raise DataError("several candidate weights need a reference to score them")
     best = None
-    for lam in sorted(cands):
+    for lam in sorted(float(c) for c in candidates):
         est, rep = run_pipeline(psi, guide, replace(cfg, lam=lam))
         score = snr_db(ref.values, est.values)
         if best is None or score > best[0]:
@@ -312,8 +322,7 @@ def select_lambda(psi: Measurements, guide, cfg: SolverConfig,
     return lam, est, rep
 
 
-def default_lambda_grid(psi: Measurements, input_snr_db: float,
-                        scales=DEFAULT_LAMBDA_SCALES) -> list[float]:
+def default_lambda_grid(psi: Measurements, input_snr_db: float) -> list[float]:
     """Candidate weights proportional to the implied measurement-noise level."""
     if not np.isfinite(input_snr_db):
         raise DataError("default candidates need a finite input SNR; "
@@ -322,4 +331,4 @@ def default_lambda_grid(psi: Measurements, input_snr_db: float,
     sigma = rms * 10.0 ** (-input_snr_db / 20.0)
     if sigma == 0.0:
         raise DataError("measurements are all zero; cannot scale candidates")
-    return [float(s) * sigma for s in scales]
+    return [s * sigma for s in DEFAULT_LAMBDA_SCALES]

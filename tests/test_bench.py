@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import dsr.bench as bench_mod
 from dsr.bench import (
     DEFAULT_SOLVER,
     ExperimentGrid,
     bench_from_config,
     objects_from_config,
     run_bench,
+    scene_from_config,
     sparse_split,
 )
 from dsr.errors import DataError
@@ -174,6 +176,21 @@ class TestRunBench:
         with pytest.raises(DataError):
             run_bench(SMALL_SCENE, SMALL_GRID, {"patch_size": 5}, tmp_path)
 
+    def test_cells_derive_from_one_solver_config(self, tmp_path, monkeypatch):
+        # a gds2d cell collapses the temporal window for itself only
+        seen, original = [], bench_mod.select_lambda
+
+        def recording_select(psi, guide, cfg, candidates, ref=None):
+            seen.append(cfg)
+            return original(psi, guide, cfg, candidates, ref)
+
+        monkeypatch.setattr(bench_mod, "select_lambda", recording_select)
+        grid = ExperimentGrid(factors=(2,), algorithms=("gds2d", "gds3d"),
+                              lambdas=(2.0,))
+        run_bench(SMALL_SCENE, grid, {**SMALL_SOLVER, "max_iter": 2}, tmp_path)
+        assert [(c.algo, c.lam, c.geometry.window, c.max_iter) for c in seen] == [
+            ("gds2d", 2.0, (7, 7, 1), 2), ("gds3d", 2.0, (7, 7, 3), 2)]
+
     def test_default_solver_settings_are_complete(self):
         assert set(DEFAULT_SOLVER) == {"patch", "stride", "window", "group_size",
                                        "nu", "rho", "max_iter", "tol"}
@@ -183,6 +200,11 @@ class TestConfig:
     def test_objects_from_config(self):
         objs = objects_from_config([[2, 3, 4, 5, 1.5, 0.3, 1.0, 0.0]])
         assert objs[0].x0 == 2 and objs[0].depth == 1.5 and objs[0].vx == 1.0
+
+    def test_scene_from_config_defaults(self):
+        assert scene_from_config({}) == default_scene(FrameDims(64, 64, 16), 0)
+        assert scene_from_config({"w": 20, "h": 16, "t": 3, "seed": 4}) == \
+            default_scene(FrameDims(20, 16, 3), 4)
 
     def test_objects_need_eight_numbers(self):
         with pytest.raises(DataError):
@@ -234,7 +256,11 @@ class TestConfig:
                                        {"w": 12, "h": 12, "t": 2,
                                         "objects": [[2, 2, 5, 5, 1, 0.3, float("nan"), 0]]},
                                        {"w": 12, "h": 12, "t": 2, "objects": 5},
-                                       {"w": 12, "h": "a", "t": 2}])
+                                       {"w": 12, "h": "a", "t": 2},
+                                       {"w": 12, "h": 12, "t": 2,
+                                        "objects": [[2.7, 2, 5, 5, 1, 0.3, 1, 0]]},
+                                       {"w": 12, "h": 12, "t": 2,
+                                        "objects": [[2, 2, 5.9, 5, 1, 0.3, 1, 0]]}])
     def test_bad_scene_rejected(self, tmp_path, scene):
         with pytest.raises(DataError):
             bench_from_config({"scene": scene,

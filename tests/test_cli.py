@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import dsr
-import dsr.cli as cli_mod
 from dsr.cli import main
 from dsr.errors import NumericError
 from dsr.io import (read_dsrv, read_json, read_measurements, write_dsrv,
@@ -53,13 +52,20 @@ class TestSimulate:
 
     @pytest.mark.parametrize("objects", ["2,2,5,5,1,0.3,nan,0", "2,2,5,5,inf,0.3,1,0",
                                          "2,2,5,5,1,0.3,1", "2,nan,5,5,1,0.3,1,0",
-                                         "2,2,five,5,1,0.3,1,0"])
+                                         "2,2,five,5,1,0.3,1,0",
+                                         "2.7,2,5.9,5,1,0.3,1,0"])
     def test_bad_objects_exit_2(self, tmp_path, capsys, objects):
         out = tmp_path / "s"
         assert main(["simulate", "--out", str(out), "--w", "12", "--h", "12",
                      "--t", "2", "--objects", objects]) == 2
         assert "data error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integral_float_corners_accepted(self, tmp_path):
+        assert main(["simulate", "--out", str(tmp_path), "--w", "12", "--h", "12",
+                     "--t", "2", "--objects", "2.0,2,5.0,5,1,0.3,1,0"]) == 0
+        obj = read_json(tmp_path / "scene.json")["objects"][0]
+        assert (obj["x0"], obj["width"]) == (2, 5)
 
     def test_deterministic(self, tmp_path):
         for d in ("a", "b"):
@@ -151,6 +157,20 @@ class TestSolve:
         assert run["lambda"] in (0.5, 2.0)
         assert run["lambda_candidates"] == [0.5, 2.0]
 
+    @pytest.mark.parametrize("extra", [
+        ["--algo", "linear"],
+        ["--algo", "gds3d", "--lambda", "0.5,2.0", *SOLVE_GEOM]])
+    def test_run_json_keys(self, workspace, tmp_path, extra):
+        out = tmp_path / "keys"
+        assert main(["solve", *extra, "--meas", str(workspace / "meas"),
+                     "--guide", str(workspace / "scene" / "guide.dsrv"),
+                     "--ref", str(workspace / "scene" / "depth.dsrv"),
+                     "--out", str(out)]) == 0
+        assert set(read_json(out / "run.json")) == {
+            "algo", "lambda", "lambda_candidates", "rho", "nu", "patch", "window",
+            "stride", "group_size", "max_iter", "tol", "meas", "guide",
+            "iterations", "stop_reason", "final_rel_change"}
+
     def test_reruns_are_byte_identical(self, workspace, tmp_path):
         args = ["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
                 "--guide", str(workspace / "scene" / "guide.dsrv"),
@@ -193,7 +213,8 @@ class TestSolve:
         def explode(*a, **kw):
             raise NumericError("synthetic blowup")
 
-        monkeypatch.setattr(cli_mod, "run_pipeline", explode)
+        # every solve of ``dsr solve`` goes through select_lambda's run_pipeline
+        monkeypatch.setattr(dsr.solvers, "run_pipeline", explode)
         code = main(["solve", "--algo", "linear", "--meas",
                      str(workspace / "meas"), "--out", str(tmp_path / "out")])
         assert code == 3
@@ -348,6 +369,21 @@ def _run(cmd: list[str]) -> subprocess.CompletedProcess:
         path.append(os.environ["PYTHONPATH"])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+class TestScripts:
+    def test_sparse_demo_prints_one_row_per_rate(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "sparse_demo.py"
+        proc = _run([sys.executable, str(script), "--size", "24", "24", "4",
+                     "--rates", "0.1"])
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.splitlines()
+        assert header == "rate,n_rec,n_val,fill_snr_db,guided_snr_db,gain_db"
+        assert len(rows) == 1
+        rate, n_rec, n_val, *snrs = rows[0].split(",")
+        assert rate == "0.1"
+        assert int(n_rec) + int(n_val) == int(0.1 * 24 * 24 * 4)
+        assert np.all(np.isfinite([float(v) for v in snrs]))
 
 
 class TestConsoleScript:

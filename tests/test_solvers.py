@@ -380,6 +380,26 @@ class TestSelectLambda:
         assert lam == 0.4
         assert rep.lam == 0.4
 
+    def test_single_candidate_solved_once_without_ref(self, problem, monkeypatch):
+        _, guide, psi, _ = problem
+        calls = []
+
+        def counting_pipeline(psi_arg, guide_arg, cfg):
+            calls.append(cfg.lam)
+            return run_pipeline(psi_arg, guide_arg, cfg)
+
+        monkeypatch.setattr(solvers_mod, "run_pipeline", counting_pipeline)
+        cfg = SolverConfig(algo="gds3d", lam=1.0, max_iter=3, geometry=GEOM)
+        lam, est, rep = select_lambda(psi, guide, cfg, [0.7])
+        assert calls == [0.7]
+        assert lam == 0.7 and rep.lam == 0.7
+        assert est.dims == psi.operator.dims
+
+    def test_several_candidates_need_ref(self, problem):
+        _, guide, psi, _ = problem
+        with pytest.raises(DataError):
+            select_lambda(psi, guide, SolverConfig(algo="gds3d", lam=1.0), [0.1, 0.2])
+
     def test_empty_candidates_rejected(self, problem):
         _, guide, psi, _ = problem
         ref = DepthVolume(psi.operator.dims, np.ones(psi.operator.dims.total_voxels))
