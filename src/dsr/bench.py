@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, as_number
 from .io import write_dsrv, write_frame_snr, write_json
 from .scenes import ObjectSpec, SceneSpec, default_scene, synth_scene
 from .solvers import (
@@ -43,8 +43,8 @@ from .volumes import (
     snr_db,
 )
 
-__all__ = ["ExperimentGrid", "DEFAULT_SOLVER", "sparse_split", "run_bench",
-           "bench_from_config", "objects_from_config", "scene_from_config"]
+__all__ = ["ExperimentGrid", "sparse_split", "run_bench", "bench_from_config",
+           "objects_from_config", "scene_from_config"]
 
 @dataclass
 class ExperimentGrid:
@@ -57,11 +57,11 @@ class ExperimentGrid:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        self.factors = tuple(int(f) for f in self.factors)
+        self.factors = tuple(as_number(f, "factors", whole=True) for f in self.factors)
         self.input_snr_db = float(self.input_snr_db)
         self.algorithms = tuple(str(a) for a in self.algorithms)
-        self.lambdas = tuple(float(v) for v in self.lambdas)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.lambdas = tuple(as_number(v, "lambdas") for v in self.lambdas)
+        self.seeds = tuple(as_number(s, "seeds", whole=True) for s in self.seeds)
         if not (np.isfinite(self.input_snr_db) or self.input_snr_db == np.inf):
             raise DataError(f"input_snr_db must be finite or +inf, "
                             f"got {self.input_snr_db}")
@@ -179,26 +179,27 @@ def objects_from_config(entries) -> tuple[ObjectSpec, ...]:
             raise DataError(f"object {i} needs 8 numbers "
                             "(x0,y0,w,h,depth,contrast,vx,vy), got "
                             f"{len(vals)}")
-        if not all(v.is_integer() for v in vals[:4]):
-            raise DataError(f"object {i}: x0, y0, w and h must be whole numbers, "
-                            f"got {vals[:4]}")
-        objs.append(ObjectSpec(*(int(v) for v in vals[:4]), *vals[4:]))
+        corner_size = (as_number(v, f"object {i} {name}", whole=True)
+                       for v, name in zip(vals, ("x0", "y0", "w", "h")))
+        objs.append(ObjectSpec(*corner_size, *vals[4:]))
     return tuple(objs)
 
 
 def scene_from_config(scene_cfg) -> SceneSpec:
-    """Scene spec from a mapping with the optional keys "w", "h", "t" (default
-    64x64x16), "seed" (0) and "objects" (default: ``default_scene``'s object).
-    Unknown keys and malformed values are a DataError."""
+    """Scene spec from a mapping with the optional keys "w", "h", "t", "seed"
+    (defaults: ``SceneSpec``'s) and "objects" (default: ``default_scene``'s
+    object). Unknown keys and malformed values are a DataError."""
     if not isinstance(scene_cfg, dict):
         raise DataError("scene config must be a JSON object")
-    unknown = set(scene_cfg) - {"w", "h", "t", "seed", "objects"}
+    defaults = {"w": SceneSpec.dims.width, "h": SceneSpec.dims.height,
+                "t": SceneSpec.dims.frames, "seed": SceneSpec.seed}
+    unknown = set(scene_cfg) - set(defaults) - {"objects"}
     if unknown:
         raise DataError(f"unknown scene config keys: {sorted(unknown)}")
     try:
-        dims = FrameDims(int(scene_cfg.get("w", 64)), int(scene_cfg.get("h", 64)),
-                         int(scene_cfg.get("t", 16)))
-        seed = int(scene_cfg.get("seed", 0))
+        w, h, t, seed = (as_number(scene_cfg.get(key, value), key, whole=True)
+                         for key, value in defaults.items())
+        dims = FrameDims(w, h, t)
         if "objects" in scene_cfg:
             return SceneSpec(dims=dims, seed=seed,
                              objects=objects_from_config(scene_cfg["objects"]))

@@ -86,7 +86,7 @@ def _load_guide(path: Path) -> IntensityVolume:
             return IntensityVolume(vol.dims, vol.values)
         except DataError as exc:
             raise DataError(f"{path}: not a valid intensity volume: {exc}") from exc
-    return import_pgm_sequence(path.parent, path)
+    return import_pgm_sequence(path)
 
 
 def build_parser() -> _Parser:
@@ -94,14 +94,14 @@ def build_parser() -> _Parser:
                      description="Guided depth-video superresolution toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("simulate", help="render a synthetic depth+guide scene")
+    p = sub.add_parser("simulate", help="render a synthetic depth+guide scene",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--w", type=_positive_int, default=64)
-    p.add_argument("--h", type=_positive_int, default=64)
-    p.add_argument("--t", type=_positive_int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objects", default=None,
-                   metavar="x0,y0,w,h,depth,contrast,vx,vy[;...]")
+    p.add_argument("--w", type=_positive_int)
+    p.add_argument("--h", type=_positive_int)
+    p.add_argument("--t", type=_positive_int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--objects", metavar="x0,y0,w,h,depth,contrast,vx,vy[;...]")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("degrade", help="decimate a depth volume and add noise")
@@ -157,8 +157,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_simulate(args) -> int:
-    scene = {"w": args.w, "h": args.h, "t": args.t, "seed": args.seed}
-    if args.objects is not None:
+    scene = {k: v for k, v in vars(args).items() if k in ("w", "h", "t", "seed")}
+    if "objects" in vars(args):
         scene["objects"] = [seg.split(",") for seg in args.objects.split(";")
                             if seg.strip()]
     spec = scene_from_config(scene)
@@ -198,6 +198,8 @@ def cmd_sparse(args) -> int:
 
 
 def _validate_solve(parser: _Parser, args) -> None:
+    if args.algo == "linear" and args.lam is not None:
+        parser.error("--lambda does not apply to --algo linear")
     if args.algo != "linear" and args.lam is None:
         parser.error(f"--lambda is required for --algo {args.algo}")
     if args.algo in GUIDED_ALGORITHMS and args.guide is None:

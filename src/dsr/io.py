@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, as_number
 from .volumes import DepthVolume, FrameDims, IntensityVolume, Measurements, SamplingOperator
 
 __all__ = [
@@ -127,16 +127,13 @@ def load_pgm(path) -> np.ndarray:
     return pixels / float(maxval)
 
 
-def import_pgm_sequence(directory, manifest) -> IntensityVolume:
+def import_pgm_sequence(manifest) -> IntensityVolume:
     """Stack the PGM frames listed (one per line) in a manifest text file.
 
-    Frame paths are resolved relative to ``directory``; blank lines and
-    ``#`` comment lines are ignored. All frames must share one size.
+    Frame paths are resolved relative to the manifest's directory; blank
+    lines and ``#`` comment lines are ignored. All frames must share one size.
     """
-    directory = Path(directory)
     manifest = Path(manifest)
-    if not manifest.is_absolute():
-        manifest = directory / manifest
     try:
         lines = manifest.read_text().splitlines()
     except OSError as exc:
@@ -144,7 +141,7 @@ def import_pgm_sequence(directory, manifest) -> IntensityVolume:
     names = [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not names:
         raise DataError(f"manifest {manifest} lists no frames")
-    frames = [load_pgm(directory / name) for name in names]
+    frames = [load_pgm(manifest.parent / name) for name in names]
     shape = frames[0].shape
     for name, fr in zip(names, frames):
         if fr.shape != shape:
@@ -205,14 +202,20 @@ def write_measurements(directory, meas: Measurements, extra: dict | None = None)
 def read_measurements(directory) -> tuple[Measurements, dict]:
     """Load a measurement directory back into a Measurements object."""
     directory = Path(directory)
-    info = read_json(directory / "meas.json")
+    source = directory / "meas.json"
+    info = read_json(source)
+    if not isinstance(info, dict):
+        raise DataError(f"{source} must hold a JSON object")
     try:
-        dims = FrameDims(int(info["width"]), int(info["height"]), int(info["frames"]))
+        dims = FrameDims(*(as_number(info[k], f"{source} {k}", whole=True)
+                           for k in ("width", "height", "frames")))
         kind = info["kind"]
+        factor = info["factor"] if kind == "decimation" else None
     except KeyError as exc:
-        raise DataError(f"{directory}/meas.json is missing field {exc}") from exc
+        raise DataError(f"{source} is missing field {exc}") from exc
     if kind == "decimation":
-        op = SamplingOperator.decimation(dims, int(info["factor"]))
+        op = SamplingOperator.decimation(dims, as_number(factor, f"{source} factor",
+                                                         whole=True))
     elif kind == "mask":
         mask_vol = read_dsrv(directory / "mask.dsrv")
         if mask_vol.dims != dims:

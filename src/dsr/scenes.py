@@ -19,6 +19,12 @@ from .volumes import DepthVolume, FrameDims, IntensityVolume
 
 __all__ = ["ObjectSpec", "SceneSpec", "synth_scene", "default_scene"]
 
+#: The fixed scene look: ramp depths (top, bottom row), texture std, guide level.
+DEPTH_NEAR = 7.0
+DEPTH_FAR = 10.0
+TEXTURE_AMP = 0.05
+BASE_INTENSITY = 0.45
+
 
 @dataclass(frozen=True)
 class ObjectSpec:
@@ -47,16 +53,10 @@ class ObjectSpec:
 @dataclass(frozen=True)
 class SceneSpec:
     dims: FrameDims = FrameDims(64, 64, 16)
-    depth_near: float = 7.0
-    depth_far: float = 10.0
-    texture_amp: float = 0.05
-    base_intensity: float = 0.45
     seed: int = 0
     objects: tuple[ObjectSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.texture_amp < 0:
-            raise DataError("texture_amp must be nonnegative")
         for i, obj in enumerate(self.objects):
             if obj.width < 1 or obj.height < 1:
                 raise DataError(f"object {i} has empty extent")
@@ -69,36 +69,34 @@ class SceneSpec:
                         f"(top-left ({x}, {y}), size {obj.width}x{obj.height})")
 
 
-def _background(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
-    w, h = spec.dims.width, spec.dims.height
+def _background_depth(dims: FrameDims) -> np.ndarray:
+    w, h = dims.width, dims.height
     ys = np.arange(h, dtype=np.float64)[:, None]
     xs = np.arange(w, dtype=np.float64)[None, :]
-    span_y = spec.depth_far - spec.depth_near
-    depth = spec.depth_far - span_y * (ys / max(h - 1, 1))
+    depth = DEPTH_FAR - (DEPTH_FAR - DEPTH_NEAR) * (ys / max(h - 1, 1))
     # mild horizontal tilt keeps rows from being exactly constant
-    depth = depth + 0.3 * (xs / max(w - 1, 1))
-    return np.broadcast_to(depth, (h, w)).copy(), np.full((h, w), spec.base_intensity)
+    return depth + 0.3 * (xs / max(w - 1, 1))
 
 
 def synth_scene(spec: SceneSpec) -> tuple[DepthVolume, IntensityVolume]:
     """Render the spec into a depth volume and its registered intensity guide."""
     dims = spec.dims
     rng = np.random.default_rng(spec.seed)
-    depth_bg, inten_bg = _background(spec)
-    bg_texture = spec.texture_amp * rng.standard_normal((dims.height, dims.width))
-    obj_textures = [spec.texture_amp * rng.standard_normal((o.height, o.width))
+    depth_bg = _background_depth(dims)
+    bg_texture = TEXTURE_AMP * rng.standard_normal((dims.height, dims.width))
+    obj_textures = [TEXTURE_AMP * rng.standard_normal((o.height, o.width))
                     for o in spec.objects]
 
     depth_frames = np.empty((dims.frames, dims.height, dims.width))
     inten_frames = np.empty_like(depth_frames)
     for t in range(dims.frames):
         d = depth_bg.copy()
-        g = inten_bg + bg_texture
+        g = BASE_INTENSITY + bg_texture
         for obj, tex in zip(spec.objects, obj_textures):
             x, y = obj.position(t)
             d[y:y + obj.height, x:x + obj.width] = obj.depth
             g[y:y + obj.height, x:x + obj.width] = \
-                spec.base_intensity + obj.contrast + tex
+                BASE_INTENSITY + obj.contrast + tex
         depth_frames[t] = d
         inten_frames[t] = np.clip(g, 0.0, 1.0)
 
@@ -106,9 +104,8 @@ def synth_scene(spec: SceneSpec) -> tuple[DepthVolume, IntensityVolume]:
             IntensityVolume.from_frames(inten_frames))
 
 
-def default_scene(dims: FrameDims | None = None, seed: int = 0) -> SceneSpec:
+def default_scene(dims: FrameDims = SceneSpec.dims, seed: int = SceneSpec.seed) -> SceneSpec:
     """One bright rectangle sliding right over the ramp, sized to stay in frame."""
-    dims = dims or FrameDims(64, 64, 16)
     w = max(4, dims.width * 5 // 16)
     h = max(4, dims.height // 4)
     vx = 2.0

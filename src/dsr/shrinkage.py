@@ -86,7 +86,7 @@ def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
         raise DataError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
         return np.asarray(mat, dtype=np.float64).copy()
-    return _spectral_shrink(mat, lambda s: np.maximum(s - lam, 0.0))
+    return prox_low_rank(mat, lam, 1.0)
 
 
 def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:

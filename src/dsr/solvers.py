@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, as_number
 from .patches import PatchGeometry, PatchGroupTable, build_groups, extract_blocks, scatter_sum
 from .shrinkage import prox_low_rank
 from .volumes import (
@@ -83,7 +83,10 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value}")
-        if self.algo != "linear" and (self.lam is None or not self.lam > 0):
+        if self.algo == "linear":
+            if self.lam is not None:
+                raise DataError(f"linear takes no weight, got lam={self.lam}")
+        elif self.lam is None or not self.lam > 0:
             raise DataError(f"lam must be positive for {self.algo}, got {self.lam}")
         if not 0.0 <= self.nu <= 1.0:
             raise DataError(f"nu must lie in [0, 1], got {self.nu}")
@@ -98,26 +101,19 @@ class SolverConfig:
             wx, wy, _ = self.geometry.window
             self.geometry = replace(self.geometry, window=(wx, wy, 1))
 
-    @property
-    def guide_mode(self) -> str | None:
-        """What the block matching runs on: the intensity guide or the depth itself."""
-        if self.algo in GUIDED_ALGORITHMS:
-            return "intensity"
-        if self.algo == "ds3d":
-            return "self-depth"
-        return None
-
     @classmethod
     def from_settings(cls, algo: str, lam: float | None, settings) -> "SolverConfig":
         """Config from a mapping holding the flat settings named in DEFAULT_SOLVER,
-        as ``dsr solve`` and ``dsr bench`` take them; other keys are ignored."""
-        geometry = PatchGeometry(patch_side=int(settings["patch"]),
-                                 stride=int(settings["stride"]),
-                                 window=tuple(int(v) for v in settings["window"]),
-                                 group_size=int(settings["group_size"]))
-        return cls(algo=algo, lam=lam, rho=float(settings["rho"]),
-                   nu=float(settings["nu"]), max_iter=int(settings["max_iter"]),
-                   tol=float(settings["tol"]), geometry=geometry)
+        as ``dsr solve`` and ``dsr bench`` take them; other keys are ignored.
+        Each value passes ``as_number``, so a string or a fractional count is
+        a DataError."""
+        patch, stride, group_size, max_iter = (
+            as_number(settings[k], k, whole=True)
+            for k in ("patch", "stride", "group_size", "max_iter"))
+        window = tuple(as_number(v, "window", whole=True) for v in settings["window"])
+        rho, nu, tol = (as_number(settings[k], k) for k in ("rho", "nu", "tol"))
+        return cls(algo=algo, lam=lam, rho=rho, nu=nu, max_iter=max_iter, tol=tol,
+                   geometry=PatchGeometry(patch, stride, window, group_size))
 
 
 #: The flat solver settings and their defaults, read from the dataclasses.
@@ -279,14 +275,14 @@ def run_pipeline(psi: Measurements, guide, cfg: SolverConfig
                              cfg.algo, None)
         return init, report
 
-    if cfg.guide_mode == "intensity":
+    if cfg.algo in GUIDED_ALGORITHMS:
         if guide is None:
             raise DataError(f"{cfg.algo} requires an intensity guide")
         if guide.dims != psi.operator.dims:
             raise DataError(f"guide dims {guide.dims} do not match "
                             f"measurement dims {psi.operator.dims}")
         match_on = guide
-    else:  # self-depth
+    else:  # ds3d matches on the depth itself
         match_on = init
 
     table = build_groups(match_on, cfg.geometry)

@@ -5,7 +5,6 @@ import pytest
 
 import dsr.bench as bench_mod
 from dsr.bench import (
-    DEFAULT_SOLVER,
     ExperimentGrid,
     bench_from_config,
     objects_from_config,
@@ -16,6 +15,7 @@ from dsr.bench import (
 from dsr.errors import DataError
 from dsr.io import read_dsrv, read_json
 from dsr.scenes import default_scene
+from dsr.solvers import DEFAULT_SOLVER
 from dsr.volumes import DepthVolume, FrameDims
 
 
@@ -233,14 +233,23 @@ class TestConfig:
 
     @pytest.mark.parametrize("grid", [{"factor": [2], "algorithms": ["linear"]},
                                       {"factors": 2, "algorithms": ["linear"]},
-                                      None])
+                                      None,
+                                      # no silent coercion of a string or a fraction
+                                      {"factors": "23", "algorithms": ["linear"]},
+                                      {"factors": [2.5], "algorithms": ["linear"]},
+                                      {"factors": [True], "algorithms": ["linear"]},
+                                      {"factors": [2], "algorithms": ["linear"],
+                                       "seeds": [0.5]},
+                                      {"factors": [2], "algorithms": ["linear"],
+                                       "seeds": "0"}])
     def test_bad_grid_rejected(self, tmp_path, grid):
         with pytest.raises(DataError):
             bench_from_config({"scene": {"w": 12, "h": 12, "t": 2}, "grid": grid},
                               tmp_path)
         assert not (tmp_path / "table.csv").exists()
 
-    @pytest.mark.parametrize("lambdas", [[float("nan")], [float("inf")], [2.0, -1.0]])
+    @pytest.mark.parametrize("lambdas", [[float("nan")], [float("inf")], [2.0, -1.0],
+                                         "12", ["2"]])
     def test_bad_lambdas_rejected(self, tmp_path, lambdas):
         with pytest.raises(DataError):
             bench_from_config({"scene": {"w": 12, "h": 12, "t": 2},
@@ -260,7 +269,10 @@ class TestConfig:
                                        {"w": 12, "h": 12, "t": 2,
                                         "objects": [[2.7, 2, 5, 5, 1, 0.3, 1, 0]]},
                                        {"w": 12, "h": 12, "t": 2,
-                                        "objects": [[2, 2, 5.9, 5, 1, 0.3, 1, 0]]}])
+                                        "objects": [[2, 2, 5.9, 5, 1, 0.3, 1, 0]]},
+                                       {"w": 12.9, "h": 12, "t": 2},
+                                       {"w": 12, "h": 12, "t": "2"},
+                                       {"w": 12, "h": 12, "t": 2, "seed": 1.5}])
     def test_bad_scene_rejected(self, tmp_path, scene):
         with pytest.raises(DataError):
             bench_from_config({"scene": scene,
@@ -270,7 +282,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("solver", [{"nu": float("nan")}, {"rho": float("inf")},
                                         {"patch": "five"}, {"nu": 2}, {"rho": -1},
-                                        {"max_iter": 0}, {"tol": -1}])
+                                        {"max_iter": 0}, {"tol": -1},
+                                        {"max_iter": 2.9}, {"window": "551"},
+                                        {"stride": True}, {"group_size": "6"},
+                                        {"rho": "1"}])
     @pytest.mark.parametrize("algo", ["linear", "gds3d"])
     def test_bad_solver_setting_rejected(self, tmp_path, algo, solver):
         # checked once before any cell runs, whichever algorithms the grid holds
@@ -281,6 +296,20 @@ class TestConfig:
                                "solver": solver},
                               tmp_path)
         assert not (tmp_path / "table.csv").exists()
+
+    def test_integral_floats_accepted(self, tmp_path):
+        bench_from_config({"scene": {"w": 12.0, "h": 12, "t": 2.0, "seed": 1.0},
+                           "grid": {"factors": [2.0], "algorithms": ["gds3d"],
+                                    "lambdas": [1], "seeds": [0.0]},
+                           "solver": {"max_iter": 2.0, "patch": 3.0, "stride": 2,
+                                      "window": [5.0, 5, 3], "group_size": 4.0}},
+                          tmp_path)
+        run = read_json(tmp_path / "run.json")
+        assert run["scene"]["dims"] == {"width": 12, "height": 12, "frames": 2}
+        assert run["scene"]["seed"] == 1
+        assert (run["grid"]["factors"], run["grid"]["seeds"]) == ([2], [0])
+        assert np.isfinite(float((tmp_path / "table.csv").read_text()
+                                 .splitlines()[1].split(",")[1]))
 
     def test_non_mapping_rejected(self, tmp_path):
         with pytest.raises(DataError):

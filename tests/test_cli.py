@@ -12,6 +12,7 @@ from dsr.cli import main
 from dsr.errors import NumericError
 from dsr.io import (read_dsrv, read_json, read_measurements, write_dsrv,
                     write_measurements)
+from dsr.scenes import SceneSpec
 from dsr.volumes import DepthVolume, FrameDims, SamplingOperator, apply_sampling
 
 
@@ -41,6 +42,17 @@ class TestSimulate:
         meta = read_json(scene / "scene.json")
         assert meta["seed"] == 0
         assert meta["dims"] == {"width": 24, "height": 24, "frames": 4}
+        # the scene look is fixed, so only the size, seed and objects are echoed
+        assert set(meta) == {"dims", "seed", "objects"}
+
+    def test_defaults_come_from_scene_spec(self, tmp_path):
+        assert main(["simulate", "--out", str(tmp_path)]) == 0
+        meta = read_json(tmp_path / "scene.json")
+        dims = SceneSpec().dims
+        assert meta["dims"] == {"width": dims.width, "height": dims.height,
+                                "frames": dims.frames}
+        assert meta["seed"] == SceneSpec().seed
+        assert read_dsrv(tmp_path / "depth.dsrv").dims == dims
 
     def test_objects_flag(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path),
@@ -188,6 +200,17 @@ class TestSolve:
                   "--out", "/tmp/x"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("lam", ["1,2,3", "-5", "2.0"])
+    def test_lambda_with_linear_is_usage_error(self, workspace, tmp_path, capsys, lam):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--algo", "linear", "--meas", str(workspace / "meas"),
+                  "--lambda", lam, "--ref", str(workspace / "scene" / "depth.dsrv"),
+                  "--out", str(out)])
+        assert err.value.code == 1
+        assert "--lambda does not apply to --algo linear" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_guide_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--algo", "admm3d", "--meas", str(workspace / "meas"),
@@ -201,13 +224,21 @@ class TestSolve:
                   "--lambda", "1.0,2.0", "--out", "/tmp/x"])
         assert err.value.code == 1
 
-    def test_corrupt_measurements_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{broken",
+        '{"kind": "mask", "width": "wide", "height": 4, "frames": 2}',
+        '{"kind": "decimation", "width": 4, "height": 4, "frames": 2}',
+        '[{"kind": "decimation"}]'],
+        ids=["broken_json", "non_numeric_width", "decimation_without_factor",
+             "list_not_object"])
+    def test_corrupt_measurements_exit_2(self, tmp_path, capsys, text):
         meas = tmp_path / "meas"
         meas.mkdir()
-        (meas / "meas.json").write_text("{broken")
+        (meas / "meas.json").write_text(text)
         code = main(["solve", "--algo", "linear", "--meas", str(meas),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_numeric_failure_exit_3(self, workspace, tmp_path, monkeypatch):
         def explode(*a, **kw):
@@ -261,26 +292,42 @@ class TestSolve:
         mask[n:2 * n] = False  # frame 1 has no samples
         op = SamplingOperator.from_mask(depth.dims, mask)
         write_measurements(tmp_path / "meas", apply_sampling(op, depth))
+        weight = [] if algo == "linear" else ["--lambda", "2.0"]
         code = main(["solve", "--algo", algo, "--meas", str(tmp_path / "meas"),
-                     "--lambda", "2.0", *SOLVE_GEOM, "--out", str(tmp_path / "out")])
+                     *weight, *SOLVE_GEOM, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "frame 1 has no measurements to fill from" in capsys.readouterr().err
 
-    def test_pgm_manifest_guide(self, workspace, tmp_path):
-        # write the guide as 16-bit PGM frames and feed them back via a manifest
+    @staticmethod
+    def _write_pgm_guide(workspace, directory):
+        """The scene's guide as 16-bit PGM frames listed in directory/frames.txt."""
         frames = read_dsrv(workspace / "scene" / "guide.dsrv").frames()
         t, h, w = frames.shape
         header = f"P5\n{w} {h}\n65535\n".encode()
         names = [f"g_t{k:04d}.pgm" for k in range(t)]
+        directory.mkdir(parents=True, exist_ok=True)
         for name, frame in zip(names, np.rint(frames * 65535).astype(">u2")):
-            (tmp_path / name).write_bytes(header + frame.tobytes())
-        manifest = tmp_path / "frames.txt"
+            (directory / name).write_bytes(header + frame.tobytes())
+        manifest = directory / "frames.txt"
         manifest.write_text("\n".join(names) + "\n")
+        return manifest
+
+    def test_pgm_manifest_guide(self, workspace, tmp_path):
+        manifest = self._write_pgm_guide(workspace, tmp_path)
         out = tmp_path / "solved"
         assert main(["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
                      "--guide", str(manifest), "--lambda", "2.0", *SOLVE_GEOM,
                      "--max-iter", "3", "--out", str(out)]) == 0
         assert (out / "est.dsrv").exists()
+
+    def test_relative_pgm_manifest_guide(self, workspace, tmp_path, monkeypatch):
+        # frame paths resolve against the manifest's own directory, once
+        self._write_pgm_guide(workspace, tmp_path / "sub")
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
+                     "--guide", "sub/frames.txt", "--lambda", "2.0", *SOLVE_GEOM,
+                     "--max-iter", "3", "--out", "solved"]) == 0
+        assert (tmp_path / "solved" / "est.dsrv").exists()
 
 
 class TestEval:

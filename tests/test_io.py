@@ -160,7 +160,7 @@ class TestImportPgmSequence:
         self._write_frame(tmp_path / "f1.pgm", [[30, 40]])
         (tmp_path / "frames.txt").write_text(
             "# guide frames\nf0.pgm\n\nf1.pgm\n")
-        vol = import_pgm_sequence(tmp_path, "frames.txt")
+        vol = import_pgm_sequence(tmp_path / "frames.txt")
         assert vol.dims == FrameDims(2, 1, 2)
         np.testing.assert_allclose(vol.frames()[:, 0, 0], [10 / 255, 30 / 255])
 
@@ -169,16 +169,16 @@ class TestImportPgmSequence:
         self._write_frame(tmp_path / "f1.pgm", [[30]])
         (tmp_path / "frames.txt").write_text("f0.pgm\nf1.pgm\n")
         with pytest.raises(DataError):
-            import_pgm_sequence(tmp_path, "frames.txt")
+            import_pgm_sequence(tmp_path / "frames.txt")
 
     def test_empty_manifest_rejected(self, tmp_path):
         (tmp_path / "frames.txt").write_text("# nothing here\n")
         with pytest.raises(DataError):
-            import_pgm_sequence(tmp_path, "frames.txt")
+            import_pgm_sequence(tmp_path / "frames.txt")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
-            import_pgm_sequence(tmp_path, "absent.txt")
+            import_pgm_sequence(tmp_path / "absent.txt")
 
 
 class TestJson:

@@ -51,3 +51,12 @@ def test_exported_names_exist(module_name):
     module = importlib.import_module(module_name)
     stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not stale, f"{module_name}.__all__ lists missing names {stale}"
+
+
+def test_each_public_name_has_one_home():
+    homes = {}
+    for module_name in MODULES:
+        for name in getattr(importlib.import_module(module_name), "__all__", ()):
+            homes.setdefault(name, []).append(module_name)
+    shared = {name: mods for name, mods in homes.items() if len(mods) > 1}
+    assert not shared, f"names exported by several modules: {shared}"

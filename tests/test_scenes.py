@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from dsr.errors import DataError
-from dsr.scenes import ObjectSpec, SceneSpec, default_scene, synth_scene
+from dsr.scenes import (
+    DEPTH_FAR,
+    DEPTH_NEAR,
+    ObjectSpec,
+    SceneSpec,
+    default_scene,
+    synth_scene,
+)
 from dsr.volumes import FrameDims
 
 
@@ -32,8 +39,8 @@ def test_background_depth_ordering():
     depth, _ = synth_scene(spec)
     frame = depth.frames()[0]
     assert np.all(np.diff(frame[:, 0]) < 0)  # bottom of array is deeper
-    assert frame.min() >= spec.depth_near - 1e-9
-    assert frame.max() <= spec.depth_far + 0.3 + 1e-9
+    assert frame.min() >= DEPTH_NEAR - 1e-9
+    assert frame.max() <= DEPTH_FAR + 0.3 + 1e-9
 
 
 def test_object_overrides_depth_and_moves():

@@ -217,3 +217,6 @@ def test_prox_matches_svd_reference(case, lam, nu):
         assert out.shape == mat.shape
         assert np.all(np.isfinite(out))
         assert np.all(np.abs(out - ref).max(axis=(-2, -1)) <= tol)
+    if nu == 1.0:
+        # the nuclear-norm prox is the nu = 1 low-rank prox, bit for bit
+        assert prox_nuclear(mat, lam).tobytes() == prox_low_rank(mat, lam, 1.0).tobytes()

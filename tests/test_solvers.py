@@ -92,12 +92,17 @@ class TestSolverConfig:
             SolverConfig(algo="gds3d")
         SolverConfig(algo="linear")  # no lam needed
 
+    @pytest.mark.parametrize("lam", [1.0, -5.0, 0.0])
+    def test_linear_takes_no_weight(self, lam):
+        with pytest.raises(DataError, match="linear takes no weight"):
+            SolverConfig(algo="linear", lam=lam)
+
     @pytest.mark.parametrize("kw", [dict(rho=0.0), dict(nu=1.5),
                                     dict(max_iter=0), dict(tol=-1.0)])
     def test_parameter_validation(self, kw):
-        for algo in ("gds3d", "linear"):
+        for algo, lam in (("gds3d", 1.0), ("linear", None)):
             with pytest.raises(DataError):
-                SolverConfig(algo=algo, lam=1.0, **kw)
+                SolverConfig(algo=algo, lam=lam, **kw)
 
     @pytest.mark.parametrize("kw", [dict(tol=np.nan), dict(tol=np.inf),
                                     dict(rho=np.inf), dict(lam=np.inf)])
@@ -110,13 +115,6 @@ class TestSolverConfig:
         cfg = SolverConfig(algo="gds2d", lam=1.0,
                            geometry=PatchGeometry(window=(9, 9, 5)))
         assert cfg.geometry.window == (9, 9, 1)
-
-    def test_guide_modes(self):
-        assert SolverConfig(algo="gds3d", lam=1.0).guide_mode == "intensity"
-        assert SolverConfig(algo="admm3d", lam=1.0).guide_mode == "intensity"
-        assert SolverConfig(algo="gds2d", lam=1.0).guide_mode == "intensity"
-        assert SolverConfig(algo="ds3d", lam=1.0).guide_mode == "self-depth"
-        assert SolverConfig(algo="linear").guide_mode is None
 
 
 class TestInitialization:
