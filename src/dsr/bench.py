@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError, as_number
+from .errors import DataError, NumericError, as_number, check_seed
 from .io import write_dsrv, write_frame_snr, write_json
 from .scenes import ObjectSpec, SceneSpec, default_scene, synth_scene
 from .solvers import (
@@ -58,10 +58,14 @@ class ExperimentGrid:
 
     def __post_init__(self):
         self.factors = tuple(as_number(f, "factors", whole=True) for f in self.factors)
-        self.input_snr_db = float(self.input_snr_db)
+        if self.input_snr_db == "inf":  # the encoding of ``dsr degrade``
+            self.input_snr_db = math.inf
+        self.input_snr_db = as_number(self.input_snr_db, "input_snr_db")
         self.algorithms = tuple(str(a) for a in self.algorithms)
         self.lambdas = tuple(as_number(v, "lambdas") for v in self.lambdas)
         self.seeds = tuple(as_number(s, "seeds", whole=True) for s in self.seeds)
+        for s in self.seeds:
+            check_seed(s)
         if not (np.isfinite(self.input_snr_db) or self.input_snr_db == np.inf):
             raise DataError(f"input_snr_db must be finite or +inf, "
                             f"got {self.input_snr_db}")
@@ -82,6 +86,7 @@ def sparse_split(vol: DepthVolume, rate: float, seed: int, split: float
     """Sample floor(rate * total voxels) voxels uniformly at random and split
     them into disjoint (reconstruction, validation) mask measurements with
     proportions (split, 1 - split)."""
+    check_seed(seed)
     if not 0.0 < rate <= 1.0:
         raise DataError(f"rate must lie in (0, 1], got {rate}")
     if not 0.0 < split < 1.0:
@@ -120,8 +125,6 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
               out_dir) -> dict:
     """Run the full grid and write table.csv, per-frame CSVs, reconstructions
     and run.json under out_dir. Returns {algo: {factor: overall SNR}}."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     solver = {**DEFAULT_SOLVER, **(solver or {})}
     unknown = set(solver) - set(DEFAULT_SOLVER)
     if unknown:
@@ -133,6 +136,8 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
         raise DataError(f"invalid solver config: {exc}") from exc
 
     ref, guide = synth_scene(scene_spec)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     lines = ["algo," + ",".join(f"{f}x" for f in grid.factors)]
     summary: dict[str, dict[int, float]] = {}
     for algo in grid.algorithms:
@@ -169,19 +174,22 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
 
 
 def objects_from_config(entries) -> tuple[ObjectSpec, ...]:
+    """Object specs from lists of 8 numbers (x0, y0, w, h, depth, contrast,
+    vx, vy). Each value passes ``as_number``, so a string is a DataError, and
+    so is a fractional corner or size."""
+    names = ("x0", "y0", "w", "h", "depth", "contrast", "vx", "vy")
     objs = []
     for i, entry in enumerate(entries):
         try:
-            vals = [float(v) for v in entry]
-        except (TypeError, ValueError, OverflowError) as exc:
+            vals = list(entry)
+        except TypeError as exc:
             raise DataError(f"object {i}: {exc}") from exc
-        if len(vals) != 8:
+        if len(vals) != len(names):
             raise DataError(f"object {i} needs 8 numbers "
                             "(x0,y0,w,h,depth,contrast,vx,vy), got "
                             f"{len(vals)}")
-        corner_size = (as_number(v, f"object {i} {name}", whole=True)
-                       for v, name in zip(vals, ("x0", "y0", "w", "h")))
-        objs.append(ObjectSpec(*corner_size, *vals[4:]))
+        objs.append(ObjectSpec(*(as_number(v, f"object {i} {name}", whole=k < 4)
+                                 for k, (v, name) in enumerate(zip(vals, names)))))
     return tuple(objs)
 
 

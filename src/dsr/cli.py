@@ -159,8 +159,11 @@ def build_parser() -> _Parser:
 def cmd_simulate(args) -> int:
     scene = {k: v for k, v in vars(args).items() if k in ("w", "h", "t", "seed")}
     if "objects" in vars(args):
-        scene["objects"] = [seg.split(",") for seg in args.objects.split(";")
-                            if seg.strip()]
+        try:
+            scene["objects"] = [[float(v) for v in seg.split(",")]
+                                for seg in args.objects.split(";") if seg.strip()]
+        except ValueError as exc:
+            raise DataError(f"invalid --objects value: {exc}") from exc
     spec = scene_from_config(scene)
     depth, guide = synth_scene(spec)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of a number
-read from a settings file.
+"""Exception types shared across the package, the one check of a number read
+from a settings file and the one check of a random seed.
 
 The CLI maps these onto exit codes: DataError -> 2, NumericError -> 3.
 """
@@ -30,3 +30,10 @@ def as_number(value, name: str, whole: bool = False):
     if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise DataError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def check_seed(seed) -> None:
+    """Raise a DataError unless ``seed`` is what ``np.random.default_rng``
+    takes as a seed: a whole number >= 0."""
+    if as_number(seed, "seed", whole=True) < 0:
+        raise DataError(f"seed must be nonnegative, got {seed}")

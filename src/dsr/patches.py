@@ -22,6 +22,11 @@ from .volumes import FrameDims
 __all__ = ["PatchGeometry", "PatchGroupTable", "build_groups", "extract_blocks",
            "scatter_sum", "compute_counts", "aggregate_average"]
 
+#: Groups per chunk of the solver's gather -> prox -> scatter pass, which
+#: holds one chunk's index and blocks at a time. Results do not depend on it
+#: (chunks are added in table order), only memory and speed do.
+CHUNK_GROUPS = 256
+
 
 @dataclass(frozen=True)
 class PatchGeometry:
@@ -70,14 +75,16 @@ class PatchGroupTable:
     is the reference of group p. A group whose search window held fewer
     candidates than the group size repeats the reference in its last columns
     to keep the block shape fixed; no real candidate equals the reference.
-    Gather indices and reference counts are derived lazily and cached since
-    every solver iteration reuses them.
+    The flat voxel index of each member's top-left pixel and the reference
+    counts are derived lazily and cached since every solver iteration reuses
+    them. Gather indices are built from the first on demand; the solver
+    builds them one chunk of groups at a time.
     """
 
     geometry: PatchGeometry
     dims: FrameDims
     members: np.ndarray
-    _gather: np.ndarray | None = field(default=None, init=False, repr=False)
+    _base: np.ndarray | None = field(default=None, init=False, repr=False)
     _counts: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
@@ -88,18 +95,28 @@ class PatchGroupTable:
     def references(self) -> np.ndarray:
         return self.members[:, 0, :]
 
-    def gather_indices(self) -> np.ndarray:
-        """Flat voxel index per (group, in-patch pixel, member), shape (P, B, L)."""
-        if self._gather is None:
-            ps = self.geometry.patch_side
+    def _member_base(self) -> np.ndarray:
+        """Flat voxel index of each member's top-left pixel, shape (P, L)."""
+        if self._base is None:
             w = self.dims.width
-            n = self.dims.pixels_per_frame
-            off = (np.arange(ps)[:, None] * w + np.arange(ps)[None, :]).reshape(-1)
-            base = (self.members[:, :, 2].astype(np.int64) * n
-                    + self.members[:, :, 1].astype(np.int64) * w
-                    + self.members[:, :, 0].astype(np.int64))  # (P, L)
-            self._gather = base[:, None, :] + off[None, :, None]
-        return self._gather
+            m = self.members.astype(np.int64)
+            self._base = (m[:, :, 2] * self.dims.pixels_per_frame
+                          + m[:, :, 1] * w + m[:, :, 0])
+        return self._base
+
+    def gather_indices(self, groups: slice = slice(None)) -> np.ndarray:
+        """Flat voxel index per (group, in-patch pixel, member), shape (p, B, L),
+        for the groups in ``groups`` (all by default). Built on each call."""
+        ps = self.geometry.patch_side
+        off = (np.arange(ps)[:, None] * self.dims.width + np.arange(ps)).reshape(-1, 1)
+        return self._member_base()[groups][:, None, :] + off
+
+    def chunks(self):
+        """Yield (groups, gather_indices(groups)) for consecutive runs of
+        ``CHUNK_GROUPS`` groups, in table order."""
+        for start in range(0, self.n_groups, CHUNK_GROUPS):
+            groups = slice(start, min(start + CHUNK_GROUPS, self.n_groups))
+            yield groups, self.gather_indices(groups)
 
     def counts(self) -> np.ndarray:
         if self._counts is None:
@@ -168,20 +185,32 @@ def extract_blocks(values: np.ndarray, table: PatchGroupTable) -> np.ndarray:
     return values[table.gather_indices()]
 
 
-def scatter_sum(blocks: np.ndarray, table: PatchGroupTable) -> np.ndarray:
-    """Adjoint of :func:`extract_blocks`: sum block entries onto the voxel grid."""
-    idx = table.gather_indices()
+def scatter_sum(blocks: np.ndarray, table: PatchGroupTable, out: np.ndarray | None = None,
+                idx: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of :func:`extract_blocks`: add block entries onto the voxel grid.
+
+    The blocks are the whole table's, or one chunk's when its gather index
+    ``idx`` is given. The sum is added into ``out`` (a new zero volume by
+    default) and returned. Entries are added one by one in index order, so
+    chunks added in table order give the bytes of one whole-table sum.
+    """
+    if idx is None:
+        idx = table.gather_indices()
     if blocks.shape != idx.shape:
         raise DataError(f"blocks shape {blocks.shape} does not match table "
                         f"shape {idx.shape}")
-    return np.bincount(idx.reshape(-1), weights=blocks.reshape(-1),
-                       minlength=table.dims.total_voxels)
+    if out is None:
+        out = np.zeros(table.dims.total_voxels)
+    np.add.at(out, idx.reshape(-1), blocks.reshape(-1))
+    return out
 
 
 def compute_counts(table: PatchGroupTable) -> np.ndarray:
     """Number of (group, member, offset) references per voxel."""
-    idx = table.gather_indices()
-    return np.bincount(idx.reshape(-1), minlength=table.dims.total_voxels)
+    counts = np.zeros(table.dims.total_voxels, dtype=np.int64)
+    for _, idx in table.chunks():
+        counts += np.bincount(idx.reshape(-1), minlength=counts.size)
+    return counts
 
 
 def aggregate_average(table: PatchGroupTable, blocks) -> np.ndarray:

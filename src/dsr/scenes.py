@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_seed
 from .volumes import DepthVolume, FrameDims, IntensityVolume
 
 __all__ = ["ObjectSpec", "SceneSpec", "synth_scene", "default_scene"]
@@ -57,6 +57,7 @@ class SceneSpec:
     objects: tuple[ObjectSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        check_seed(self.seed)
         for i, obj in enumerate(self.objects):
             if obj.width < 1 or obj.height < 1:
                 raise DataError(f"object {i} has empty extent")

@@ -15,6 +15,7 @@ restricts matching to single frames.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -177,49 +178,65 @@ def objective_nuclear(phi: DepthVolume, psi: Measurements, op: SamplingOperator,
     return 0.5 * float(resid @ resid) + lam * float(sv.sum())
 
 
-def _relative(diff: np.ndarray, ref: np.ndarray) -> float:
-    """||diff|| / ||ref||, or ||diff|| itself when ref is all zero."""
-    change = float(np.linalg.norm(diff))
-    scale = float(np.linalg.norm(ref))
+def _relative(change: float, scale: float) -> float:
+    """change / scale for two norms, or change itself when scale is zero."""
     return change / scale if scale > 0 else change
 
 
 def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
              init: DepthVolume | None) -> tuple[DepthVolume, SolveReport]:
     """The alternation both solvers share; only the volume update and, for
-    admm3d, the block and dual updates depend on the algorithm."""
+    admm3d, the block and dual updates depend on the algorithm.
+
+    Blocks are gathered, shrunk and added back one chunk of groups at a time
+    (``table.chunks()``), so besides admm3d's dual the working memory is a
+    few volumes and one chunk. admm3d adds up the next iteration's block
+    feedback ``blocks + dual / rho`` in the same pass as its block and dual
+    updates, so its blocks are never held whole.
+    """
     t_start = time.perf_counter()
     op = psi.operator
     occ = occupancy(op).astype(np.float64)
     counts = table.counts().astype(np.float64)
     ht_psi = adjoint_sampling(op, psi).values
-    idx = table.gather_indices()
 
     phi = (init if init is not None else default_initialization(psi)).values.copy()
     rho = cfg.rho
     admm = cfg.algo == "admm3d"
     if admm:
-        blocks = phi[idx]
-        dual = np.zeros_like(blocks)
+        # blocks start as exact extractions of the initialization, the dual at zero
+        geom = table.geometry
+        dual = np.zeros((table.n_groups, geom.patch_side ** 2, geom.group_size))
+        bt_z = np.zeros_like(phi)
+        for _, idx in table.chunks():
+            scatter_sum(phi[idx], table, bt_z, idx)
 
     trace: list[TraceEntry] = []
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
         if admm:
-            bt_z = scatter_sum(blocks + dual / rho, table)
             new_phi = admm_phi_step(ht_psi, occ, counts, bt_z, rho)
         else:
-            blocks = prox_low_rank(phi[idx], cfg.lam, cfg.nu)
-            phi_tilde = scatter_sum(blocks, table) / counts
-            new_phi = simplified_phi_step(ht_psi, occ, phi_tilde, rho)
+            phi_sum = np.zeros_like(phi)
+            for _, idx in table.chunks():
+                scatter_sum(prox_low_rank(phi[idx], cfg.lam, cfg.nu), table, phi_sum, idx)
+            new_phi = simplified_phi_step(ht_psi, occ, phi_sum / counts, rho)
         if not np.all(np.isfinite(new_phi)):
             raise NumericError("iterate diverged to non-finite values")
-        entry = TraceEntry(rel_change=_relative(new_phi - phi, phi))
+        entry = TraceEntry(rel_change=_relative(float(np.linalg.norm(new_phi - phi)),
+                                                float(np.linalg.norm(phi))))
         if admm:
-            b_phi = new_phi[idx]
-            blocks = prox_low_rank(b_phi - dual / rho, cfg.lam / rho, cfg.nu)
-            dual = dual + rho * (blocks - b_phi)
-            entry.primal_residual = _relative(blocks - b_phi, b_phi)
+            bt_z = np.zeros_like(phi)
+            resid_sq = extracted_sq = 0.0
+            for groups, idx in table.chunks():
+                b_phi = new_phi[idx]
+                blocks = prox_low_rank(b_phi - dual[groups] / rho, cfg.lam / rho, cfg.nu)
+                resid = blocks - b_phi
+                dual[groups] += rho * resid
+                scatter_sum(blocks + dual[groups] / rho, table, bt_z, idx)
+                resid_sq += float(np.vdot(resid, resid))
+                extracted_sq += float(np.vdot(b_phi, b_phi))
+            entry.primal_residual = _relative(math.sqrt(resid_sq), math.sqrt(extracted_sq))
         if cfg.track_objective:
             entry.objective = objective_nuclear(DepthVolume(op.dims, new_phi),
                                                 psi, op, table, cfg.lam)

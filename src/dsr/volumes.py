@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_seed
 
 __all__ = [
     "FrameDims",
@@ -226,8 +226,10 @@ def add_noise(m: Measurements, target_snr_db: float, seed: int) -> Measurements:
     The noise realization is seeded and then scaled so that
     ``snr_db(m.values, out.values)`` equals ``target_snr_db`` up to float
     rounding, which keeps acceptance thresholds reproducible. A target of
-    +inf disables noise and returns a copy.
+    +inf disables noise and returns a copy. A negative seed is a DataError
+    either way.
     """
+    check_seed(seed)
     if np.isinf(target_snr_db) and target_snr_db > 0:
         return Measurements(m.values.copy(), m.operator)
     if not np.isfinite(target_snr_db):

@@ -65,6 +65,10 @@ class TestSparseSplit:
         with pytest.raises(DataError):
             sparse_split(random_volume, 0.5, seed=0, split=split)
 
+    def test_negative_seed_rejected(self, random_volume):
+        with pytest.raises(DataError, match="seed"):
+            sparse_split(random_volume, 0.5, seed=-1, split=0.5)
+
     def test_too_few_samples_rejected(self):
         vol = DepthVolume(FrameDims(2, 2, 1), np.ones(4))
         with pytest.raises(DataError):
@@ -85,6 +89,9 @@ class TestExperimentGrid:
         assert g.lambdas == (1.5,)
         assert g.seeds == (0, 1)
 
+    def test_inf_string_means_noise_free(self):
+        assert ExperimentGrid(input_snr_db="inf").input_snr_db == float("inf")
+
     def test_factor_one_allowed(self):
         assert ExperimentGrid(factors=(1,)).factors == (1,)
 
@@ -92,7 +99,9 @@ class TestExperimentGrid:
                                     dict(algorithms=("magic",)),
                                     dict(lambdas=(-1.0,)), dict(seeds=()),
                                     dict(input_snr_db=float("nan")),
-                                    dict(input_snr_db=float("-inf"))])
+                                    dict(input_snr_db=float("-inf")),
+                                    dict(input_snr_db="30"), dict(input_snr_db="Infinity"),
+                                    dict(seeds=(-1,))])
     def test_validation(self, kw):
         with pytest.raises(DataError):
             ExperimentGrid(**kw)
@@ -270,6 +279,11 @@ class TestConfig:
                                         "objects": [[2.7, 2, 5, 5, 1, 0.3, 1, 0]]},
                                        {"w": 12, "h": 12, "t": 2,
                                         "objects": [[2, 2, 5.9, 5, 1, 0.3, 1, 0]]},
+                                       {"w": 12, "h": 12, "t": 2, "objects":
+                                        [["2", "2", "5", "5", "1", "0.3", "1", "0"]]},
+                                       {"w": 12, "h": 12, "t": 2,
+                                        "objects": [[2, 2, 5, 5, "1", 0.3, 1, 0]]},
+                                       {"w": 12, "h": 12, "t": 2, "seed": -1},
                                        {"w": 12.9, "h": 12, "t": 2},
                                        {"w": 12, "h": 12, "t": "2"},
                                        {"w": 12, "h": 12, "t": 2, "seed": 1.5}])

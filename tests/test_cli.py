@@ -79,6 +79,13 @@ class TestSimulate:
         obj = read_json(tmp_path / "scene.json")["objects"][0]
         assert (obj["x0"], obj["width"]) == (2, 5)
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["simulate", "--out", str(out), "--w", "12", "--h", "12",
+                     "--t", "2", "--seed", "-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         for d in ("a", "b"):
             assert main(["simulate", "--out", str(tmp_path / d),
@@ -107,6 +114,15 @@ class TestDegrade:
                      "--factor", "2", "--out", str(tmp_path / "m")])
         assert code == 2
 
+    @pytest.mark.parametrize("snr", [["--snr", "30"], []])
+    def test_negative_seed_exits_2(self, workspace, tmp_path, capsys, snr):
+        """Also without --snr, where no noise is drawn."""
+        assert main(["degrade", "--depth", str(workspace / "scene" / "depth.dsrv"),
+                     "--factor", "2", *snr, "--seed", "-3",
+                     "--out", str(tmp_path / "m")]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
 
 class TestSparse:
     def test_writes_both_roles(self, workspace, tmp_path):
@@ -120,6 +136,13 @@ class TestSparse:
         n = rec.operator.n_measurements + val.operator.n_measurements
         assert n == int(0.1 * 24 * 24 * 4)
         assert not np.any(rec.operator.mask & val.operator.mask)
+
+    def test_negative_seed_exits_2(self, workspace, tmp_path, capsys):
+        assert main(["sparse", "--depth", str(workspace / "scene" / "depth.dsrv"),
+                     "--rate", "0.1", "--seed", "-1",
+                     "--out", str(tmp_path / "sp")]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "sp").exists()
 
 
 class TestSolve:
@@ -372,6 +395,19 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "table.csv").exists()
+
+    @pytest.mark.parametrize("body", [
+        '{"scene": {"w": 12, "h": 12, "t": 2, "seed": -1}}',
+        '{"scene": {"w": 12, "h": 12, "t": 2, "objects": '
+        '[["2", "2", "5", "5", "1", "0.3", "1", "0"]]}}',
+        '{"scene": {"w": 12, "h": 12, "t": 2}, "grid": {"input_snr_db": "30"}}'])
+    def test_invalid_config_exits_2_without_output(self, tmp_path, capsys, body):
+        config = tmp_path / "bench.json"
+        config.write_text(body)
+        assert main(["bench", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsageErrors:

@@ -7,13 +7,21 @@ per-layer metrics. These tests read the tracer's table and change nothing.
 
 import importlib
 import importlib.util
+import math
 import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dsr
+import dsr.patches
+import dsr.solvers
+from dsr.patches import PatchGeometry, PatchGroupTable, build_groups
+from dsr.solvers import SolverConfig
+from dsr.volumes import (DepthVolume, FrameDims, IntensityVolume, SamplingOperator,
+                         apply_sampling)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,6 +52,53 @@ def test_tracer_hooks_resolve(tracing):
         if owner is None or not hasattr(owner, attr):
             missing.add((owner_name, attr))
     assert missing == EXPECTED_MISSING
+
+
+@pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
+def test_solver_loop_calls_tracer_hooks_every_iteration(monkeypatch, algo):
+    """The loop reaches the prox, the scatter and the gather index through
+    the attributes the tracer rebinds, so an inlined one would fail here
+    rather than zero its per-layer metric."""
+    rng = np.random.default_rng(0)
+    dims = FrameDims(12, 12, 3)
+    vol = DepthVolume(dims, rng.uniform(4.0, 8.0, dims.total_voxels))
+    guide = IntensityVolume(dims, rng.uniform(0.0, 1.0, dims.total_voxels))
+    psi = apply_sampling(SamplingOperator.decimation(dims, 2), vol)
+    geom = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=4)
+    table = build_groups(guide, geom)
+    monkeypatch.setattr(dsr.patches, "CHUNK_GROUPS", 50)
+    n_chunks = math.ceil(table.n_groups / 50)
+
+    log = []
+
+    def logged(name, original):
+        def wrapper(*args, **kwargs):
+            log.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((dsr.solvers, "prox_low_rank"), (dsr.solvers, "scatter_sum"),
+                        (PatchGroupTable, "gather_indices"),
+                        (dsr.solvers, "simplified_phi_step"), (dsr.solvers, "admm_phi_step")):
+        monkeypatch.setattr(owner, attr, logged(attr, getattr(owner, attr)))
+    cfg = SolverConfig(algo=algo, lam=0.5, max_iter=2, tol=0.0, geometry=geom)
+    _, report = dsr.solvers._iterate(psi, table, cfg, None)
+    assert report.iterations == 2
+
+    # split the calls at each volume update; admm3d updates its blocks after
+    # it, the simplified solvers before it
+    segments = [[]]
+    for name in log:
+        if name.endswith("phi_step"):
+            segments.append([])
+        else:
+            segments[-1].append(name)
+    passes = segments[1:] if algo == "admm3d" else segments[:-1]
+    assert len(passes) == report.iterations
+    for calls in passes:
+        assert calls.count("prox_low_rank") == n_chunks
+        assert calls.count("scatter_sum") == n_chunks
+        assert calls.count("gather_indices") >= n_chunks
 
 
 @pytest.mark.parametrize("module_name", MODULES)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsr.patches as patches_mod
 from dsr.errors import DataError
 from dsr.patches import (
     PatchGeometry,
@@ -234,7 +235,8 @@ class TestBlockOperators:
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_group_operators_property(data):
-    """Full coverage and exact average reconstruction hold for any geometry."""
+    """Full coverage and exact average reconstruction hold for any geometry,
+    and chunked counts and scatters have the bytes of one whole-index sum."""
     patch = data.draw(st.integers(2, 4), label="patch")
     stride = data.draw(st.integers(1, patch), label="stride")
     w = data.draw(st.integers(patch, patch + 5), label="w")
@@ -248,7 +250,21 @@ def test_group_operators_property(data):
     geom = PatchGeometry(patch_side=patch, stride=stride, window=(5, 5, 3),
                          group_size=big_l)
     table = build_groups(guide, geom)
-    counts = table.counts()
+    saved = patches_mod.CHUNK_GROUPS
+    patches_mod.CHUNK_GROUPS = data.draw(st.integers(1, 8), label="chunk")
+    try:
+        counts = table.counts()
+        weights = rng.standard_normal((table.n_groups, patch * patch, big_l))
+        chunked = np.zeros(dims.total_voxels)
+        for groups, idx in table.chunks():
+            scatter_sum(weights[groups], table, chunked, idx)
+    finally:
+        patches_mod.CHUNK_GROUPS = saved
+    flat = table.gather_indices().reshape(-1)
+    assert counts.tobytes() == np.bincount(flat, minlength=dims.total_voxels).tobytes()
+    whole = np.bincount(flat, weights=weights.reshape(-1), minlength=dims.total_voxels)
+    assert scatter_sum(weights, table).tobytes() == whole.tobytes()
+    assert chunked.tobytes() == whole.tobytes()
     assert counts.min() >= 1
     blocks = extract_blocks(vol_values, table)
     np.testing.assert_allclose(aggregate_average(table, blocks), vol_values,

@@ -28,6 +28,12 @@ def test_seed_changes_texture():
     assert not np.array_equal(g1.values, g2.values)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_invalid_seed_rejected(seed):
+    with pytest.raises(DataError, match="seed"):
+        SceneSpec(dims=FrameDims(8, 8, 2), seed=seed)
+
+
 def test_guide_stays_in_unit_range():
     _, guide = synth_scene(default_scene(FrameDims(48, 48, 8), seed=0))
     assert guide.values.min() >= 0.0 and guide.values.max() <= 1.0

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dsr.patches as patches_mod
 import dsr.solvers as solvers_mod
 from dsr.errors import DataError
-from dsr.patches import PatchGeometry, build_groups, extract_blocks
+from dsr.patches import PatchGeometry, PatchGroupTable, build_groups, extract_blocks
 from dsr.scenes import default_scene, synth_scene
 from dsr.shrinkage import prox_low_rank
 from dsr.solvers import (
@@ -240,6 +243,50 @@ class TestSolveSimplified:
         est, _ = solve_simplified(psi, table, cfg)
         np.testing.assert_allclose(est.values[psi.operator.indices], psi.values,
                                    atol=1e-6)
+
+
+class TestChunkedBlockPass:
+    """Each iteration gathers, shrinks and scatters one chunk of groups at a
+    time; the chunk size changes neither the result nor the trace."""
+
+    @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
+    def test_chunk_size_does_not_change_results(self, problem, monkeypatch, algo):
+        _, _, psi, table = problem
+        cfg = SolverConfig(algo=algo, lam=0.5, max_iter=5, tol=0.0, geometry=GEOM)
+        runs = []
+        for size in (1, 7, table.n_groups, 10 * table.n_groups):
+            monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", size)
+            fresh = PatchGroupTable(table.geometry, table.dims, table.members)
+            est, rep = solvers_mod._iterate(psi, fresh, cfg, None)
+            runs.append((est.values.tobytes(), [e.rel_change for e in rep.trace]))
+        assert all(run == runs[0] for run in runs)
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        """Decimation x3 at 320x240x8 (67,840 groups of 25 x 10 blocks); a
+        small search window keeps matching quick and leaves P, B and L as
+        the default geometry makes them."""
+        dims = FrameDims(320, 240, 8)
+        ref, guide = synth_scene(default_scene(dims))
+        psi = apply_sampling(SamplingOperator.decimation(dims, 3), ref)
+        return psi, build_groups(guide, PatchGeometry(window=(3, 3, 1)))
+
+    @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
+    def test_one_iteration_peak_memory(self, large, algo):
+        """A few volumes and one chunk, plus the dual for admm3d; holding
+        every block of the video at once takes over 100 volumes."""
+        psi, table = large
+        table = PatchGroupTable(table.geometry, table.dims, table.members)
+        cfg = SolverConfig(algo=algo, lam=12.0, max_iter=1, geometry=table.geometry)
+        volume = psi.operator.dims.total_voxels * 8
+        dual = table.n_groups * table.geometry.patch_side ** 2 * table.geometry.group_size * 8
+        tracemalloc.start()
+        try:
+            solvers_mod._iterate(psi, table, cfg, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (dual if algo == "admm3d" else 0) + 16 * volume
 
 
 class TestVanishingRegularization:

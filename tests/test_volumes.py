@@ -210,6 +210,11 @@ class TestAddNoise:
         with pytest.raises(DataError):
             add_noise(self._meas(rng), bad, seed=0)
 
+    @pytest.mark.parametrize("target", [20.0, np.inf])
+    def test_negative_seed_rejected(self, rng, target):
+        with pytest.raises(DataError, match="seed"):
+            add_noise(self._meas(rng), target, seed=-1)
+
     def test_zero_signal_rejected(self):
         op = SamplingOperator.decimation(FrameDims(4, 1, 1), 1)
         with pytest.raises(DataError):
