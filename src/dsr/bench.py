@@ -16,12 +16,12 @@ validation measurement sets.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError, as_number, check_seed
+from .errors import DataError, NumericError, as_list, as_number, check_seed, read_section
 from .io import write_dsrv, write_frame_snr, write_json
 from .scenes import ObjectSpec, SceneSpec, default_scene, synth_scene
 from .solvers import (
@@ -57,15 +57,14 @@ class ExperimentGrid:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        self.factors = tuple(as_number(f, "factors", whole=True) for f in self.factors)
+        self.factors = tuple(as_number(f, "factors", whole=True)
+                             for f in as_list(self.factors, "factors"))
         if self.input_snr_db == "inf":  # the encoding of ``dsr degrade``
             self.input_snr_db = math.inf
         self.input_snr_db = as_number(self.input_snr_db, "input_snr_db")
-        self.algorithms = tuple(str(a) for a in self.algorithms)
-        self.lambdas = tuple(as_number(v, "lambdas") for v in self.lambdas)
-        self.seeds = tuple(as_number(s, "seeds", whole=True) for s in self.seeds)
-        for s in self.seeds:
-            check_seed(s)
+        self.algorithms = as_list(self.algorithms, "algorithms")
+        self.lambdas = tuple(as_number(v, "lambdas") for v in as_list(self.lambdas, "lambdas"))
+        self.seeds = tuple(check_seed(s) for s in as_list(self.seeds, "seeds"))
         if not (np.isfinite(self.input_snr_db) or self.input_snr_db == np.inf):
             raise DataError(f"input_snr_db must be finite or +inf, "
                             f"got {self.input_snr_db}")
@@ -125,15 +124,9 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
               out_dir) -> dict:
     """Run the full grid and write table.csv, per-frame CSVs, reconstructions
     and run.json under out_dir. Returns {algo: {factor: overall SNR}}."""
-    solver = {**DEFAULT_SOLVER, **(solver or {})}
-    unknown = set(solver) - set(DEFAULT_SOLVER)
-    if unknown:
-        raise DataError(f"unknown solver config keys: {sorted(unknown)}")
-    try:
-        # linear keeps the window whole; a gds2d cell collapses only its own copy
-        base = SolverConfig.from_settings("linear", None, solver)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid solver config: {exc}") from exc
+    solver = {**DEFAULT_SOLVER, **read_section(solver or {}, "solver config", DEFAULT_SOLVER)}
+    # linear keeps the window whole; a gds2d cell collapses only its own copy
+    base = SolverConfig.from_settings("linear", None, solver)
 
     ref, guide = synth_scene(scene_spec)
     out = Path(out_dir)
@@ -174,16 +167,13 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
 
 
 def objects_from_config(entries) -> tuple[ObjectSpec, ...]:
-    """Object specs from lists of 8 numbers (x0, y0, w, h, depth, contrast,
-    vx, vy). Each value passes ``as_number``, so a string is a DataError, and
-    so is a fractional corner or size."""
+    """Object specs from an array of arrays of 8 numbers (x0, y0, w, h, depth,
+    contrast, vx, vy). Each value passes ``as_number``, so a string is a
+    DataError, and so is a fractional corner or size."""
     names = ("x0", "y0", "w", "h", "depth", "contrast", "vx", "vy")
     objs = []
-    for i, entry in enumerate(entries):
-        try:
-            vals = list(entry)
-        except TypeError as exc:
-            raise DataError(f"object {i}: {exc}") from exc
+    for i, entry in enumerate(as_list(entries, "objects")):
+        vals = as_list(entry, f"object {i}")
         if len(vals) != len(names):
             raise DataError(f"object {i} needs 8 numbers "
                             "(x0,y0,w,h,depth,contrast,vx,vy), got "
@@ -194,40 +184,34 @@ def objects_from_config(entries) -> tuple[ObjectSpec, ...]:
 
 
 def scene_from_config(scene_cfg) -> SceneSpec:
-    """Scene spec from a mapping with the optional keys "w", "h", "t", "seed"
-    (defaults: ``SceneSpec``'s) and "objects" (default: ``default_scene``'s
-    object). Unknown keys and malformed values are a DataError."""
-    if not isinstance(scene_cfg, dict):
-        raise DataError("scene config must be a JSON object")
+    """Scene spec from an object with the optional keys "w", "h", "t", "seed"
+    (whole numbers; defaults: ``SceneSpec``'s) and "objects" (an array, see
+    ``objects_from_config``; default: ``default_scene``'s object). Anything
+    else, a non-object included, is a DataError."""
     defaults = {"w": SceneSpec.dims.width, "h": SceneSpec.dims.height,
                 "t": SceneSpec.dims.frames, "seed": SceneSpec.seed}
-    unknown = set(scene_cfg) - set(defaults) - {"objects"}
-    if unknown:
-        raise DataError(f"unknown scene config keys: {sorted(unknown)}")
-    try:
-        w, h, t, seed = (as_number(scene_cfg.get(key, value), key, whole=True)
-                         for key, value in defaults.items())
-        dims = FrameDims(w, h, t)
-        if "objects" in scene_cfg:
-            return SceneSpec(dims=dims, seed=seed,
-                             objects=objects_from_config(scene_cfg["objects"]))
-        return default_scene(dims, seed)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"invalid scene config: {exc}") from exc
+    scene_cfg = read_section(scene_cfg, "scene config", [*defaults, "objects"])
+    w, h, t, seed = (as_number(scene_cfg.get(key, value), key, whole=True)
+                     for key, value in defaults.items())
+    dims = FrameDims(w, h, t)
+    if "objects" in scene_cfg:
+        return SceneSpec(dims=dims, seed=seed,
+                         objects=objects_from_config(scene_cfg["objects"]))
+    return default_scene(dims, seed)
 
 
-def bench_from_config(config: dict, out_dir) -> dict:
-    """Build scene/grid/solver settings from a parsed config mapping and run.
+def bench_from_config(config, out_dir) -> dict:
+    """Build scene/grid/solver settings from a parsed config and run.
 
-    Sections "scene", "grid" and "solver" are all optional; missing keys fall
-    back to the package defaults, and unknown scene, grid or solver keys are
-    a DataError.
+    The config and its optional sections "scene", "grid" and "solver" must be
+    objects with known keys; missing keys take the package defaults. List
+    settings (factors, algorithms, lambdas, seeds, objects, window) must be
+    arrays, counts must fit in int64 and real numbers in a float. Any
+    violation is a DataError, raised before ``out_dir`` is created.
     """
-    if not isinstance(config, dict):
-        raise DataError("bench config must be a JSON object")
+    config = read_section(config, "bench config", ("scene", "grid", "solver"))
     spec = scene_from_config(config.get("scene", {}))
-    try:
-        grid = ExperimentGrid(**config.get("grid", {}))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid grid config: {exc}") from exc
-    return run_bench(spec, grid, config.get("solver"), out_dir)
+    grid = read_section(config.get("grid", {}), "grid config",
+                        [f.name for f in fields(ExperimentGrid)])
+    solver = read_section(config.get("solver", {}), "solver config", DEFAULT_SOLVER)
+    return run_bench(spec, ExperimentGrid(**grid), solver, out_dir)

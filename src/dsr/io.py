@@ -162,7 +162,7 @@ def read_json(path) -> dict:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 

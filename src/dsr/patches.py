@@ -47,10 +47,9 @@ class PatchGeometry:
         if not 1 <= self.stride <= self.patch_side:
             raise DataError("stride must satisfy 1 <= stride <= patch_side "
                             "(full coverage requires overlapping or abutting patches)")
-        wx, wy, wt = self.window
-        if wx < 1 or wy < 1 or wt < 1:
-            raise DataError("window extents must be positive")
-        if wt % 2 == 0:
+        if len(self.window) != 3 or min(self.window) < 1:
+            raise DataError(f"window needs three positive extents, got {self.window}")
+        if self.window[2] % 2 == 0:
             raise DataError("temporal window extent must be odd")
         if self.group_size < 1:
             raise DataError("group_size must be >= 1")

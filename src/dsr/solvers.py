@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, NumericError, as_number
-from .patches import PatchGeometry, PatchGroupTable, build_groups, extract_blocks, scatter_sum
+from .errors import DataError, NumericError, as_list, as_number
+from .patches import PatchGeometry, PatchGroupTable, build_groups, scatter_sum
 from .shrinkage import prox_low_rank
 from .volumes import (
     DepthVolume,
@@ -107,11 +107,12 @@ class SolverConfig:
         """Config from a mapping holding the flat settings named in DEFAULT_SOLVER,
         as ``dsr solve`` and ``dsr bench`` take them; other keys are ignored.
         Each value passes ``as_number``, so a string or a fractional count is
-        a DataError."""
+        a DataError, and the window must be an array."""
         patch, stride, group_size, max_iter = (
             as_number(settings[k], k, whole=True)
             for k in ("patch", "stride", "group_size", "max_iter"))
-        window = tuple(as_number(v, "window", whole=True) for v in settings["window"])
+        window = tuple(as_number(v, "window", whole=True)
+                       for v in as_list(settings["window"], "window"))
         rho, nu, tol = (as_number(settings[k], k) for k in ("rho", "nu", "tol"))
         return cls(algo=algo, lam=lam, rho=rho, nu=nu, max_iter=max_iter, tol=tol,
                    geometry=PatchGeometry(patch, stride, window, group_size))
@@ -171,11 +172,11 @@ def default_initialization(psi: Measurements) -> DepthVolume:
 
 def objective_nuclear(phi: DepthVolume, psi: Measurements, op: SamplingOperator,
                       table: PatchGroupTable, lam: float) -> float:
-    """Data misfit plus lam times the summed nuclear norms of all blocks."""
+    """Data misfit plus lam times the summed nuclear norms of all blocks, chunk by chunk."""
     resid = psi.values - phi.values[op.indices]
-    blocks = extract_blocks(phi.values, table)
-    sv = np.linalg.svd(blocks, compute_uv=False)
-    return 0.5 * float(resid @ resid) + lam * float(sv.sum())
+    nuclear = sum(float(np.linalg.svd(phi.values[idx], compute_uv=False).sum())
+                  for _, idx in table.chunks())
+    return 0.5 * float(resid @ resid) + lam * nuclear
 
 
 def _relative(change: float, scale: float) -> float:

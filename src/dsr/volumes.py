@@ -232,8 +232,10 @@ def add_noise(m: Measurements, target_snr_db: float, seed: int) -> Measurements:
     check_seed(seed)
     if np.isinf(target_snr_db) and target_snr_db > 0:
         return Measurements(m.values.copy(), m.operator)
-    if not np.isfinite(target_snr_db):
-        raise DataError(f"target SNR must be finite or +inf, got {target_snr_db}")
+    lowest = -20.0 * np.log10(np.finfo(np.float64).max)  # below it 10 ** (-snr / 20) overflows
+    if not target_snr_db > lowest:
+        raise DataError(f"target SNR must be +inf or finite above {lowest:.1f} dB, "
+                        f"got {target_snr_db}")
     signal_norm = float(np.linalg.norm(m.values))
     if signal_norm == 0.0:
         raise DataError("cannot set an SNR target on all-zero measurements")

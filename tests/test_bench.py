@@ -185,6 +185,12 @@ class TestRunBench:
         with pytest.raises(DataError):
             run_bench(SMALL_SCENE, SMALL_GRID, {"patch_size": 5}, tmp_path)
 
+    def test_no_solver_settings_mean_the_defaults(self, tmp_path):
+        grid = ExperimentGrid(factors=(2,), algorithms=("linear",))
+        run_bench(default_scene(FrameDims(12, 12, 2)), grid, None, tmp_path)
+        assert read_json(tmp_path / "run.json")["solver"] == {
+            **DEFAULT_SOLVER, "window": list(DEFAULT_SOLVER["window"])}
+
     def test_cells_derive_from_one_solver_config(self, tmp_path, monkeypatch):
         # a gds2d cell collapses the temporal window for itself only
         seen, original = [], bench_mod.select_lambda
@@ -250,7 +256,10 @@ class TestConfig:
                                       {"factors": [2], "algorithms": ["linear"],
                                        "seeds": [0.5]},
                                       {"factors": [2], "algorithms": ["linear"],
-                                       "seeds": "0"}])
+                                       "seeds": "0"},
+                                      [], "", {"algorithms": "linear"},
+                                      {"factors": [2], "algorithms": ["linear"],
+                                       "seeds": [2 ** 63]}])
     def test_bad_grid_rejected(self, tmp_path, grid):
         with pytest.raises(DataError):
             bench_from_config({"scene": {"w": 12, "h": 12, "t": 2}, "grid": grid},
@@ -299,7 +308,9 @@ class TestConfig:
                                         {"max_iter": 0}, {"tol": -1},
                                         {"max_iter": 2.9}, {"window": "551"},
                                         {"stride": True}, {"group_size": "6"},
-                                        {"rho": "1"}])
+                                        {"rho": "1"}, {"window": [7, 7]},
+                                        {"window": 7}, {"max_iter": 2 ** 63},
+                                        {"rho": 10 ** 400}])
     @pytest.mark.parametrize("algo", ["linear", "gds3d"])
     def test_bad_solver_setting_rejected(self, tmp_path, algo, solver):
         # checked once before any cell runs, whichever algorithms the grid holds

@@ -400,13 +400,29 @@ class TestBenchCommand:
         '{"scene": {"w": 12, "h": 12, "t": 2, "seed": -1}}',
         '{"scene": {"w": 12, "h": 12, "t": 2, "objects": '
         '[["2", "2", "5", "5", "1", "0.3", "1", "0"]]}}',
-        '{"scene": {"w": 12, "h": 12, "t": 2}, "grid": {"input_snr_db": "30"}}'])
+        '{"scene": {"w": 12, "h": 12, "t": 2}, "grid": {"input_snr_db": "30"}}',
+        # each section and the config itself are objects with known keys
+        '{"solver": [1, 2]}', '{"solver": "x"}', '{"grid": null}', '{"scene": []}',
+        '{"solvers": {"max_iter": 2}}', '[]',
+        # list settings are arrays, not strings
+        '{"grid": {"algorithms": "gds3d"}}', '{"solver": {"window": "551"}}',
+        '{"scene": {"objects": "1,2,3"}}',
+        # numbers out of range
+        pytest.param('{"solver": {"rho": 1%s}}' % ("0" * 400), id="rho-400-digits"),
+        pytest.param('{"grid": {"lambdas": [1%s]}}' % ("0" * 400), id="lambdas-400-digits"),
+        pytest.param('{"grid": {"input_snr_db": 1%s}}' % ("0" * 400), id="snr-400-digits"),
+        pytest.param('{"scene": {"w": 12, "h": 12, "t": 2}, "grid": {"factors": [1%s]}}'
+                     % ("0" * 400), id="factors-400-digits"),
+        '{"scene": {"w": 12, "h": 12, "t": 2, "seed": 9223372036854775808}}',
+        pytest.param('{"solver": {"rho": 1%s}}' % ("0" * 5000), id="rho-5000-digits"),
+        '{"solver": {"window": [11, 11]}}'])
     def test_invalid_config_exits_2_without_output(self, tmp_path, capsys, body):
         config = tmp_path / "bench.json"
         config.write_text(body)
         assert main(["bench", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("dsr: data error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

@@ -1,0 +1,101 @@
+"""Contract fuzzer for ``dsr bench --config``: whatever JSON value fills a
+config slot, the command exits 0 or 2 without raising, and an exit 2 leaves
+no ``--out`` directory behind.
+
+Each example starts from a small valid config on a 12x12x2 scene and replaces
+one thing: a scene, grid, solver or object value, a whole section, or the
+whole config. Whole numbers from 17 up to int64 are never generated for the
+size-like keys (w, h, t, window, group_size, patch, stride, max_iter): those
+pass validation and then allocate or iterate at that scale, so they stay out
+of this test.
+"""
+
+import copy
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dsr.cli import main
+from dsr.solvers import ALGORITHMS, DEFAULT_SOLVER
+
+BASE = {
+    "scene": {"w": 12, "h": 12, "t": 2, "seed": 0,
+              "objects": [[2, 3, 4, 4, 2.0, 0.35, 1.0, 0.0]]},
+    "grid": {"factors": [2], "input_snr_db": 30.0, "algorithms": ["linear", "gds3d"],
+             "lambdas": [1.0], "seeds": [0]},
+    "solver": {"patch": 3, "stride": 2, "window": [5, 5, 3], "group_size": 4,
+               "max_iter": 2},
+}
+KEYS = {"scene": ("w", "h", "t", "seed", "objects"),
+        "grid": ("factors", "input_snr_db", "algorithms", "lambdas", "seeds"),
+        "solver": tuple(DEFAULT_SOLVER)}
+SIZE_KEYS = {"w", "h", "t", "window", "group_size", "patch", "stride", "max_iter"}
+
+numbers = (st.integers(-2, 16) | st.floats(-20, 20) | st.floats() | st.integers()
+           | st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 400, -10 ** 400]))
+scalars = (numbers | st.none() | st.booleans() | st.text(max_size=6)
+           | st.sampled_from(["inf", *ALGORITHMS]))
+values = (numbers | st.lists(numbers | st.sampled_from(ALGORITHMS), max_size=4)
+          | st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                         | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                         max_leaves=8))
+
+
+def _small(value) -> bool:
+    """False if ``value`` holds a whole number that could pass as a size above 16."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_small, value))
+    if isinstance(value, dict):
+        return all(map(_small, value.values()))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return True
+    whole = isinstance(value, int) or (math.isfinite(value) and value.is_integer())
+    return not (whole and 16 < value < 2 ** 63)
+
+
+def _over_base(section, value):
+    """A generated section merged over the base one, or the value itself if
+    it is not an object: left out, the scene would be 64x64x16 and the grid
+    all of its defaults."""
+    return {**BASE[section], **value} if isinstance(value, dict) else value
+
+
+@st.composite
+def configs(draw):
+    config = copy.deepcopy(BASE)
+    kind = draw(st.sampled_from(["key", "object", "section", "top"]))
+    if kind == "key":
+        section = draw(st.sampled_from(sorted(KEYS)))
+        key = draw(st.sampled_from(KEYS[section]))
+        config[section][key] = draw(values.filter(_small) if key in SIZE_KEYS else values)
+    elif kind == "object":
+        config["scene"]["objects"][0][draw(st.integers(0, 7))] = draw(values)
+    elif kind == "section":
+        section = draw(st.sampled_from(sorted(KEYS)))
+        config[section] = _over_base(section, draw(values.filter(_small) | st.dictionaries(
+            st.sampled_from(KEYS[section]), values.filter(_small), max_size=4)))
+    else:
+        top = draw(values.filter(_small) | st.dictionaries(
+            st.sampled_from([*KEYS, "solvers"]), values.filter(_small), max_size=3))
+        config = ({**BASE, **{key: _over_base(key, v) if key in KEYS else v
+                              for key, v in top.items()}}
+                  if isinstance(top, dict) else top)
+    return config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(configs())
+def test_bench_config_exits_0_or_2(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        code = main(["bench", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            assert (out / "table.csv").exists()

@@ -1,10 +1,12 @@
-"""The package's public names and the benchmark tracer's hooks still resolve.
+"""The package's public names and the benchmark tracer's hooks still resolve,
+and no module translates exceptions that its input checks should prevent.
 
 ``perfbench/tracing.py`` rebinds ``dsr`` attributes by name and skips any
 that are gone, so a deleted or renamed function would silently zero its
 per-layer metrics. These tests read the tracer's table and change nothing.
 """
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -24,6 +26,7 @@ from dsr.volumes import (DepthVolume, FrameDims, IntensityVolume, SamplingOperat
                          apply_sampling)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SOURCES = sorted(Path(dsr.__file__).parent.glob("*.py"))
 
 #: hooks the tracer still lists although the program no longer has them
 #: (the stop test became inline in the solver loop)
@@ -115,3 +118,27 @@ def test_each_public_name_has_one_home():
             homes.setdefault(name, []).append(module_name)
     shared = {name: mods for name, mods in homes.items() if len(mods) > 1}
     assert not shared, f"names exported by several modules: {shared}"
+
+
+def _caught(path):
+    """The exception names of each ``except`` clause in a source file."""
+    clauses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            clauses.append(tuple(ast.unparse(t) for t in types))
+    return clauses
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_type_or_overflow_error_is_translated(path):
+    """Settings are checked by the readers in ``dsr.errors`` before use, so
+    no module catches a TypeError or an OverflowError to turn it into a
+    DataError after the fact."""
+    caught = {name for clause in _caught(path) for name in clause}
+    assert not caught & {"TypeError", "OverflowError"}
+
+
+def test_bench_catches_only_failed_cells():
+    path = Path(dsr.__file__).parent / "bench.py"
+    assert set(_caught(path)) == {("DataError", "NumericError")}

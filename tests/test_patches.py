@@ -65,6 +65,11 @@ class TestPatchGeometry:
         with pytest.raises(DataError):
             PatchGeometry(window=(11, 11, 2))
 
+    @pytest.mark.parametrize("window", [(11, 11), (11, 11, 3, 3), ()])
+    def test_window_needs_three_extents(self, window):
+        with pytest.raises(DataError, match="three"):
+            PatchGeometry(window=window)
+
     def test_group_size_positive(self):
         with pytest.raises(DataError):
             PatchGeometry(group_size=0)

@@ -138,9 +138,11 @@ class TestInitialization:
                                       mask_fill(psi).values)
 
 
-def test_objective_matches_naive(problem):
+@pytest.mark.parametrize("chunk", [1, 7, patches_mod.CHUNK_GROUPS])
+def test_objective_matches_naive(problem, monkeypatch, chunk):
     vol, _, psi, table = problem
     lam = 0.8
+    monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", chunk)
     got = objective_nuclear(vol, psi, psi.operator, table, lam)
     naive_groups = [([tuple(map(int, trip)) for trip in table.members[p]], None)
                     for p in range(table.n_groups)]

@@ -205,8 +205,9 @@ class TestAddNoise:
         np.testing.assert_array_equal(out.values, m.values)
         assert out.values is not m.values
 
-    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan, -1e40, -6166.0])
     def test_invalid_target_rejected(self, rng, bad):
+        # below about -6165 dB the noise level 10 ** (-snr / 20) overflows a float
         with pytest.raises(DataError):
             add_noise(self._meas(rng), bad, seed=0)
 
