@@ -161,7 +161,7 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
     write_json(out / "run.json", {
         "scene": asdict(scene_spec),
         "grid": grid_info,
-        "solver": solver,
+        "solver": base.settings(),
     })
     return summary
 

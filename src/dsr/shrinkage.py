@@ -5,6 +5,18 @@ thresholding (nu -> 0): values with magnitude at most lam**(1/(2-nu)) are
 zeroed, larger ones lose lam*|x|**(nu-1). Applied to singular values it
 yields the proximal operators of the nuclear norm and of its nonconvex
 low-rank generalization, which is what the solvers apply blockwise.
+
+``prox_low_rank`` routes each block on its own. A block whose Frobenius
+norm is at most the threshold maps to zero. Most patch groups keep just one
+singular value above the threshold, and for those a few batched k x k
+products on the Gram matrix (k = 10 with the default geometry) certify the
+rank-1 answer. Every other block falls back to one symmetric
+eigendecomposition of its Gram matrix. The fallback took about 4 % of the
+blocks of a 64x64x16 decimation solve at lam = 12, 6 % of a 320x240x8 sparse
+solve at lam = 6, and about 42 % of a 24x24x8 weight sweep, whose small
+weights leave more than one singular value. The rank-1 route agrees with
+the eigendecomposition to round-off, below 1e-14 of a block's largest
+entry, so results differ from an eigendecomposition-only prox at that level.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ def nu_shrink(x, lam: float, nu: float):
     return out
 
 
-def _spectral_shrink(mat: np.ndarray, fn) -> np.ndarray:
+def _spectral_shrink(arr: np.ndarray, fn) -> np.ndarray:
     """Apply fn to the singular values of every matrix in a stack.
 
     Works through the Gram matrix of the smaller side: with G = B^T B =
@@ -62,9 +74,6 @@ def _spectral_shrink(mat: np.ndarray, fn) -> np.ndarray:
     sqrt(eps) * s_max come out inexact, which moves the result by at most
     their size because fn(s) <= s; fn(0) = 0, so directions with s = 0 drop.
     """
-    arr = np.asarray(mat, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DataError("matrix entries must be finite")
     wide = arr.shape[-2] < arr.shape[-1]
     arr_t = np.swapaxes(arr, -1, -2)
     try:
@@ -75,6 +84,45 @@ def _spectral_shrink(mat: np.ndarray, fn) -> np.ndarray:
     scale = np.divide(fn(s), s, out=np.zeros_like(s), where=s > 0)
     proj = (v * scale[..., None, :]) @ np.swapaxes(v, -1, -2)
     return proj @ arr if wide else arr @ proj
+
+
+#: Repeated squarings of G / tr G that bring out its top eigenvector: the
+#: other directions shrink against it by (s2/s1)**(2 * 2**_SQUARINGS).
+_SQUARINGS = 5
+#: A rank-1 answer is certified only when the residual of its eigenpair is
+#: below this share of the spectral gap; that bounds the eigenvector's error.
+_GAP_SHARE = 1e-12
+_TINY = np.finfo(np.float64).tiny
+
+
+def _top_eigenpairs(blocks: np.ndarray, tau: float):
+    """The rank-1 certificate of ``prox_low_rank`` for each block of a stack.
+
+    Returns the estimated top eigenvector v and Rayleigh quotient mu of each
+    Gram matrix, whether the block is live (tr G > tau**2) and whether its
+    rank-1 answer is certified. The Gram and squaring stacks are freed on
+    return, before the caller allocates its output.
+    """
+    wide = blocks.shape[-2] < blocks.shape[-1]
+    blocks_t = np.swapaxes(blocks, -1, -2)
+    gram = blocks @ blocks_t if wide else blocks_t @ blocks
+    trace = np.einsum("gii->g", gram)
+    # an all-zero block stays zero through the squarings; the floors keep
+    # its divisions finite and never act on a nonzero block, whose
+    # normalised square has trace >= 1/k and top column norm >= 1/k
+    sq = gram / np.where(trace > 0, trace, 1.0)[:, None, None]
+    for _ in range(_SQUARINGS):
+        sq = sq @ sq
+        sq /= np.maximum(np.einsum("gii->g", sq), _TINY)[:, None, None]
+    top = np.argmax(np.einsum("gii->gi", sq), axis=-1)
+    vec = sq[np.arange(len(sq)), :, top]
+    vec /= np.maximum(np.linalg.norm(vec, axis=-1), _TINY)[:, None]
+    gv = (gram @ vec[..., None])[..., 0]
+    mu = np.einsum("gi,gi->g", vec, gv)
+    resid = np.linalg.norm(gv - mu[:, None] * vec, axis=-1)
+    live = trace > tau * tau
+    certified = live & (trace - mu <= tau * tau) & (resid < _GAP_SHARE * (2.0 * mu - trace))
+    return vec, mu, live, certified
 
 
 def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
@@ -91,6 +139,48 @@ def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
 
 def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
     """Apply ``nu_shrink`` to the singular values; proximal map of the
-    nonconvex low-rank penalty. Reduces to ``prox_nuclear`` at nu = 1."""
+    nonconvex low-rank penalty. Reduces to ``prox_nuclear`` at nu = 1.
+
+    Accepts a single matrix or a stack. Each block B takes one of three
+    routes, decided from B alone, so a stack's result does not depend on
+    how it is split. Let tau = ``shrink_threshold(lam, nu)``; the shrinkage
+    maps every singular value s <= tau to 0. Let G = B^T B (B B^T for a
+    wide block), with eigenvalues s1**2 >= s2**2 >= ... summing to tr G.
+
+    - tr G <= tau**2: then s1 <= tau, and the block maps to zero.
+    - Certified rank 1: five squarings of G / tr G, each renormalised by its
+      trace, give a unit vector v; mu = v^T G v and r = G v - mu v. Since
+      mu <= s1**2, every eigenvalue but the top one is at most
+      tr G - s1**2 <= tr G - mu. If that is <= tau**2, only s1 survives the
+      shrinkage. The gap between mu and the rest is then at least
+      d = 2 mu - tr G, and if ||r|| < 1e-12 d, Davis-Kahan bounds the
+      angle between v and the top eigenvector by ||r|| / d < 1e-12 (and
+      s1**2 - mu by ||r||**2 / d). The block maps to
+      B v v^T f(sqrt(mu)) / sqrt(mu) (v v^T B ... for a wide block), within
+      about 1e-12 * s1 of the exact prox.
+    - Otherwise one eigendecomposition of G (``_spectral_shrink``).
+    """
     _check_lam_nu(lam, nu)
-    return _spectral_shrink(mat, lambda s: np.asarray(nu_shrink(s, lam, nu)))
+    arr = np.asarray(mat, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DataError("matrix entries must be finite")
+    if arr.size == 0:
+        return np.zeros_like(arr)
+    blocks = arr.reshape((-1,) + arr.shape[-2:])
+
+    def fn(s):
+        return np.asarray(nu_shrink(s, lam, nu))
+
+    vec, mu, live, certified = _top_eigenpairs(blocks, shrink_threshold(lam, nu))
+    fallback = np.flatnonzero(live & ~certified)
+    # the fallback runs before the output exists, so the two never add up
+    shrunk = _spectral_shrink(blocks[fallback], fn) if fallback.size else None
+    s = np.sqrt(mu, out=np.ones_like(mu), where=certified)
+    scaled = np.where(certified, fn(s) / s, 0.0)[:, None] * vec
+    if blocks.shape[-2] < blocks.shape[-1]:
+        out = np.einsum("gi,gj->gij", scaled, (vec[:, None, :] @ blocks)[:, 0])
+    else:
+        out = np.einsum("gi,gj->gij", (blocks @ vec[..., None])[..., 0], scaled)
+    if fallback.size:
+        out[fallback] = shrunk
+    return out.reshape(arr.shape)

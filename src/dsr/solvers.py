@@ -117,6 +117,14 @@ class SolverConfig:
         return cls(algo=algo, lam=lam, rho=rho, nu=nu, max_iter=max_iter, tol=tol,
                    geometry=PatchGeometry(patch, stride, window, group_size))
 
+    def settings(self) -> dict:
+        """The flat settings named in DEFAULT_SOLVER, as this config holds
+        them: counts as ints, the window as a list of ints, reals as floats."""
+        geom = self.geometry
+        return {"patch": geom.patch_side, "stride": geom.stride, "window": list(geom.window),
+                "group_size": geom.group_size, "nu": self.nu, "rho": self.rho,
+                "max_iter": self.max_iter, "tol": self.tol}
+
 
 #: The flat solver settings and their defaults, read from the dataclasses.
 DEFAULT_SOLVER = {

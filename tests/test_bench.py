@@ -333,6 +333,13 @@ class TestConfig:
         assert run["scene"]["dims"] == {"width": 12, "height": 12, "frames": 2}
         assert run["scene"]["seed"] == 1
         assert (run["grid"]["factors"], run["grid"]["seeds"]) == ([2], [0])
+        # the solver section is echoed as read: counts as ints, the window as ints
+        solver = run["solver"]
+        assert (solver["max_iter"], solver["patch"], solver["window"], solver["group_size"]) \
+            == (2, 3, [5, 5, 3], 4)
+        assert all(type(solver[k]) is int for k in ("max_iter", "patch", "stride", "group_size"))
+        assert all(type(v) is int for v in solver["window"])
+        assert set(solver) == set(DEFAULT_SOLVER)
         assert np.isfinite(float((tmp_path / "table.csv").read_text()
                                  .splitlines()[1].split(",")[1]))
 

@@ -1,13 +1,17 @@
-"""Contract fuzzer for ``dsr bench --config``: whatever JSON value fills a
-config slot, the command exits 0 or 2 without raising, and an exit 2 leaves
-no ``--out`` directory behind.
+"""Contract fuzzers for the JSON the CLI reads: whatever JSON value fills a
+slot of a ``dsr bench --config`` file or of a ``dsr solve`` measurement
+directory's ``meas.json``, the command exits 0 or 2 without raising, and an
+exit 2 leaves no ``--out`` directory behind.
 
-Each example starts from a small valid config on a 12x12x2 scene and replaces
-one thing: a scene, grid, solver or object value, a whole section, or the
-whole config. Whole numbers from 17 up to int64 are never generated for the
-size-like keys (w, h, t, window, group_size, patch, stride, max_iter): those
-pass validation and then allocate or iterate at that scale, so they stay out
-of this test.
+Each bench example starts from a small valid config on a 12x12x2 scene and
+replaces one thing: a scene, grid, solver or object value, a whole section,
+or the whole config. Each solve example starts from the ``meas.json`` of a
+12x12x2 decimation or mask directory and replaces or drops some of its
+``width``, ``height``, ``frames``, ``kind`` and ``factor``. Whole numbers
+from 17 up to int64 are never generated for the size-like keys (w, h, t,
+window, group_size, patch, stride, max_iter, width, height, frames, factor):
+those pass validation and then allocate or iterate at that scale, so they
+stay out of these tests.
 """
 
 import copy
@@ -16,7 +20,8 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dsr.cli import main
@@ -99,3 +104,56 @@ def test_bench_config_exits_0_or_2(config):
             assert not out.exists()
         else:
             assert (out / "table.csv").exists()
+
+
+MEAS_KEYS = ("width", "height", "frames", "kind", "factor")
+DROP = object()
+SOLVE_ARGS = ["--algo", "gds3d", "--lambda", "1", "--patch", "3", "--stride", "2",
+              "--window", "5x5x3", "--group-size", "4", "--max-iter", "2"]
+
+
+@pytest.fixture(scope="module")
+def measurement_dirs(tmp_path_factory):
+    """A 12x12x2 scene and its decimation (x2) and mask measurement directories."""
+    root = tmp_path_factory.mktemp("meas")
+    scene = root / "scene"
+    assert main(["simulate", "--out", str(scene), "--w", "12", "--h", "12", "--t", "2"]) == 0
+    depth = str(scene / "depth.dsrv")
+    assert main(["degrade", "--depth", depth, "--factor", "2", "--snr", "30",
+                 "--out", str(root / "decimation")]) == 0
+    assert main(["sparse", "--depth", depth, "--rate", "0.5", "--out", str(root / "mask")]) == 0
+    return {"guide": scene / "guide.dsrv", "decimation": root / "decimation",
+            "mask": root / "mask"}
+
+
+meas_values = st.dictionaries(
+    st.sampled_from(MEAS_KEYS),
+    values.filter(_small) | st.sampled_from(["decimation", "mask", DROP]),
+    min_size=1, max_size=len(MEAS_KEYS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(["decimation", "mask"]), changes=meas_values)
+def test_solve_meas_json_exits_0_or_2(measurement_dirs, base, changes):
+    source = measurement_dirs[base]
+    info = json.loads((source / "meas.json").read_text())
+    for key, value in changes.items():
+        if value is DROP:
+            info.pop(key, None)
+        else:
+            info[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        meas, out = Path(tmp) / "meas", Path(tmp) / "out"
+        meas.mkdir()
+        for name in ("values.dsrv", "mask.dsrv"):
+            if (source / name).exists():
+                (meas / name).write_bytes((source / name).read_bytes())
+        (meas / "meas.json").write_text(json.dumps(info))
+        code = main(["solve", *SOLVE_ARGS, "--meas", str(meas),
+                     "--guide", str(measurement_dirs["guide"]), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            assert (out / "est.dsrv").exists()

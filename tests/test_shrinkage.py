@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsr.shrinkage as shrinkage_mod
 from dsr.errors import DataError
 from dsr.shrinkage import (
     nu_shrink,
@@ -181,6 +182,40 @@ def _rotated(spectrum, rows, cols, rng):
     return q_left @ diag @ q_right.T
 
 
+#: The weights the reference test runs at, and the thresholds they give.
+PROX_LAMS = (1e-8, 0.4, 12.0)
+PROX_NUS = (0.0, 0.02, 1.0)
+THRESHOLDS = sorted({shrink_threshold(lam, nu) for lam in PROX_LAMS for nu in PROX_NUS})
+#: The threshold of the default weight the edge-case stacks are built around.
+TAU = shrink_threshold(12.0, 0.02)
+
+
+def _per_threshold(spectrum_of, rng, rows=25, cols=10):
+    """One rows x cols block per reference threshold tau, with the singular
+    values spectrum_of(tau)."""
+    return np.stack([_rotated(spectrum_of(tau), rows, cols, rng) for tau in THRESHOLDS])
+
+
+def _rank1_zero_column(rng):
+    """Rank-1 blocks with s1 = 2 tau and an all-zero column."""
+    left = rng.standard_normal((len(THRESHOLDS), 25, 1))
+    right = rng.standard_normal((len(THRESHOLDS), 1, 10))
+    right[:, :, 4] = 0.0
+    scale = 2.0 * np.array(THRESHOLDS)[:, None, None]
+    return scale * (left / np.linalg.norm(left, axis=1, keepdims=True)) @ (
+        right / np.linalg.norm(right, axis=2, keepdims=True))
+
+
+def _mixed_routes(rng):
+    """At (lam, nu) = (12, 0.02): certified rank-1, zeroed and fallback blocks,
+    interleaved; returns the stack and the indices of each kind."""
+    kinds = {"certified": [3.0 * TAU], "zeroed": [0.3 * TAU, 0.2 * TAU],
+             "fallback": [3.0 * TAU, 2.0 * TAU, 1.5 * TAU]}
+    order = [kind for _ in range(3) for kind in kinds]
+    stack = np.stack([_rotated(kinds[kind], 25, 10, rng) for kind in order])
+    return stack, {kind: [i for i, k in enumerate(order) if k == kind] for kind in kinds}
+
+
 def _svd_reference_cases():
     rng = np.random.default_rng(7)
     rank1 = (rng.standard_normal((40, 25, 1)) * 2) @ rng.standard_normal((40, 1, 10))
@@ -194,17 +229,37 @@ def _svd_reference_cases():
         "repeated_rotated": _rotated([4.0, 4.0, 4.0, 0.7, 0.7], 8, 5, rng),
         "zero": np.zeros((3, 25, 10)),
         "rank1_noise": rank1 + 1e-10 * rng.standard_normal(rank1.shape),
+        # the certificate's edges, one block per threshold: s1 just on
+        # either side of tau, a tail mass tr G - s1**2 just on either side
+        # of tau**2, and s1 = s2 (relative gap 1e-8) below and above tau
+        "s1_at_threshold": np.concatenate([
+            _per_threshold(lambda tau: [tau * (1 - 1e-9)], rng),
+            _per_threshold(lambda tau: [tau * (1 + 1e-9)], rng)]),
+        "wide_s1_at_threshold": np.concatenate([
+            _per_threshold(lambda tau: [tau * (1 + sign * 1e-9)], rng, rows=4, cols=9)
+            for sign in (-1, 1)]),
+        "tail_mass_at_threshold": np.concatenate([
+            _per_threshold(lambda tau: [3 * tau] + 2 * [tau * np.sqrt((1 - 1e-9) / 2)], rng),
+            _per_threshold(lambda tau: [3 * tau] + 2 * [tau * np.sqrt((1 + 1e-9) / 2)], rng)]),
+        "near_equal_top": np.concatenate([
+            _per_threshold(lambda tau: [0.9 * tau, 0.9 * tau * (1 - 1e-8)], rng),
+            _per_threshold(lambda tau: [3 * tau, 3 * tau * (1 - 1e-8)], rng)]),
+        # s2 / s1 = 0.8 with s2 < tau < s1: five squarings leave about 6e-7
+        # of the second direction in v, which the gap test must refuse
+        "slow_top_convergence": _per_threshold(lambda tau: [1.2 * tau, 0.96 * tau], rng),
+        "rank1_zero_column": _rank1_zero_column(rng),
+        "mixed_routes": _mixed_routes(rng)[0],
     }
 
 
 SVD_REFERENCE_CASES = _svd_reference_cases()
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.02, 1.0])
-@pytest.mark.parametrize("lam", [1e-8, 0.4, 12.0])
+@pytest.mark.parametrize("nu", PROX_NUS)
+@pytest.mark.parametrize("lam", PROX_LAMS)
 @pytest.mark.parametrize("case", sorted(SVD_REFERENCE_CASES))
 def test_prox_matches_svd_reference(case, lam, nu):
-    """The Gram-eigendecomposition prox agrees with the full-SVD route to
+    """The prox, on either of its routes, agrees with the full-SVD route to
     1e-9 of each block's largest entry; all-zero blocks come back as zeros,
     and rounded-negative Gram eigenvalues raise no floating-point error."""
     mat = SVD_REFERENCE_CASES[case]
@@ -220,3 +275,67 @@ def test_prox_matches_svd_reference(case, lam, nu):
     if nu == 1.0:
         # the nuclear-norm prox is the nu = 1 low-rank prox, bit for bit
         assert prox_nuclear(mat, lam).tobytes() == prox_low_rank(mat, lam, 1.0).tobytes()
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """The stacks ``prox_low_rank`` hands to the eigendecomposition route."""
+    calls, original = [], shrinkage_mod._spectral_shrink
+
+    def spy(blocks, fn):
+        calls.append(blocks.copy())
+        return original(blocks, fn)
+
+    monkeypatch.setattr(shrinkage_mod, "_spectral_shrink", spy)
+    return calls
+
+
+def _fallback_count(calls) -> int:
+    return sum(len(blocks) for blocks in calls)
+
+
+class TestProxRoutes:
+    """Which blocks the certified rank-1 route keeps and which it refuses."""
+
+    def test_clean_rank1_never_falls_back(self, fallback_calls, rng):
+        left = rng.standard_normal((50, 25, 1))
+        right = rng.standard_normal((50, 1, 10))
+        rank1 = left @ right
+        scale = np.linalg.norm(rank1, axis=(1, 2), keepdims=True)
+        prox_low_rank(rank1 / scale * TAU * rng.uniform(1.01, 50.0, (50, 1, 1)), 12.0, 0.02)
+        assert _fallback_count(fallback_calls) == 0
+
+    def test_full_rank_at_small_lam_always_falls_back(self, fallback_calls, rng):
+        prox_low_rank(rng.standard_normal((40, 25, 10)), 1e-8, 0.02)
+        assert _fallback_count(fallback_calls) == 40
+
+    def test_mixed_stack_sends_only_its_fallback_blocks(self, fallback_calls):
+        stack, kinds = _mixed_routes(np.random.default_rng(3))
+        out = prox_low_rank(stack, 12.0, 0.02)
+        (sent,) = fallback_calls
+        np.testing.assert_array_equal(sent, stack[kinds["fallback"]])
+        assert not np.any(out[kinds["zeroed"]])
+        assert np.all(np.abs(out[kinds["certified"]]).max(axis=(1, 2)) > 0)
+
+    @pytest.mark.parametrize("sign,falls_back", [(-1, False), (1, True)])
+    def test_tail_mass_decides_at_tau_squared(self, fallback_calls, rng, sign, falls_back):
+        tail = TAU * np.sqrt((1 + sign * 1e-9) / 2)
+        prox_low_rank(_rotated([3 * TAU, tail, tail], 25, 10, rng), 12.0, 0.02)
+        assert _fallback_count(fallback_calls) == int(falls_back)
+
+    @pytest.mark.parametrize("spectrum", [[0.9, 0.9 * (1 - 1e-8)], [3.0, 3.0 * (1 - 1e-8)],
+                                          [1.2, 0.96]])
+    def test_close_top_pair_is_refused(self, fallback_calls, rng, spectrum):
+        prox_low_rank(_rotated(TAU * np.array(spectrum), 25, 10, rng), 12.0, 0.02)
+        assert _fallback_count(fallback_calls) == 1
+
+    def test_checks_run_before_either_route(self, fallback_calls):
+        with pytest.raises(DataError):
+            prox_low_rank(np.full((2, 25, 10), np.nan), 12.0, 0.02)
+        with pytest.raises(DataError):
+            prox_low_rank(np.ones((2, 25, 10)), 0.0, 0.02)
+        assert fallback_calls == []
+
+    def test_empty_stacks_keep_their_shape(self):
+        for shape in [(0, 25, 10), (3, 0, 4), (2, 4, 0)]:
+            assert prox_low_rank(np.zeros(shape), 1.0, 0.5).shape == shape
