@@ -11,6 +11,8 @@ the diagonal of the composed operator is the per-voxel reference count.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +25,9 @@ __all__ = ["PatchGeometry", "PatchGroupTable", "build_groups", "extract_blocks",
            "scatter_sum", "compute_counts", "aggregate_average"]
 
 #: Groups per chunk of the solver's gather -> prox -> scatter pass, which
-#: holds one chunk's index and blocks at a time. Results do not depend on it
-#: (chunks are added in table order), only memory and speed do.
+#: holds one chunk's index and blocks at a time, and about the references
+#: per band of block matching. Results do not depend on it (chunks are
+#: added in table order, bands write disjoint rows), only memory and speed do.
 CHUNK_GROUPS = 256
 
 
@@ -123,6 +126,99 @@ class PatchGroupTable:
         return self._counts
 
 
+def _worker_count() -> int:
+    """Cores this process may run on; matching uses all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _runs(positions: list[int], stride: int, first: int, stop: int):
+    """Grid indices [first, stop) as (index slice, position slice) pairs: one
+    run on the stride grid, one for the clamped last position."""
+    regular = positions[-1] // stride + 1
+    return [(slice(a, b), slice(positions[a], positions[b - 1] + 1, stride))
+            for a, b in ((first, min(stop, regular)), (max(first, regular), stop))
+            if a < b]
+
+
+@dataclass
+class _Workspace:
+    """One worker's buffers, sized for the largest band: the distances, a
+    copy to partition, the selection masks, and the squared differences of
+    one row of offsets."""
+
+    dist: np.ndarray
+    part: np.ndarray
+    keep: np.ndarray
+    tie: np.ndarray
+    diff: np.ndarray
+
+    @classmethod
+    def allocate(cls, n_refs: int, n_offsets: int, diff_size: int) -> "_Workspace":
+        grid = (n_refs, n_offsets)
+        return cls(np.empty(grid), np.empty(grid), np.empty(grid, bool),
+                   np.empty(grid, bool), np.empty(diff_size))
+
+
+def _select(flat: np.ndarray, n_sel: int, ws: _Workspace) -> np.ndarray:
+    """Column indices of the n_sel smallest entries of each row, ordered by
+    (value, column) as by a stable argsort. A partition finds each row's
+    n_sel-th value; the entries below it and the leftmost entries equal to
+    it make up the n_sel, and only those are sorted."""
+    n, width = flat.shape
+    part = ws.part[:n]
+    np.copyto(part, flat)
+    part.partition(n_sel - 1, axis=1)
+    kth = part[:, n_sel - 1:n_sel]
+    keep = np.less(flat, kth, out=ws.keep[:n])
+    tie = np.equal(flat, kth, out=ws.tie[:n])
+    # of the entries equal to the n_sel-th value, keep the leftmost ones
+    need = n_sel - np.count_nonzero(keep, axis=1)
+    ties = np.flatnonzero(tie)
+    row = ties // width
+    per_row = np.bincount(row, minlength=n)
+    rank = np.arange(len(ties)) - (np.cumsum(per_row) - per_row)[row]
+    keep.reshape(-1)[ties[rank < need[row]]] = True
+    cols = (np.flatnonzero(keep) % width).reshape(n, n_sel)
+    vals = np.take_along_axis(flat, cols, axis=1)
+    return np.take_along_axis(cols, np.argsort(vals, axis=1, kind="stable"), axis=1)
+
+
+def _run_units(units, work, workspaces) -> None:
+    """Call work(unit, workspace) for every unit. The calling thread takes
+    the first workspace, one helper thread each of the others, and all draw
+    units in order from one queue. Every helper has ended before this
+    returns; the first exception raised in any of them is raised here."""
+    lock = threading.Lock()
+    todo = iter(units)
+    errors = []
+
+    def drain(ws):
+        try:
+            while not errors:
+                with lock:
+                    unit = next(todo, None)
+                if unit is None:
+                    return
+                work(unit, ws)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for ws in workspaces[1:]:
+            helper = threading.Thread(target=drain, args=(ws,))
+            helper.start()
+            started.append(helper)
+        drain(workspaces[0])
+    finally:
+        for helper in started:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     """Match patches on the guide volume and return the group table.
 
@@ -132,6 +228,11 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     ties broken lexicographically by (t, y, x); the reference always comes
     first. Matching depends only on the guide, never on the depth being
     reconstructed.
+
+    Each frame's reference grid is cut into bands of whole grid rows of about
+    ``CHUNK_GROUPS`` references. The bands are matched on every usable core;
+    each writes only its own rows of the table, so the table does not depend
+    on the number of workers or on the band size.
     """
     w, h, t_total = guide.dims.width, guide.dims.height, guide.dims.frames
     ps = geom.patch_side
@@ -145,37 +246,67 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     bordered = np.pad(guide.frames(), ((0, 0), (half_y, half_y), (half_x, half_x)),
                       constant_values=np.inf)
     windows = sliding_window_view(bordered, (ps, ps), axis=(1, 2))
-    ys, xs = (np.array(grid_positions(n, ps, geom.stride)) for n in (h, w))
-    n_refs = len(ys) * len(xs)
-    ref_y, ref_x = (a.reshape(-1, 1) for a in np.meshgrid(ys, xs, indexing="ij"))
-    members = np.empty((t_total, n_refs, geom.group_size, 3), dtype=np.int32)
     # SSD per reference and window offset (dt, dy, dx), offsets ascending: the
-    # candidate (t, y, x) ascends with the offset, so a stable sort of a row
-    # is the (dist, t, y, x) order; the center offset is the reference itself
+    # candidate (t, y, x) ascends with the offset, so the (value, offset)
+    # order of a row is the (dist, t, y, x) order; the center offset is the
+    # reference itself
     shape = (2 * half_t + 1, 2 * half_y + 1, 2 * half_x + 1)
-    dist = np.empty((n_refs,) + shape)
-    flat = dist.reshape(n_refs, -1)
-    center = flat.shape[1] // 2
-    n_pick = geom.group_size - 1
+    n_offsets = shape[0] * shape[1] * shape[2]
+    center = n_offsets // 2
+    # row_windows[u, y, x, dx] is the candidate window at (y, x + dx)
+    row_windows = np.moveaxis(sliding_window_view(windows, shape[2], axis=2), -1, 3)
+    ys, xs = (grid_positions(n, ps, geom.stride) for n in (h, w))
+    band_rows = max(1, CHUNK_GROUPS // len(xs))
+    x_runs = _runs(xs, geom.stride, 0, len(xs))
+    n_refs = len(ys) * len(xs)
+    members = np.empty((t_total, n_refs, geom.group_size, 3), dtype=np.int32)
+    n_sel = min(geom.group_size - 1, n_offsets)
 
-    for t in range(t_total):
-        refs = windows[t][(ys + half_y)[:, None], xs + half_x].reshape(n_refs, -1)
-        dist.fill(np.inf)
-        for dt in range(max(0, half_t - t), min(shape[0], t_total + half_t - t)):
-            for dy in range(shape[1]):
-                rows = (ys + dy)[:, None]
-                for dx in range(shape[2]):
-                    cand = windows[t + dt - half_t][rows, xs + dx].reshape(n_refs, -1)
-                    dist[:, dt, dy, dx] = ((cand - refs) ** 2).sum(axis=-1)
+    def match(unit, ws):
+        t, first = unit
+        stop = min(first + band_rows, len(ys))
+        n = (stop - first) * len(xs)
+        dist = ws.dist[:n].reshape(stop - first, len(xs), *shape)
+        dt_range = range(max(0, half_t - t), min(shape[0], t_total + half_t - t))
+        dist[:, :, :dt_range.start] = np.inf
+        dist[:, :, dt_range.stop:] = np.inf
+        for iy, py in _runs(ys, geom.stride, first, stop):
+            rows = slice(iy.start - first, iy.stop - first)
+            for ix, px in x_runs:
+                ref = windows[t, py.start + half_y:py.stop + half_y:py.step,
+                              px.start + half_x:px.stop + half_x:px.step, None]
+                diff = ws.diff[:ref.shape[0] * ref.shape[1] * shape[2] * ps * ps]
+                diff = diff.reshape(ref.shape[0], ref.shape[1], shape[2], ps, ps)
+                for dt in dt_range:
+                    cands = row_windows[t + dt - half_t]
+                    for dy in range(shape[1]):
+                        np.subtract(cands[py.start + dy:py.stop + dy:py.step, px], ref,
+                                    out=diff)
+                        np.square(diff, out=diff)
+                        # numpy's sum of each contiguous patch vector: the
+                        # same additions, in the same order, for every band
+                        diff.reshape(diff.shape[:3] + (-1,)).sum(
+                            axis=-1, out=dist[rows, ix, dt, dy])
+        flat = dist.reshape(n, n_offsets)
         flat[:, center] = np.inf
-        pick = np.argsort(flat, axis=1, kind="stable")[:, :n_pick]
-        # an inf pick is no candidate: the center offset pads with the reference
-        pick = np.where(np.isinf(np.take_along_axis(flat, pick, axis=1)), center, pick)
-        pick = np.pad(pick, ((0, 0), (1, n_pick - pick.shape[1])), constant_values=center)
-        ot, oy, ox = np.unravel_index(pick, shape)
-        members[t] = np.stack([ref_x + ox - half_x, ref_y + oy - half_y,
-                               t + ot - half_t], axis=-1)
+        out = members[t, first * len(xs):stop * len(xs)]
+        out[:, :, 0] = np.tile(xs, stop - first)[:, None]
+        out[:, :, 1] = np.repeat(ys[first:stop], len(xs))[:, None]
+        out[:, :, 2] = t
+        if n_sel:
+            pick = _select(flat, n_sel, ws)
+            # an inf pick is no candidate: it keeps the reference
+            pick[np.isinf(np.take_along_axis(flat, pick, axis=1))] = center
+            offsets = np.unravel_index(pick, shape)
+            for axis, off, half in zip((2, 1, 0), offsets, (half_t, half_y, half_x)):
+                np.add(out[:, 1:1 + n_sel, axis], off - half, out=out[:, 1:1 + n_sel, axis],
+                       casting="unsafe")
 
+    units = [(t, first) for t in range(t_total) for first in range(0, len(ys), band_rows)]
+    max_refs = band_rows * len(xs)
+    workspaces = [_Workspace.allocate(max_refs, n_offsets, max_refs * shape[2] * ps * ps)
+                  for _ in range(min(_worker_count(), len(units)))]
+    _run_units(units, match, workspaces)
     return PatchGroupTable(geom, guide.dims, members.reshape(-1, geom.group_size, 3))
 
 

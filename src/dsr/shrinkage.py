@@ -99,14 +99,21 @@ def _top_eigenpairs(blocks: np.ndarray, tau: float):
     """The rank-1 certificate of ``prox_low_rank`` for each block of a stack.
 
     Returns the estimated top eigenvector v and Rayleigh quotient mu of each
-    Gram matrix, whether the block is live (tr G > tau**2) and whether its
-    rank-1 answer is certified. The Gram and squaring stacks are freed on
-    return, before the caller allocates its output.
+    Gram matrix, whether the block is live (tr G > tau**2), whether its
+    rank-1 answer is certified, and whether its Gram trace overflowed. An
+    overflowed block is treated here as all-zero, which neither route
+    touches. The Gram and squaring stacks are freed on return, before the
+    caller allocates its output.
     """
     wide = blocks.shape[-2] < blocks.shape[-1]
     blocks_t = np.swapaxes(blocks, -1, -2)
-    gram = blocks @ blocks_t if wide else blocks_t @ blocks
-    trace = np.einsum("gii->g", gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = blocks @ blocks_t if wide else blocks_t @ blocks
+        trace = np.einsum("gii->g", gram)
+    overflow = ~np.isfinite(trace)
+    if overflow.any():
+        gram[overflow] = 0.0
+        trace[overflow] = 0.0
     # an all-zero block stays zero through the squarings; the floors keep
     # its divisions finite and never act on a nonzero block, whose
     # normalised square has trace >= 1/k and top column norm >= 1/k
@@ -122,7 +129,20 @@ def _top_eigenpairs(blocks: np.ndarray, tau: float):
     resid = np.linalg.norm(gv - mu[:, None] * vec, axis=-1)
     live = trace > tau * tau
     certified = live & (trace - mu <= tau * tau) & (resid < _GAP_SHARE * (2.0 * mu - trace))
-    return vec, mu, live, certified
+    return vec, mu, live, certified, overflow
+
+
+def _rescaled_shrink(blocks: np.ndarray, fn) -> np.ndarray:
+    """``_spectral_shrink`` for blocks whose Gram matrix overflows.
+
+    Each block is divided by the power of two that brings its largest entry
+    into [0.5, 1), which is exact, and its singular values are multiplied
+    back before fn, so the result is the block's own prox, unscaled.
+    """
+    _, exponent = np.frexp(np.abs(blocks).max(axis=(-2, -1)))
+    scale = np.ldexp(1.0, exponent)
+    return _spectral_shrink(blocks / scale[:, None, None],
+                            lambda s: fn(s * scale[:, None]))
 
 
 def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
@@ -159,6 +179,10 @@ def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
       B v v^T f(sqrt(mu)) / sqrt(mu) (v v^T B ... for a wide block), within
       about 1e-12 * s1 of the exact prox.
     - Otherwise one eigendecomposition of G (``_spectral_shrink``).
+
+    A block whose Gram trace overflows (entries above about 1e154) takes
+    the last route on an exact power-of-two rescale of itself
+    (``_rescaled_shrink``); no other block's bytes depend on it.
     """
     _check_lam_nu(lam, nu)
     arr = np.asarray(mat, dtype=np.float64)
@@ -171,10 +195,12 @@ def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
     def fn(s):
         return np.asarray(nu_shrink(s, lam, nu))
 
-    vec, mu, live, certified = _top_eigenpairs(blocks, shrink_threshold(lam, nu))
+    vec, mu, live, certified, overflow = _top_eigenpairs(blocks, shrink_threshold(lam, nu))
     fallback = np.flatnonzero(live & ~certified)
-    # the fallback runs before the output exists, so the two never add up
+    rescaled = np.flatnonzero(overflow)
+    # the fallbacks run before the output exists, so the two never add up
     shrunk = _spectral_shrink(blocks[fallback], fn) if fallback.size else None
+    big = _rescaled_shrink(blocks[rescaled], fn) if rescaled.size else None
     s = np.sqrt(mu, out=np.ones_like(mu), where=certified)
     scaled = np.where(certified, fn(s) / s, 0.0)[:, None] * vec
     if blocks.shape[-2] < blocks.shape[-1]:
@@ -183,4 +209,6 @@ def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
         out = np.einsum("gi,gj->gij", (blocks @ vec[..., None])[..., 0], scaled)
     if fallback.size:
         out[fallback] = shrunk
+    if rescaled.size:
+        out[rescaled] = big
     return out.reshape(arr.shape)

@@ -12,14 +12,22 @@ from 17 up to int64 are never generated for the size-like keys (w, h, t,
 window, group_size, patch, stride, max_iter, width, height, frames, factor):
 those pass validation and then allocate or iterate at that scale, so they
 stay out of these tests.
+
+The ``.dsrv`` fuzzer changes the bytes of the ``--guide`` of ``dsr solve``
+or of the ``--ref`` or ``--est`` of ``dsr eval``: one header field, the
+payload length, or some payload values. Sizes up to the u32 limit appear
+only in headers over a 12x12x2 payload, which the reader rejects by length
+before it allocates anything.
 """
 
 import copy
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -122,8 +130,8 @@ def measurement_dirs(tmp_path_factory):
     assert main(["degrade", "--depth", depth, "--factor", "2", "--snr", "30",
                  "--out", str(root / "decimation")]) == 0
     assert main(["sparse", "--depth", depth, "--rate", "0.5", "--out", str(root / "mask")]) == 0
-    return {"guide": scene / "guide.dsrv", "decimation": root / "decimation",
-            "mask": root / "mask"}
+    return {"guide": scene / "guide.dsrv", "depth": scene / "depth.dsrv",
+            "decimation": root / "decimation", "mask": root / "mask"}
 
 
 meas_values = st.dictionaries(
@@ -157,3 +165,76 @@ def test_solve_meas_json_exits_0_or_2(measurement_dirs, base, changes):
             assert not out.exists()
         else:
             assert (out / "est.dsrv").exists()
+
+
+#: the DSRV header: magic, version u16, dtype u8, reserved u8, then w, h, t as u32
+HEADER = struct.Struct("<4sHBBIII")
+HEADER_FIELDS = ("magic", "version", "dtype", "reserved", "w", "h", "t")
+U32 = st.integers(0, 2 ** 32 - 1) | st.sampled_from([2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1])
+FIELD_VALUES = {
+    "magic": st.binary(min_size=4, max_size=4) | st.sampled_from([b"DSRV", b"dsrv"]),
+    "version": st.integers(0, 2 ** 16 - 1) | st.just(1),
+    "dtype": st.integers(0, 255) | st.just(0),
+    "reserved": st.integers(0, 255) | st.just(0),
+    "w": st.integers(0, 32) | U32,
+    "h": st.integers(0, 32) | U32,
+    "t": st.integers(0, 4) | U32,
+}
+#: float32 payload values: out of the guide's [0, 1], non-finite, tiny and huge
+PAYLOAD_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1e-3, 1.0 + 1e-6, 7.0, 1e-45,
+                                  3.4e38, -3.4e38, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def dsrv_mutations(draw, raw: bytes):
+    """The bytes of a valid DSRV file with one part of it changed."""
+    fields = dict(zip(HEADER_FIELDS, HEADER.unpack_from(raw)))
+    payload = np.frombuffer(raw, dtype="<f4", offset=HEADER.size).copy()
+    kind = draw(st.sampled_from(["field", "dims", "length", "values"]))
+    if kind == "field":
+        name = draw(st.sampled_from(HEADER_FIELDS))
+        fields[name] = draw(FIELD_VALUES[name])
+    elif kind == "dims":
+        # another shape for the same payload, read without a length error
+        n = payload.size
+        w = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        h = draw(st.sampled_from([d for d in range(1, n // w + 1) if n // w % d == 0]))
+        fields.update(w=w, h=h, t=n // (w * h))
+    elif kind == "values":
+        spots = draw(st.lists(st.integers(0, payload.size - 1), min_size=1, max_size=5))
+        payload[spots] = draw(st.lists(PAYLOAD_VALUES, min_size=len(spots),
+                                       max_size=len(spots)))
+    body = payload.astype("<f4").tobytes()
+    if kind == "length":
+        change = draw(st.integers(-len(body), 64).filter(bool))
+        body = body[:change] if change < 0 else body + bytes(change)
+    return HEADER.pack(*fields.values()) + body
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), target=st.sampled_from(["guide", "ref", "est"]))
+def test_dsrv_files_exit_0_or_2(measurement_dirs, data, target):
+    """``dsr solve`` with a changed ``--guide`` and ``dsr eval`` with a
+    changed ``--ref`` or ``--est`` exit 0 or 2, and write no output on 2."""
+    files = {"guide": measurement_dirs["guide"], "ref": measurement_dirs["depth"],
+             "est": measurement_dirs["depth"]}
+    raw = data.draw(dsrv_mutations(files[target].read_bytes()), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        changed, out = Path(tmp) / "changed.dsrv", Path(tmp) / "out"
+        changed.write_bytes(raw)
+        files[target] = changed
+        if target == "guide":
+            argv = ["solve", *SOLVE_ARGS, "--meas", str(measurement_dirs["decimation"]),
+                    "--guide", str(changed), "--out", str(out)]
+            written = out / "est.dsrv"
+        else:
+            written = out / "snr.csv"
+            argv = ["eval", "--ref", str(files["ref"]), "--est", str(files["est"]),
+                    "--per-frame", str(written)]
+        code = main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            assert written.exists()

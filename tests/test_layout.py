@@ -10,7 +10,9 @@ import ast
 import importlib
 import importlib.util
 import math
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -142,3 +144,17 @@ def test_no_type_or_overflow_error_is_translated(path):
 def test_bench_catches_only_failed_cells():
     path = Path(dsr.__file__).parent / "bench.py"
     assert set(_caught(path)) == {("DataError", "NumericError")}
+
+
+def test_import_starts_no_pool_machinery():
+    """``import dsr`` in a fresh interpreter loads neither
+    ``concurrent.futures`` nor ``multiprocessing``: matching runs on plain
+    threads, and the CLI's start-up time does not pay for a pool module."""
+    code = ("import sys, dsr, dsr.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    path = [str(Path(dsr.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -76,12 +77,14 @@ class TestPatchGeometry:
 
 
 class TestBuildGroups:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_matches_brute_force(self, data):
+    def test_matches_brute_force(self, workers, data):
         """Members, their order and the padding agree with the naive matcher,
         also with tied distances, frames smaller than the window, even window
-        extents and groups larger than the candidate count."""
+        extents, groups larger than the candidate count, any number of
+        workers and bands from one grid row up to the whole frame."""
         patch = data.draw(st.integers(1, 4), label="patch")
         stride = data.draw(st.integers(1, patch), label="stride")
         dims = FrameDims(data.draw(st.integers(patch, patch + 8), label="w"),
@@ -103,7 +106,14 @@ class TestBuildGroups:
             np.full(dims.total_voxels, 0.5),
         ]), label="guide")
         guide = IntensityVolume(dims, values)
-        table = build_groups(guide, PatchGeometry(patch, stride, window, big_l))
+        refs_per_frame = (len(grid_positions(dims.width, patch, stride))
+                          * len(grid_positions(dims.height, patch, stride)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patches_mod, "_worker_count", lambda: workers)
+            mp.setattr(patches_mod, "CHUNK_GROUPS",
+                       data.draw(st.integers(1, refs_per_frame), label="band"))
+            table = build_groups(guide, PatchGeometry(patch, stride, window, big_l))
+        assert table.members.dtype == np.int32
         expect = match_groups_naive(guide.frames(), patch, stride, window, big_l)
         assert table.n_groups == len(expect)
         for p, (members, padded) in enumerate(expect):
@@ -158,6 +168,52 @@ class TestBuildGroups:
         a = _table(random_guide)
         b = _table(random_guide)
         np.testing.assert_array_equal(a.members, b.members)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_exception_reaches_caller(self, monkeypatch, random_guide, workers):
+        """An exception raised on a helper thread is raised unchanged by the
+        call, after every helper has ended."""
+        raised, helper_failed = [], threading.Event()
+        select = patches_mod._select
+
+        def failing(*args):
+            if threading.current_thread() is threading.main_thread():
+                helper_failed.wait(timeout=30)
+                return select(*args)
+            exc = RuntimeError("band failed")
+            raised.append(exc)
+            helper_failed.set()
+            raise exc
+
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: workers)
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 1)
+        monkeypatch.setattr(patches_mod, "_select", failing)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _table(random_guide)
+        assert any(info.value is exc for exc in raised)
+        assert str(info.value) == "band failed"
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_thread_outlives_the_call(self, monkeypatch, random_guide, workers):
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: workers)
+        baseline = threading.active_count()
+        _table(random_guide)
+        assert threading.active_count() == baseline
+
+    def test_peak_memory_stays_within_6_volumes(self):
+        """Each worker holds one band's buffers; no buffer spans a frame's
+        references times the window."""
+        dims = FrameDims(320, 240, 8)
+        _, guide = synth_scene(default_scene(dims))
+        tracemalloc.start()
+        try:
+            build_groups(guide, PatchGeometry())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * dims.total_voxels * 8
 
     def test_peak_memory_stays_within_16_volumes(self):
         dims = FrameDims(320, 240, 8)

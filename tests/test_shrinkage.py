@@ -216,6 +216,13 @@ def _mixed_routes(rng):
     return stack, {kind: [i for i, k in enumerate(order) if k == kind] for kind in kinds}
 
 
+def _with_huge_blocks(rng):
+    """Six ordinary 25 x 10 blocks, the second and fifth scaled by 1e250."""
+    stack = rng.standard_normal((6, 25, 10)) * 3
+    stack[[1, 4]] *= 1e250
+    return stack
+
+
 def _svd_reference_cases():
     rng = np.random.default_rng(7)
     rank1 = (rng.standard_normal((40, 25, 1)) * 2) @ rng.standard_normal((40, 1, 10))
@@ -249,6 +256,10 @@ def _svd_reference_cases():
         "slow_top_convergence": _per_threshold(lambda tau: [1.2 * tau, 0.96 * tau], rng),
         "rank1_zero_column": _rank1_zero_column(rng),
         "mixed_routes": _mixed_routes(rng)[0],
+        # Gram entries overflow float64: the whole stack, and two blocks
+        # among ordinary ones
+        "gram_overflow": np.full((2, 25, 10), 1e200),
+        "gram_overflow_mixed": _with_huge_blocks(rng),
     }
 
 
@@ -264,7 +275,7 @@ def test_prox_matches_svd_reference(case, lam, nu):
     and rounded-negative Gram eigenvalues raise no floating-point error."""
     mat = SVD_REFERENCE_CASES[case]
     tol = 1e-9 * np.abs(mat).max(axis=(-2, -1))
-    with np.errstate(divide="raise", invalid="raise"):
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
         checks = [(prox_low_rank(mat, lam, nu), prox_low_rank_ref(mat, lam, nu))]
         if nu == 1.0:
             checks.append((prox_nuclear(mat, lam), prox_low_rank_ref(mat, lam, 1.0)))
@@ -328,6 +339,18 @@ class TestProxRoutes:
     def test_close_top_pair_is_refused(self, fallback_calls, rng, spectrum):
         prox_low_rank(_rotated(TAU * np.array(spectrum), 25, 10, rng), 12.0, 0.02)
         assert _fallback_count(fallback_calls) == 1
+
+    def test_overflowing_blocks_leave_the_others_unchanged(self, fallback_calls):
+        stack = _with_huge_blocks(np.random.default_rng(5))
+        ordinary = [0, 2, 3, 5]
+        with np.errstate(over="raise"):
+            out = prox_low_rank(stack, 0.4, 0.02)
+        assert out[ordinary].tobytes() == prox_low_rank(stack[ordinary], 0.4, 0.02).tobytes()
+        # the two overflowing blocks reach the eigendecomposition rescaled
+        # to a largest entry in [0.5, 1)
+        peaks = [np.abs(blocks).max(axis=(1, 2)) for blocks in fallback_calls]
+        assert max(peak.max() for peak in peaks) < 1e3
+        assert sum(np.count_nonzero(peak < 1.0) for peak in peaks) == 2
 
     def test_checks_run_before_either_route(self, fallback_calls):
         with pytest.raises(DataError):
