@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Peak resident memory and minor page faults at each stage of one solve.
+
+    PYTHONPATH=src python3 scripts/memprobe.py --size 24 24 8 --algo gds3d
+
+Renders ``default_scene``, decimates it at 30 dB input SNR and runs the
+stages of ``run_pipeline`` one at a time: the initialization, block
+matching, the reference counts and a solve of a fixed number of iterations
+(tolerance 0). After each stage it prints the process's peak resident set
+(``ru_maxrss``) and the minor page faults (``ru_minflt``) the stage took;
+the solve's faults are also given per iteration. BLAS runs on one thread
+unless the environment says otherwise, as in ``perfbench``.
+"""
+
+import argparse
+import os
+import resource
+import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from dsr.patches import CHUNK_GROUPS, build_groups  # noqa: E402  (after the BLAS pin)
+from dsr.scenes import default_scene, synth_scene  # noqa: E402
+from dsr.solvers import (GUIDED_ALGORITHMS, SolverConfig, default_initialization,  # noqa: E402
+                         solve_admm, solve_simplified)
+from dsr.volumes import FrameDims, SamplingOperator, add_noise, apply_sampling  # noqa: E402
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--size", type=int, nargs=3, default=(24, 24, 8), metavar=("W", "H", "T"))
+    ap.add_argument("--algo", choices=("gds3d", "gds2d", "ds3d", "admm3d"), default="gds3d")
+    ap.add_argument("--lambda", dest="lam", type=float, default=12.0)
+    ap.add_argument("--factor", type=int, default=3)
+    ap.add_argument("--iterations", type=int, default=50)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+
+    depth, guide = synth_scene(default_scene(FrameDims(*args.size), seed=args.seed))
+    psi = add_noise(apply_sampling(SamplingOperator.decimation(depth.dims, args.factor), depth),
+                    30.0, args.seed)
+    cfg = SolverConfig(algo=args.algo, lam=args.lam, max_iter=args.iterations, tol=0.0)
+    solve = solve_admm if args.algo == "admm3d" else solve_simplified
+
+    print(f"{args.algo} at {'x'.join(map(str, args.size))}, decimation x{args.factor}, "
+          f"{args.iterations} iterations")
+    print(f"{'stage':<8} {'maxrss_mb':>10} {'minflt':>9}")
+    last = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def report(stage: str) -> int:
+        nonlocal last
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        faults, last = usage.ru_minflt - last, usage.ru_minflt
+        print(f"{stage:<8} {usage.ru_maxrss * 1024 / 1e6:>10.1f} {faults:>9}")
+        return faults
+
+    init = default_initialization(psi)
+    report("init")
+    table = build_groups(guide if args.algo in GUIDED_ALGORITHMS else init, cfg.geometry)
+    report("match")
+    table.counts()
+    report("counts")
+    _, rep = solve(psi, table, cfg, init=init)
+    faults = report("solve")
+    print(f"solve: {rep.iterations} iterations, {faults / rep.iterations:.1f} minor "
+          f"page faults per iteration, {-(-table.n_groups // CHUNK_GROUPS)} chunks of "
+          f"at most {CHUNK_GROUPS} groups")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

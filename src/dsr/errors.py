@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the one reader of each
-settings section, list, number and random seed read from outside.
+"""Exception types shared across the package, the one reader of each
+settings section, list, number and random seed read from outside, and the
+finiteness check of arrays.
 
 The CLI maps these onto exit codes: DataError -> 2, NumericError -> 3.
 """
 
 import numbers
 import sys
+
+import numpy as np
 
 
 class DsrError(Exception):
@@ -57,3 +60,10 @@ def check_seed(seed) -> int:
     if as_number(seed, "seed", whole=True) < 0:
         raise DataError(f"seed must be nonnegative, got {seed}")
     return int(seed)
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every entry of a non-empty float array is finite, found without
+    an array-sized mask: a NaN propagates into the minimum, and an infinity
+    is the minimum or the maximum."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))

@@ -79,8 +79,9 @@ class PatchGroupTable:
     to keep the block shape fixed; no real candidate equals the reference.
     The flat voxel index of each member's top-left pixel and the reference
     counts are derived lazily and cached since every solver iteration reuses
-    them. Gather indices are built from the first on demand; the solver
-    builds them one chunk of groups at a time.
+    them; the first is checked once to lie inside the volume. Gather indices
+    are built from it on demand; the solver builds them one chunk of groups
+    at a time into one reused buffer.
     """
 
     geometry: PatchGeometry
@@ -98,27 +99,52 @@ class PatchGroupTable:
         return self.members[:, 0, :]
 
     def _member_base(self) -> np.ndarray:
-        """Flat voxel index of each member's top-left pixel, shape (P, L)."""
+        """Flat voxel index of each member's top-left pixel, shape (P, L).
+
+        Every member must be a patch position inside the volume, so that
+        every gather index lies in [0, total_voxels); this is checked here,
+        once per table, and the solver's gathers check no index. The index
+        is built as ((t * H) + y) * W + x in place, so the int32 members
+        are widened element by element rather than copied whole.
+        """
         if self._base is None:
-            w = self.dims.width
-            m = self.members.astype(np.int64)
-            self._base = (m[:, :, 2] * self.dims.pixels_per_frame
-                          + m[:, :, 1] * w + m[:, :, 0])
+            m, d, ps = self.members, self.dims, self.geometry.patch_side
+            x, y, t = m[:, :, 0], m[:, :, 1], m[:, :, 2]
+            if m.size and any(c.min() < 0 or c.max() > last for c, last in
+                              ((x, d.width - ps), (y, d.height - ps), (t, d.frames - 1))):
+                raise DataError("group table members lie outside the volume")
+            base = t.astype(np.int64)
+            base *= d.height
+            base += y
+            base *= d.width
+            base += x
+            self._base = base
         return self._base
 
-    def gather_indices(self, groups: slice = slice(None)) -> np.ndarray:
+    def gather_indices(self, groups: slice = slice(None),
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Flat voxel index per (group, in-patch pixel, member), shape (p, B, L),
-        for the groups in ``groups`` (all by default). Built on each call."""
+        for the groups in ``groups`` (all by default). Built on each call,
+        into ``out`` when it is given."""
         ps = self.geometry.patch_side
         off = (np.arange(ps)[:, None] * self.dims.width + np.arange(ps)).reshape(-1, 1)
-        return self._member_base()[groups][:, None, :] + off
+        return np.add(self._member_base()[groups][:, None, :], off, out=out)
 
-    def chunks(self):
+    def chunk_shape(self) -> tuple[int, int, int]:
+        """Shape (groups, B, L) of the largest chunk ``chunks`` yields."""
+        geom = self.geometry
+        return min(CHUNK_GROUPS, self.n_groups), geom.patch_side ** 2, geom.group_size
+
+    def chunks(self, index: np.ndarray | None = None):
         """Yield (groups, gather_indices(groups)) for consecutive runs of
-        ``CHUNK_GROUPS`` groups, in table order."""
+        ``CHUNK_GROUPS`` groups, in table order. Every index is written into
+        ``index``, an int64 buffer of ``chunk_shape()`` (one allocated here
+        by default), so each holds only until the next chunk is yielded."""
+        if index is None:
+            index = np.empty(self.chunk_shape(), dtype=np.int64)
         for start in range(0, self.n_groups, CHUNK_GROUPS):
             groups = slice(start, min(start + CHUNK_GROUPS, self.n_groups))
-            yield groups, self.gather_indices(groups)
+            yield groups, self.gather_indices(groups, out=index[:groups.stop - start])
 
     def counts(self) -> np.ndarray:
         if self._counts is None:
@@ -339,7 +365,7 @@ def compute_counts(table: PatchGroupTable) -> np.ndarray:
     """Number of (group, member, offset) references per voxel."""
     counts = np.zeros(table.dims.total_voxels, dtype=np.int64)
     for _, idx in table.chunks():
-        counts += np.bincount(idx.reshape(-1), minlength=counts.size)
+        np.add.at(counts, idx.reshape(-1), 1)
     return counts
 
 

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, all_finite
 
 __all__ = [
     "shrink_threshold",
     "nu_shrink",
     "prox_nuclear",
     "prox_low_rank",
+    "prox_work",
 ]
 
 
@@ -64,7 +65,7 @@ def nu_shrink(x, lam: float, nu: float):
     return out
 
 
-def _spectral_shrink(arr: np.ndarray, fn) -> np.ndarray:
+def _spectral_shrink(arr: np.ndarray, fn, work=None) -> np.ndarray:
     """Apply fn to the singular values of every matrix in a stack.
 
     Works through the Gram matrix of the smaller side: with G = B^T B =
@@ -73,16 +74,25 @@ def _spectral_shrink(arr: np.ndarray, fn) -> np.ndarray:
     matrix costs about half a full SVD. Singular values below about
     sqrt(eps) * s_max come out inexact, which moves the result by at most
     their size because fn(s) <= s; fn(0) = 0, so directions with s = 0 drop.
+    ``work``, when given, is three stacks of at least len(arr) k x k
+    matrices: the first holds the Gram matrices already formed, and the
+    other two take the scaled eigenvectors and the projector.
     """
     wide = arr.shape[-2] < arr.shape[-1]
-    arr_t = np.swapaxes(arr, -1, -2)
+    if work is None:
+        arr_t = np.swapaxes(arr, -1, -2)
+        gram = arr @ arr_t if wide else arr_t @ arr
+        scaled = proj = None
+    else:
+        gram, scaled, proj = (stack[:len(arr)] for stack in work)
     try:
-        w, v = np.linalg.eigh(arr @ arr_t if wide else arr_t @ arr)
+        w, v = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Gram eigendecomposition failed: {exc}") from exc
     s = np.sqrt(np.maximum(w, 0.0))
     scale = np.divide(fn(s), s, out=np.zeros_like(s), where=s > 0)
-    proj = (v * scale[..., None, :]) @ np.swapaxes(v, -1, -2)
+    scaled = np.multiply(v, scale[..., None, :], out=scaled)
+    proj = np.matmul(scaled, np.swapaxes(v, -1, -2), out=proj)
     return proj @ arr if wide else arr @ proj
 
 
@@ -95,20 +105,24 @@ _GAP_SHARE = 1e-12
 _TINY = np.finfo(np.float64).tiny
 
 
-def _top_eigenpairs(blocks: np.ndarray, tau: float):
+def _top_eigenpairs(blocks: np.ndarray, tau: float, gram: np.ndarray, sq: np.ndarray,
+                    spare: np.ndarray):
     """The rank-1 certificate of ``prox_low_rank`` for each block of a stack.
 
-    Returns the estimated top eigenvector v and Rayleigh quotient mu of each
-    Gram matrix, whether the block is live (tr G > tau**2), whether its
-    rank-1 answer is certified, and whether its Gram trace overflowed. An
-    overflowed block is treated here as all-zero, which neither route
-    touches. The Gram and squaring stacks are freed on return, before the
-    caller allocates its output.
+    Writes the Gram matrices into ``gram`` and squares through ``sq`` and
+    ``spare``, three (n, k, k) stacks. Returns the estimated top eigenvector
+    v and Rayleigh quotient mu of each Gram matrix, whether the block is
+    live (tr G > tau**2), whether its rank-1 answer is certified, and
+    whether its Gram trace overflowed. An overflowed block is treated here
+    as all-zero (its Gram matrix is zeroed), which neither route touches.
     """
     wide = blocks.shape[-2] < blocks.shape[-1]
     blocks_t = np.swapaxes(blocks, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = blocks @ blocks_t if wide else blocks_t @ blocks
+        if wide:
+            np.matmul(blocks, blocks_t, out=gram)
+        else:
+            np.matmul(blocks_t, blocks, out=gram)
         trace = np.einsum("gii->g", gram)
     overflow = ~np.isfinite(trace)
     if overflow.any():
@@ -117,9 +131,10 @@ def _top_eigenpairs(blocks: np.ndarray, tau: float):
     # an all-zero block stays zero through the squarings; the floors keep
     # its divisions finite and never act on a nonzero block, whose
     # normalised square has trace >= 1/k and top column norm >= 1/k
-    sq = gram / np.where(trace > 0, trace, 1.0)[:, None, None]
+    np.divide(gram, np.where(trace > 0, trace, 1.0)[:, None, None], out=sq)
     for _ in range(_SQUARINGS):
-        sq = sq @ sq
+        np.matmul(sq, sq, out=spare)
+        sq, spare = spare, sq
         sq /= np.maximum(np.einsum("gii->g", sq), _TINY)[:, None, None]
     top = np.argmax(np.einsum("gii->gi", sq), axis=-1)
     vec = sq[np.arange(len(sq)), :, top]
@@ -157,7 +172,16 @@ def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
     return prox_low_rank(mat, lam, 1.0)
 
 
-def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
+def prox_work(n_blocks: int, rows: int, cols: int) -> np.ndarray:
+    """Scratch for ``prox_low_rank(..., work=)`` on up to n_blocks blocks of
+    rows x cols: the Gram stack and two squaring stacks, each (n, k, k)
+    with k = min(rows, cols)."""
+    k = min(rows, cols)
+    return np.empty((3, n_blocks, k, k))
+
+
+def prox_low_rank(mat: np.ndarray, lam: float, nu: float, out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Apply ``nu_shrink`` to the singular values; proximal map of the
     nonconvex low-rank penalty. Reduces to ``prox_nuclear`` at nu = 1.
 
@@ -178,37 +202,62 @@ def prox_low_rank(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
       s1**2 - mu by ||r||**2 / d). The block maps to
       B v v^T f(sqrt(mu)) / sqrt(mu) (v v^T B ... for a wide block), within
       about 1e-12 * s1 of the exact prox.
-    - Otherwise one eigendecomposition of G (``_spectral_shrink``).
+    - Otherwise one eigendecomposition of G (``_spectral_shrink``), reusing
+      the Gram matrix the certificate formed.
 
     A block whose Gram trace overflows (entries above about 1e154) takes
     the last route on an exact power-of-two rescale of itself
     (``_rescaled_shrink``); no other block's bytes depend on it.
+
+    As in numpy, the result is written into ``out`` when it is given: a
+    C-contiguous float64 array of the input's shape, which may be ``mat``
+    itself, since every block is read before any is written. ``work`` is
+    the scratch of ``prox_work`` for at least as many blocks; without it
+    the stacks are allocated for this call. Either way the bytes of the
+    result are the same.
     """
     _check_lam_nu(lam, nu)
     arr = np.asarray(mat, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DataError("matrix entries must be finite")
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == arr.shape
+                                and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise DataError(f"out must be a C-contiguous float64 array of shape {arr.shape}")
     if arr.size == 0:
-        return np.zeros_like(arr)
+        return np.zeros_like(arr) if out is None else out
+    if not all_finite(arr):
+        raise DataError("matrix entries must be finite")
     blocks = arr.reshape((-1,) + arr.shape[-2:])
+    n, rows, cols = blocks.shape
+    if work is None:
+        work = prox_work(n, rows, cols)
+    gram, sq, spare = work[:, :n]
 
     def fn(s):
         return np.asarray(nu_shrink(s, lam, nu))
 
-    vec, mu, live, certified, overflow = _top_eigenpairs(blocks, shrink_threshold(lam, nu))
+    vec, mu, live, certified, overflow = _top_eigenpairs(blocks, shrink_threshold(lam, nu),
+                                                         gram, sq, spare)
     fallback = np.flatnonzero(live & ~certified)
     rescaled = np.flatnonzero(overflow)
-    # the fallbacks run before the output exists, so the two never add up
-    shrunk = _spectral_shrink(blocks[fallback], fn) if fallback.size else None
+    # the fallbacks run before the output is written, so it may be the input
+    shrunk = None
+    if fallback.size:
+        # the fallback blocks' Gram matrices, packed into the free squaring
+        # stack; flatnonzero's indices are in range, so the take checks none
+        np.take(gram, fallback, axis=0, out=sq[:fallback.size], mode="clip")
+        shrunk = _spectral_shrink(blocks[fallback], fn, (sq, spare, gram))
     big = _rescaled_shrink(blocks[rescaled], fn) if rescaled.size else None
     s = np.sqrt(mu, out=np.ones_like(mu), where=certified)
     scaled = np.where(certified, fn(s) / s, 0.0)[:, None] * vec
-    if blocks.shape[-2] < blocks.shape[-1]:
-        out = np.einsum("gi,gj->gij", scaled, (vec[:, None, :] @ blocks)[:, 0])
+    if rows < cols:
+        left, right = scaled, (vec[:, None, :] @ blocks)[:, 0]
     else:
-        out = np.einsum("gi,gj->gij", (blocks @ vec[..., None])[..., 0], scaled)
+        left, right = (blocks @ vec[..., None])[..., 0], scaled
+    if out is None:
+        out = np.empty_like(arr)
+    out_blocks = out.reshape(blocks.shape)
+    np.einsum("gi,gj->gij", left, right, out=out_blocks)
     if fallback.size:
-        out[fallback] = shrunk
+        out_blocks[fallback] = shrunk
     if rescaled.size:
-        out[rescaled] = big
-    return out.reshape(arr.shape)
+        out_blocks[rescaled] = big
+    return out

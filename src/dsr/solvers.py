@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, NumericError, as_list, as_number
+from .errors import DataError, NumericError, all_finite, as_list, as_number
 from .patches import PatchGeometry, PatchGroupTable, build_groups, scatter_sum
-from .shrinkage import prox_low_rank
+from .shrinkage import prox_low_rank, prox_work
 from .volumes import (
     DepthVolume,
     Measurements,
@@ -158,17 +158,26 @@ class SolveReport:
     lam: float | None = None
 
 
-def admm_phi_step(ht_psi: np.ndarray, occ: np.ndarray, counts: np.ndarray,
-                  bt_z: np.ndarray, rho: float) -> np.ndarray:
+def admm_phi_step(ht_psi: np.ndarray, denom: np.ndarray, bt_z: np.ndarray, rho: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Diagonal solve of the data+coupling quadratic: per voxel
-    (measured value + rho * block feedback) / (occupancy + rho * count)."""
-    return (ht_psi + rho * bt_z) / (occ + rho * counts)
+    (measured value + rho * block feedback) / denom, where denom is
+    occupancy + rho * count. The result goes into ``out`` when given."""
+    out = np.multiply(rho, bt_z, out=out)
+    out += ht_psi
+    out /= denom
+    return out
 
 
-def simplified_phi_step(ht_psi: np.ndarray, occ: np.ndarray,
-                        phi_tilde: np.ndarray, rho: float) -> np.ndarray:
-    """Diagonal solve mixing measurements with the aggregated block average."""
-    return (ht_psi + rho * phi_tilde) / (occ + rho)
+def simplified_phi_step(ht_psi: np.ndarray, denom: np.ndarray, phi_tilde: np.ndarray,
+                        rho: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Diagonal solve mixing measurements with the aggregated block average:
+    per voxel (measured value + rho * average) / denom, where denom is
+    occupancy + rho. The result goes into ``out`` when given."""
+    out = np.multiply(rho, phi_tilde, out=out)
+    out += ht_psi
+    out /= denom
+    return out
 
 
 def default_initialization(psi: Measurements) -> DepthVolume:
@@ -192,64 +201,106 @@ def _relative(change: float, scale: float) -> float:
     return change / scale if scale > 0 else change
 
 
+@dataclass
+class _Workspace:
+    """One solve's chunk buffers, allocated once before its volumes and
+    reused by every chunk of every iteration: the gather index, the gathered
+    blocks (which the simplified solvers shrink in place), admm3d's stack
+    for its dual arithmetic, and the prox's Gram and squaring stacks."""
+
+    index: np.ndarray
+    blocks: np.ndarray
+    step: np.ndarray | None
+    prox: np.ndarray
+
+    @classmethod
+    def allocate(cls, table: PatchGroupTable, admm: bool) -> "_Workspace":
+        shape = table.chunk_shape()
+        return cls(np.empty(shape, dtype=np.int64), np.empty(shape),
+                   np.empty(shape) if admm else None, prox_work(*shape))
+
+    def gather(self, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """values[idx] into the block buffer; the table has checked that
+        every index lies in the volume, so the gather checks none."""
+        return np.take(values, idx, out=self.blocks[:len(idx)], mode="clip")
+
+
 def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
              init: DepthVolume | None) -> tuple[DepthVolume, SolveReport]:
     """The alternation both solvers share; only the volume update and, for
     admm3d, the block and dual updates depend on the algorithm.
 
     Blocks are gathered, shrunk and added back one chunk of groups at a time
-    (``table.chunks()``), so besides admm3d's dual the working memory is a
-    few volumes and one chunk. admm3d adds up the next iteration's block
-    feedback ``blocks + dual / rho`` in the same pass as its block and dual
-    updates, so its blocks are never held whole.
+    (``table.chunks()``) through one workspace allocated per solve, and the
+    iterate alternates between two volumes, so after set-up no iteration
+    allocates a chunk-sized stack or a volume: besides admm3d's dual the
+    working memory is five volumes and one chunk. admm3d adds up the next
+    iteration's block feedback ``blocks + dual / rho`` in the same pass as
+    its block and dual updates, so its blocks are never held whole.
     """
     t_start = time.perf_counter()
+    admm = cfg.algo == "admm3d"
+    ws = _Workspace.allocate(table, admm)
     op = psi.operator
-    occ = occupancy(op).astype(np.float64)
-    counts = table.counts().astype(np.float64)
+    rho = cfg.rho
+    counts = table.counts()
     ht_psi = adjoint_sampling(op, psi).values
+    # the data step's per-voxel denominator, occ + rho * counts or occ + rho
+    if admm:
+        denom = counts * rho
+        denom += occupancy(op)
+    else:
+        denom = occupancy(op) + rho
 
     phi = (init if init is not None else default_initialization(psi)).values.copy()
-    rho = cfg.rho
-    admm = cfg.algo == "admm3d"
+    new = np.empty_like(phi)
+    # the summed blocks (admm3d: the block feedback); after the data step it
+    # holds the change of the iterate
+    block_sum = np.zeros_like(phi)
     if admm:
         # blocks start as exact extractions of the initialization, the dual at zero
         geom = table.geometry
         dual = np.zeros((table.n_groups, geom.patch_side ** 2, geom.group_size))
-        bt_z = np.zeros_like(phi)
-        for _, idx in table.chunks():
-            scatter_sum(phi[idx], table, bt_z, idx)
+        for _, idx in table.chunks(ws.index):
+            scatter_sum(ws.gather(phi, idx), table, block_sum, idx)
 
     trace: list[TraceEntry] = []
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
         if admm:
-            new_phi = admm_phi_step(ht_psi, occ, counts, bt_z, rho)
+            admm_phi_step(ht_psi, denom, block_sum, rho, out=new)
         else:
-            phi_sum = np.zeros_like(phi)
-            for _, idx in table.chunks():
-                scatter_sum(prox_low_rank(phi[idx], cfg.lam, cfg.nu), table, phi_sum, idx)
-            new_phi = simplified_phi_step(ht_psi, occ, phi_sum / counts, rho)
-        if not np.all(np.isfinite(new_phi)):
+            block_sum.fill(0.0)
+            for _, idx in table.chunks(ws.index):
+                blocks = ws.gather(phi, idx)
+                scatter_sum(prox_low_rank(blocks, cfg.lam, cfg.nu, out=blocks, work=ws.prox),
+                            table, block_sum, idx)
+            block_sum /= counts
+            simplified_phi_step(ht_psi, denom, block_sum, rho, out=new)
+        if not all_finite(new):
             raise NumericError("iterate diverged to non-finite values")
-        entry = TraceEntry(rel_change=_relative(float(np.linalg.norm(new_phi - phi)),
+        change = np.subtract(new, phi, out=block_sum)
+        entry = TraceEntry(rel_change=_relative(float(np.linalg.norm(change)),
                                                 float(np.linalg.norm(phi))))
         if admm:
-            bt_z = np.zeros_like(phi)
+            block_sum.fill(0.0)
             resid_sq = extracted_sq = 0.0
-            for groups, idx in table.chunks():
-                b_phi = new_phi[idx]
-                blocks = prox_low_rank(b_phi - dual[groups] / rho, cfg.lam / rho, cfg.nu)
-                resid = blocks - b_phi
-                dual[groups] += rho * resid
-                scatter_sum(blocks + dual[groups] / rho, table, bt_z, idx)
-                resid_sq += float(np.vdot(resid, resid))
+            for groups, idx in table.chunks(ws.index):
+                b_phi = ws.gather(new, idx)
                 extracted_sq += float(np.vdot(b_phi, b_phi))
+                dual_g, step = dual[groups], ws.step[:len(idx)]
+                np.subtract(b_phi, np.divide(dual_g, rho, out=step), out=step)
+                blocks = prox_low_rank(step, cfg.lam / rho, cfg.nu, out=step, work=ws.prox)
+                resid = np.subtract(blocks, b_phi, out=b_phi)
+                resid_sq += float(np.vdot(resid, resid))
+                dual_g += np.multiply(rho, resid, out=resid)
+                blocks += np.divide(dual_g, rho, out=resid)
+                scatter_sum(blocks, table, block_sum, idx)
             entry.primal_residual = _relative(math.sqrt(resid_sq), math.sqrt(extracted_sq))
         if cfg.track_objective:
-            entry.objective = objective_nuclear(DepthVolume(op.dims, new_phi),
+            entry.objective = objective_nuclear(DepthVolume(op.dims, new),
                                                 psi, op, table, cfg.lam)
-        phi = new_phi
+        phi, new = new, phi
         trace.append(entry)
         # the initialization is a fixed point of the first ADMM volume update
         # (blocks start as exact extractions), so the change test is only

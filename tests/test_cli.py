@@ -484,6 +484,18 @@ class TestScripts:
         assert int(n_rec) + int(n_val) == int(0.1 * 24 * 24 * 4)
         assert np.all(np.isfinite([float(v) for v in snrs]))
 
+    @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
+    def test_memprobe_reports_every_stage(self, algo):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "memprobe.py"
+        proc = _run([sys.executable, str(script), "--size", "12", "12", "3",
+                     "--algo", algo, "--iterations", "3"])
+        assert proc.returncode == 0, proc.stderr
+        _, header, *stages, summary = proc.stdout.splitlines()
+        assert header.split() == ["stage", "maxrss_mb", "minflt"]
+        assert [line.split()[0] for line in stages] == ["init", "match", "counts", "solve"]
+        assert all(float(line.split()[1]) > 0 and int(line.split()[2]) >= 0 for line in stages)
+        assert summary.startswith("solve: 3 iterations, ")
+
 
 class TestConsoleScript:
     """The exit-code contract through a real process: the entry point run as

@@ -286,6 +286,64 @@ class TestBlockOperators:
         np.testing.assert_array_equal(compute_counts(table),
                                       scatter_sum(ones, table).astype(np.int64))
 
+    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    def test_chunks_write_into_one_buffer(self, monkeypatch, random_guide, chunk):
+        """Every chunk's index is gather_indices(groups), written into the
+        buffer given (or into one allocated per call), never a new array."""
+        table = _table(random_guide)
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", chunk)
+        whole = table.gather_indices()
+        index = np.empty(table.chunk_shape(), dtype=np.int64)
+        assert index.shape == (min(chunk, table.n_groups), 9, 4)
+        for buffer in (index, None):
+            seen, bases = [], set()
+            for groups, idx in table.chunks(buffer):
+                assert idx.tobytes() == whole[groups].tobytes()
+                bases.add(id(idx.base))
+                seen.append(groups)
+            assert len(bases) == 1
+            if buffer is not None:
+                assert bases == {id(index)}
+            assert [g.start for g in seen] == list(range(0, table.n_groups, chunk))
+            assert seen[-1].stop == table.n_groups
+
+    def test_member_base_keeps_its_values(self, random_guide):
+        table = _table(random_guide)
+        m = table.members.astype(np.int64)
+        d = table.dims
+        expect = m[:, :, 2] * d.pixels_per_frame + m[:, :, 1] * d.width + m[:, :, 0]
+        got = table._member_base()
+        assert got.dtype == np.int64
+        assert got.tobytes() == expect.tobytes()
+
+    def test_member_base_makes_no_wide_copy_of_the_members(self):
+        """The (P, L) index is built in place: no int64 copy of the (P, L, 3)
+        members, which is three times its size, exists on the way."""
+        dims = FrameDims(320, 240, 8)
+        rng = np.random.default_rng(0)
+        members = np.stack([rng.integers(0, 316, (20_000, 10)), rng.integers(0, 236, (20_000, 10)),
+                            rng.integers(0, 8, (20_000, 10))], axis=-1).astype(np.int32)
+        table = PatchGroupTable(PatchGeometry(), dims, members)
+        tracemalloc.start()
+        try:
+            base = table._member_base()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * base.nbytes
+
+    @pytest.mark.parametrize("axis,value", [(0, -1), (0, 10), (1, 10), (2, 3), (2, -1)])
+    def test_members_outside_the_volume_are_rejected(self, random_guide, axis, value):
+        """The one bounds check per table stands in for the gathers' own."""
+        table = _table(random_guide)
+        members = table.members.copy()
+        members[-1, -1, axis] = value
+        bad = PatchGroupTable(table.geometry, table.dims, members)
+        with pytest.raises(DataError):
+            bad.gather_indices()
+        with pytest.raises(DataError):
+            next(bad.chunks())
+
     def test_aggregate_reconstructs_exactly(self, random_volume, random_guide):
         table = _table(random_guide)
         blocks = extract_blocks(random_volume.values, table)

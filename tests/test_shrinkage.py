@@ -9,6 +9,7 @@ from dsr.shrinkage import (
     nu_shrink,
     prox_low_rank,
     prox_nuclear,
+    prox_work,
     shrink_threshold,
 )
 from oracles import prox_low_rank_ref, prox_nuclear_ref, soft_threshold_ref
@@ -293,9 +294,9 @@ def fallback_calls(monkeypatch):
     """The stacks ``prox_low_rank`` hands to the eigendecomposition route."""
     calls, original = [], shrinkage_mod._spectral_shrink
 
-    def spy(blocks, fn):
+    def spy(blocks, fn, work=None):
         calls.append(blocks.copy())
-        return original(blocks, fn)
+        return original(blocks, fn, work)
 
     monkeypatch.setattr(shrinkage_mod, "_spectral_shrink", spy)
     return calls
@@ -362,3 +363,53 @@ class TestProxRoutes:
     def test_empty_stacks_keep_their_shape(self):
         for shape in [(0, 25, 10), (3, 0, 4), (2, 4, 0)]:
             assert prox_low_rank(np.zeros(shape), 1.0, 0.5).shape == shape
+
+
+#: Stacks that take each route of the prox: certified rank 1 (with zeroed
+#: blocks), the eigendecomposition fallback, the rescaled overflow route,
+#: and wide blocks on both routes.
+OUT_CASES = ("mixed_routes", "stack", "rank1_noise", "gram_overflow_mixed",
+             "wide_4x9", "wide_s1_at_threshold", "repeated_rotated", "zero")
+
+
+class TestProxOut:
+    """``prox_low_rank(..., out=, work=)`` writes the bytes of the plain call."""
+
+    @pytest.mark.parametrize("lam,nu", [(12.0, 0.02), (0.4, 0.02), (1e-8, 1.0)])
+    @pytest.mark.parametrize("case", OUT_CASES)
+    def test_out_and_work_give_the_same_bytes(self, case, lam, nu):
+        mat = SVD_REFERENCE_CASES[case]
+        expect = prox_low_rank(mat, lam, nu)
+        blocks = mat.reshape((-1,) + mat.shape[-2:])
+        # scratch for more blocks than the stack has, left dirty on purpose
+        work = np.full((3, len(blocks) + 5) + (min(mat.shape[-2:]),) * 2, np.nan)
+        buf = np.full(mat.shape, np.nan)
+        assert prox_low_rank(mat, lam, nu, out=buf) is buf
+        assert buf.tobytes() == expect.tobytes()
+        buf[...] = np.nan
+        assert prox_low_rank(mat, lam, nu, out=buf, work=work) is buf
+        assert buf.tobytes() == expect.tobytes()
+        # in place: the input is its own output
+        inplace = mat.copy()
+        assert prox_low_rank(inplace, lam, nu, out=inplace, work=work) is inplace
+        assert inplace.tobytes() == expect.tobytes()
+
+    def test_work_is_reused_across_calls(self, rng):
+        """One scratch serves stacks of any size up to its own, in any order."""
+        work = prox_work(40, 25, 10)
+        stacks = [rng.standard_normal((n, 25, 10)) * rng.uniform(0.1, 10.0, (n, 1, 1))
+                  for n in (40, 7, 1, 40)]
+        for stack in stacks:
+            out = np.empty_like(stack)
+            prox_low_rank(stack, 0.4, 0.02, out=out, work=work)
+            assert out.tobytes() == prox_low_rank(stack, 0.4, 0.02).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.empty((40, 25, 9)), np.empty((40, 25, 10), np.float32),
+                                     np.empty((40, 10, 25)).swapaxes(1, 2), [0.0]])
+    def test_out_must_match_the_input(self, bad):
+        with pytest.raises(DataError):
+            prox_low_rank(SVD_REFERENCE_CASES["stack"], 0.4, 0.02, out=bad)
+
+    def test_empty_stack_returns_out(self):
+        out = np.empty((0, 25, 10))
+        assert prox_low_rank(np.zeros((0, 25, 10)), 1.0, 0.5, out=out) is out
