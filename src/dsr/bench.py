@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, as_list, as_number, check_seed, read_section
 from .io import write_dsrv, write_frame_snr, write_json
+from .patches import check_geometry
 from .scenes import ObjectSpec, SceneSpec, default_scene, synth_scene
 from .solvers import (
     ALGORITHMS,
@@ -127,6 +128,9 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
     solver = {**DEFAULT_SOLVER, **read_section(solver or {}, "solver config", DEFAULT_SOLVER)}
     # linear keeps the window whole; a gds2d cell collapses only its own copy
     base = SolverConfig.from_settings("linear", None, solver)
+    # a table numpy cannot address fails the config, not each cell that builds one
+    for algo in [a for a in grid.algorithms if a != "linear"]:
+        check_geometry(scene_spec.dims, SolverConfig.from_settings(algo, 1.0, solver).geometry)
 
     ref, guide = synth_scene(scene_spec)
     out = Path(out_dir)

@@ -21,8 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError
 from .volumes import FrameDims
 
-__all__ = ["PatchGeometry", "PatchGroupTable", "build_groups", "extract_blocks",
-           "scatter_sum", "compute_counts", "aggregate_average"]
+__all__ = ["PatchGeometry", "PatchGroupTable", "check_geometry", "build_groups",
+           "extract_blocks", "scatter_sum", "compute_counts", "aggregate_average"]
 
 #: Groups per chunk of the solver's gather -> prox -> scatter pass, which
 #: holds one chunk's index and blocks at a time, and about the references
@@ -186,6 +186,11 @@ class _Workspace:
         return cls(np.empty(grid), np.empty(grid), np.empty(grid, bool),
                    np.empty(grid, bool), np.empty(diff_size))
 
+    @staticmethod
+    def nbytes(n_refs: int, n_offsets: int, diff_size: int) -> int:
+        """The bytes ``allocate`` takes, as a Python int."""
+        return n_refs * n_offsets * (8 + 8 + 1 + 1) + diff_size * 8
+
 
 def _select(flat: np.ndarray, n_sel: int, ws: _Workspace) -> np.ndarray:
     """Column indices of the n_sel smallest entries of each row, ordered by
@@ -245,6 +250,29 @@ def _run_units(units, work, workspaces) -> None:
         raise errors[0]
 
 
+def check_geometry(dims: FrameDims, geom: PatchGeometry) -> None:
+    """Raise DataError when ``build_groups`` on a volume of ``dims`` would
+    allocate a group table, bordered guide or band workspace larger than
+    numpy can address. The sizes are Python ints and nothing is allocated;
+    a size that numpy can address but memory cannot hold passes, and so
+    does a patch larger than a frame, which ``build_groups`` rejects."""
+    w, h, ps = dims.width, dims.height, geom.patch_side
+    if ps > min(w, h):
+        return
+    wx, wy, wt = geom.window
+    ys, xs = (grid_positions(n, ps, geom.stride) for n in (h, w))
+    band = max(1, CHUNK_GROUPS // len(xs)) * len(xs)
+    dx, dy = 2 * (wx // 2) + 1, 2 * (wy // 2) + 1  # offsets searched along x and y
+    sizes = {"group table": dims.frames * len(ys) * len(xs) * geom.group_size * 3 * 4,
+             "bordered guide": dims.frames * (h + dy - 1) * (w + dx - 1) * 8,
+             "band workspace": _Workspace.nbytes(band, wt * dy * dx, band * dx * ps * ps)}
+    for what, size in sizes.items():
+        if size > np.iinfo(np.intp).max:
+            raise DataError(f"window {geom.window} and group size {geom.group_size} need a "
+                            f"{what} of {size} bytes on {w}x{h}x{dims.frames}, more than "
+                            "numpy can address")
+
+
 def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     """Match patches on the guide volume and return the group table.
 
@@ -258,12 +286,14 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     Each frame's reference grid is cut into bands of whole grid rows of about
     ``CHUNK_GROUPS`` references. The bands are matched on every usable core;
     each writes only its own rows of the table, so the table does not depend
-    on the number of workers or on the band size.
+    on the number of workers or on the band size. A geometry that fails
+    ``check_geometry`` is a DataError before anything is allocated.
     """
     w, h, t_total = guide.dims.width, guide.dims.height, guide.dims.frames
     ps = geom.patch_side
     if ps > min(w, h):
         raise DataError(f"patch side {ps} exceeds frame size {w}x{h}")
+    check_geometry(guide.dims, geom)
     wx, wy, wt = geom.window
     half_x, half_y, half_t = wx // 2, wy // 2, (wt - 1) // 2
 

@@ -1,12 +1,13 @@
 """Iterative reconstruction: exact ADMM and the decoupled simplified algorithm.
 
-Both solvers alternate a blockwise low-rank proximal step with a per-voxel
-quadratic data-consistency step. Because the sampling operator is a selection
-and the patch operator's normal matrix is the diagonal reference-count
-matrix, every quadratic subproblem is a pointwise division. ADMM carries a
-dual variable enforcing agreement between the block estimates and the volume;
-the simplified variants drop it and re-aggregate blocks by count-normalized
-averaging, which spreads the regularization evenly across voxels.
+Both solvers run one loop that alternates a blockwise low-rank proximal step
+(one pass over the group table's chunks) with a per-voxel quadratic
+data-consistency step. Because the sampling operator is a selection and the
+patch operator's normal matrix is the diagonal reference-count matrix, every
+quadratic subproblem is a pointwise division, the same one for both. ADMM
+carries a dual variable enforcing agreement between the block estimates and
+the volume; the simplified variants drop it and re-aggregate blocks by
+count-normalized averaging, which spreads the regularization evenly.
 
 Algorithm variants select what drives the block matching: the intensity guide
 (gds3d, gds2d, admm3d), or the interpolated depth itself (ds3d). gds2d
@@ -158,26 +159,21 @@ class SolveReport:
     lam: float | None = None
 
 
-def admm_phi_step(ht_psi: np.ndarray, denom: np.ndarray, bt_z: np.ndarray, rho: float,
+def admm_phi_step(ht_psi: np.ndarray, denom: np.ndarray, feedback: np.ndarray, rho: float,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal solve of the data+coupling quadratic: per voxel
-    (measured value + rho * block feedback) / denom, where denom is
-    occupancy + rho * count. The result goes into ``out`` when given."""
-    out = np.multiply(rho, bt_z, out=out)
+    """The data step of every solver, a diagonal solve per voxel:
+    (measured value + rho * feedback) / denom. admm3d feeds back its
+    dual-corrected block sum over occupancy + rho * count; the simplified
+    solvers their count-normalized block average over occupancy + rho.
+    The result goes into ``out`` when given."""
+    out = np.multiply(rho, feedback, out=out)
     out += ht_psi
     out /= denom
     return out
 
 
-def simplified_phi_step(ht_psi: np.ndarray, denom: np.ndarray, phi_tilde: np.ndarray,
-                        rho: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal solve mixing measurements with the aggregated block average:
-    per voxel (measured value + rho * average) / denom, where denom is
-    occupancy + rho. The result goes into ``out`` when given."""
-    out = np.multiply(rho, phi_tilde, out=out)
-    out += ht_psi
-    out /= denom
-    return out
+# one step under both names: perfbench/tracing.py times each by its name
+simplified_phi_step = admm_phi_step
 
 
 def default_initialization(psi: Measurements) -> DepthVolume:
@@ -204,9 +200,9 @@ def _relative(change: float, scale: float) -> float:
 @dataclass
 class _Workspace:
     """One solve's chunk buffers, allocated once before its volumes and
-    reused by every chunk of every iteration: the gather index, the gathered
-    blocks (which the simplified solvers shrink in place), admm3d's stack
-    for its dual arithmetic, and the prox's Gram and squaring stacks."""
+    reused by every chunk of every block pass: the gather index, the
+    gathered blocks (which the simplified solvers shrink in place), admm3d's
+    stack for its dual arithmetic, and the prox's Gram and squaring stacks."""
 
     index: np.ndarray
     blocks: np.ndarray
@@ -219,24 +215,30 @@ class _Workspace:
         return cls(np.empty(shape, dtype=np.int64), np.empty(shape),
                    np.empty(shape) if admm else None, prox_work(*shape))
 
-    def gather(self, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """values[idx] into the block buffer; the table has checked that
-        every index lies in the volume, so the gather checks none."""
-        return np.take(values, idx, out=self.blocks[:len(idx)], mode="clip")
+    def block_pass(self, values: np.ndarray, table: PatchGroupTable, out: np.ndarray,
+                   update) -> None:
+        """Set ``out`` to the sum of ``update(groups, blocks)`` over the
+        table's chunks, where ``blocks`` are the chunk's blocks of ``values``
+        in the block buffer. The table has checked that every index lies in
+        the volume, so the gather checks none; the chunks are added in table
+        order, so ``out`` has the bytes of one whole-table sum."""
+        out.fill(0.0)
+        for groups, idx in table.chunks(self.index):
+            blocks = np.take(values, idx, out=self.blocks[:len(idx)], mode="clip")
+            scatter_sum(update(groups, blocks), table, out, idx)
 
 
 def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
              init: DepthVolume | None) -> tuple[DepthVolume, SolveReport]:
-    """The alternation both solvers share; only the volume update and, for
-    admm3d, the block and dual updates depend on the algorithm.
+    """The alternation both solvers share: per iteration one block pass and
+    one data step. The simplified solvers' pass shrinks the iterate's blocks
+    and feeds back their average; admm3d's, after its data step, updates the
+    blocks and the dual and sums the next feedback ``blocks + dual / rho``.
 
-    Blocks are gathered, shrunk and added back one chunk of groups at a time
-    (``table.chunks()``) through one workspace allocated per solve, and the
-    iterate alternates between two volumes, so after set-up no iteration
-    allocates a chunk-sized stack or a volume: besides admm3d's dual the
-    working memory is five volumes and one chunk. admm3d adds up the next
-    iteration's block feedback ``blocks + dual / rho`` in the same pass as
-    its block and dual updates, so its blocks are never held whole.
+    Every pass streams the table's chunks through one workspace allocated
+    per solve, and the iterate alternates between two volumes, so after
+    set-up no iteration allocates a chunk-sized stack or a volume: besides
+    admm3d's dual the working memory is five volumes and one chunk.
     """
     t_start = time.perf_counter()
     admm = cfg.algo == "admm3d"
@@ -254,48 +256,45 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
 
     phi = (init if init is not None else default_initialization(psi)).values.copy()
     new = np.empty_like(phi)
-    # the summed blocks (admm3d: the block feedback); after the data step it
-    # holds the change of the iterate
-    block_sum = np.zeros_like(phi)
+    # the data step's feedback, then the change of the iterate
+    block_sum = np.empty_like(phi)
     if admm:
+        dual = np.zeros((table.n_groups, *table.chunk_shape()[1:]))
+
+        def update(groups, b_phi):
+            """Block and dual updates of one chunk; returns its feedback."""
+            nonlocal extracted_sq, resid_sq
+            extracted_sq += float(np.vdot(b_phi, b_phi))
+            dual_g, step = dual[groups], ws.step[:len(b_phi)]
+            np.subtract(b_phi, np.divide(dual_g, rho, out=step), out=step)
+            blocks = prox_low_rank(step, cfg.lam / rho, cfg.nu, out=step, work=ws.prox)
+            resid = np.subtract(blocks, b_phi, out=b_phi)
+            resid_sq += float(np.vdot(resid, resid))
+            dual_g += np.multiply(rho, resid, out=resid)
+            blocks += np.divide(dual_g, rho, out=resid)
+            return blocks
+
         # blocks start as exact extractions of the initialization, the dual at zero
-        geom = table.geometry
-        dual = np.zeros((table.n_groups, geom.patch_side ** 2, geom.group_size))
-        for _, idx in table.chunks(ws.index):
-            scatter_sum(ws.gather(phi, idx), table, block_sum, idx)
+        ws.block_pass(phi, table, block_sum, lambda groups, blocks: blocks)
+    else:
+        def update(groups, blocks):
+            return prox_low_rank(blocks, cfg.lam, cfg.nu, out=blocks, work=ws.prox)
 
     trace: list[TraceEntry] = []
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
-        if admm:
-            admm_phi_step(ht_psi, denom, block_sum, rho, out=new)
-        else:
-            block_sum.fill(0.0)
-            for _, idx in table.chunks(ws.index):
-                blocks = ws.gather(phi, idx)
-                scatter_sum(prox_low_rank(blocks, cfg.lam, cfg.nu, out=blocks, work=ws.prox),
-                            table, block_sum, idx)
+        if not admm:
+            ws.block_pass(phi, table, block_sum, update)
             block_sum /= counts
-            simplified_phi_step(ht_psi, denom, block_sum, rho, out=new)
+        (admm_phi_step if admm else simplified_phi_step)(ht_psi, denom, block_sum, rho, out=new)
         if not all_finite(new):
             raise NumericError("iterate diverged to non-finite values")
         change = np.subtract(new, phi, out=block_sum)
         entry = TraceEntry(rel_change=_relative(float(np.linalg.norm(change)),
                                                 float(np.linalg.norm(phi))))
         if admm:
-            block_sum.fill(0.0)
-            resid_sq = extracted_sq = 0.0
-            for groups, idx in table.chunks(ws.index):
-                b_phi = ws.gather(new, idx)
-                extracted_sq += float(np.vdot(b_phi, b_phi))
-                dual_g, step = dual[groups], ws.step[:len(idx)]
-                np.subtract(b_phi, np.divide(dual_g, rho, out=step), out=step)
-                blocks = prox_low_rank(step, cfg.lam / rho, cfg.nu, out=step, work=ws.prox)
-                resid = np.subtract(blocks, b_phi, out=b_phi)
-                resid_sq += float(np.vdot(resid, resid))
-                dual_g += np.multiply(rho, resid, out=resid)
-                blocks += np.divide(dual_g, rho, out=resid)
-                scatter_sum(blocks, table, block_sum, idx)
+            extracted_sq = resid_sq = 0.0
+            ws.block_pass(new, table, block_sum, update)
             entry.primal_residual = _relative(math.sqrt(resid_sq), math.sqrt(extracted_sq))
         if cfg.track_objective:
             entry.objective = objective_nuclear(DepthVolume(op.dims, new),

@@ -2,12 +2,17 @@
 
 Everything here favors obviousness over speed: explicit loops, textbook
 formulas, library one-liners (np.interp), and a long-run primal-dual solver
-for the convex objective. None of it shares code paths with dsr itself.
+for the convex objective. None of it shares code paths with dsr itself,
+except ``iterate_ref``, which runs the package's extraction, prox and
+scatter on the whole table to check the solver loop around them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from dsr.patches import extract_blocks, scatter_sum
+from dsr.shrinkage import prox_low_rank
 
 
 # ---------------------------------------------------------------- matching
@@ -158,6 +163,55 @@ def objective_nuclear_naive(frames: np.ndarray, psi_values: np.ndarray,
         block = extract_naive(frames, members, patch)
         total += lam * float(np.linalg.svd(block, compute_uv=False).sum())
     return total
+
+
+def iterate_ref(psi, table, cfg, init: np.ndarray) -> tuple[np.ndarray, list]:
+    """The paper's two update rules on the whole group table at once, from
+    the initial volume ``init``: no chunks, no workspace, no buffer reused.
+
+    Simplified (gds3d, gds2d, ds3d): shrink every block of the iterate with
+    weight lam, average the blocks back by reference count, then
+    phi = (H^T psi + rho * average) / (occupancy + rho).
+    ADMM (admm3d): blocks Z start as extractions of ``init`` and the dual U
+    at zero; phi = (H^T psi + rho * B^T (Z + U / rho)) / (occupancy + rho *
+    counts), then Z = prox(B phi - U / rho) with weight lam / rho and
+    U += rho * (Z - B phi). Both stop as the package does: after
+    ``cfg.max_iter`` iterations, or from the second on when the relative
+    change of phi is within ``cfg.tol``. Returns the estimate and one
+    (rel_change, primal_residual) pair per iteration; the residual is None
+    for the simplified rule.
+    """
+    def relative(a, b):
+        change, scale = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        return change / scale if scale > 0 else change
+
+    rho, n = cfg.rho, table.dims.total_voxels
+    occ, ht_psi = np.zeros(n), np.zeros(n)
+    occ[psi.operator.indices] = 1.0
+    ht_psi[psi.operator.indices] = psi.values
+    counts = scatter_sum(np.ones(table.gather_indices().shape), table)
+    admm = cfg.algo == "admm3d"
+    phi = init.copy()
+    if admm:
+        feedback = scatter_sum(extract_blocks(phi, table), table)
+        dual = np.zeros(table.gather_indices().shape)
+    trace = []
+    for k in range(cfg.max_iter):
+        if admm:
+            new = (ht_psi + rho * feedback) / (occ + rho * counts)
+            b_phi = extract_blocks(new, table)
+            z = prox_low_rank(b_phi - dual / rho, cfg.lam / rho, cfg.nu)
+            dual = dual + rho * (z - b_phi)
+            feedback = scatter_sum(z + dual / rho, table)
+            trace.append((relative(new - phi, phi), relative(z - b_phi, b_phi)))
+        else:
+            shrunk = prox_low_rank(extract_blocks(phi, table), cfg.lam, cfg.nu)
+            new = (ht_psi + rho * (scatter_sum(shrunk, table) / counts)) / (occ + rho)
+            trace.append((relative(new - phi, phi), None))
+        phi = new
+        if k >= 1 and trace[-1][0] <= cfg.tol:
+            break
+    return phi, trace
 
 
 # --------------------------------------- convex oracle via primal-dual

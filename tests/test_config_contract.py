@@ -11,7 +11,8 @@ or the whole config. Each solve example starts from the ``meas.json`` of a
 from 17 up to int64 are never generated for the size-like keys (w, h, t,
 window, group_size, patch, stride, max_iter, width, height, frames, factor):
 those pass validation and then allocate or iterate at that scale, so they
-stay out of these tests.
+stay out of these tests. Window and group sizes that numpy cannot address
+at all are tried one by one: they exit 2 before anything is allocated.
 
 The ``.dsrv`` fuzzer changes the bytes of the ``--guide`` of ``dsr solve``
 or of the ``--ref`` or ``--est`` of ``dsr eval``: one header field, the
@@ -238,3 +239,31 @@ def test_dsrv_files_exit_0_or_2(measurement_dirs, data, target):
             assert not out.exists()
         else:
             assert written.exists()
+
+
+#: (flag, solver key, value) for window and group sizes whose group table,
+#: bordered guide or band workspace numpy cannot address on the 12x12x2
+#: scene; sizes numpy can address but memory cannot hold are not tried
+OVERSIZE = [("--group-size", "group_size", 2 ** 62),
+            ("--window", "window", [2 ** 62 - 1, 11, 3]),
+            ("--window", "window", [11, 11, 2 ** 62 - 1])]
+
+
+@pytest.mark.parametrize("flag,key,value", OVERSIZE, ids=["group_size", "window_x", "window_t"])
+def test_oversize_geometry_exits_2(measurement_dirs, tmp_path, capsys, flag, key, value):
+    """``dsr solve`` and a ``dsr bench`` solver section with such a size
+    exit 2 with a data error and write no ``--out``."""
+    text = "x".join(map(str, value)) if isinstance(value, list) else str(value)
+    out = tmp_path / "solve"
+    assert main(["solve", *SOLVE_ARGS, flag, text, "--meas",
+                 str(measurement_dirs["decimation"]), "--guide",
+                 str(measurement_dirs["guide"]), "--out", str(out)]) == 2
+    assert not out.exists()
+
+    config = copy.deepcopy(BASE)
+    config["solver"][key] = value
+    path, out = tmp_path / "config.json", tmp_path / "bench"
+    path.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("more than numpy can address") == 2

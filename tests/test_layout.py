@@ -98,12 +98,25 @@ def test_solver_loop_calls_tracer_hooks_every_iteration(monkeypatch, algo):
             segments.append([])
         else:
             segments[-1].append(name)
+    if algo == "admm3d":
+        # the initial feedback: the extracted blocks, added back unshrunk
+        assert segments[0].count("scatter_sum") == n_chunks
+        assert "prox_low_rank" not in segments[0]
     passes = segments[1:] if algo == "admm3d" else segments[:-1]
     assert len(passes) == report.iterations
     for calls in passes:
         assert calls.count("prox_low_rank") == n_chunks
         assert calls.count("scatter_sum") == n_chunks
         assert calls.count("gather_indices") >= n_chunks
+
+
+def test_solvers_call_scatter_sum_from_one_place():
+    """Every block pass of the solvers runs through one chunk loop: one
+    call site in ``dsr/solvers.py`` reaches ``scatter_sum``."""
+    tree = ast.parse(Path(dsr.solvers.__file__).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "scatter_sum"]
+    assert len(lines) == 1, f"scatter_sum is called on lines {lines}"
 
 
 @pytest.mark.parametrize("module_name", MODULES)

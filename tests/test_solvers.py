@@ -35,7 +35,7 @@ from dsr.volumes import (
     occupancy,
     snr_db,
 )
-from oracles import objective_nuclear_naive, phi_step_dense, prox_low_rank_ref
+from oracles import iterate_ref, objective_nuclear_naive, phi_step_dense, prox_low_rank_ref
 
 GEOM = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=4)
 
@@ -334,6 +334,33 @@ def test_prox_round_off_leaves_solves_unchanged(monkeypatch, algo):
     assert rep.iterations == rep_ref.iterations
     assert (np.linalg.norm(est.values - est_ref.values)
             <= 1e-10 * np.linalg.norm(est_ref.values))
+
+
+@pytest.mark.parametrize("lam", [0.5, 12.0])
+@pytest.mark.parametrize("algo", ["gds3d", "gds2d", "ds3d", "admm3d"])
+def test_solve_matches_whole_table_reference(algo, lam):
+    """run_pipeline's solve agrees with ``oracles.iterate_ref``, the two
+    update rules applied to the whole table at once: the same iterations,
+    estimate bytes and relative changes, and the primal residual to
+    round-off (the reference sums its squares whole, the solver chunk by
+    chunk). The table's 600 groups span three chunks, the last one partial."""
+    dims = FrameDims(32, 32, 6)
+    ref, guide = synth_scene(default_scene(dims))
+    psi = add_noise(apply_sampling(SamplingOperator.decimation(dims, 3), ref), 30.0, 0)
+    cfg = SolverConfig(algo=algo, lam=lam, max_iter=25, tol=1e-3)
+    est, rep = run_pipeline(psi, guide, cfg)
+
+    init = default_initialization(psi)
+    table = build_groups(init if algo == "ds3d" else guide, cfg.geometry)
+    assert 2 * patches_mod.CHUNK_GROUPS < table.n_groups < 3 * patches_mod.CHUNK_GROUPS
+    expect, trace = iterate_ref(psi, table, cfg, init.values)
+    assert est.values.tobytes() == expect.tobytes()
+    assert [e.rel_change for e in rep.trace] == [change for change, _ in trace]
+    for entry, (_, resid) in zip(rep.trace, trace):
+        if resid is None:
+            assert entry.primal_residual is None
+        else:
+            assert entry.primal_residual == pytest.approx(resid, rel=1e-12, abs=0.0)
 
 
 class TestVanishingRegularization:
