@@ -85,7 +85,10 @@ class TestPhiSteps:
         assert out[1] == pytest.approx(2.0)  # rho*bt_z / (rho*counts)
         assert out[0] == pytest.approx(9.0 / 3.0)
 
-    @pytest.mark.parametrize("step", [admm_phi_step, simplified_phi_step])
+    # Explicit ids: the two names bind one function, so ``__name__`` would
+    # give both cases the same id.
+    @pytest.mark.parametrize("step", [admm_phi_step, simplified_phi_step],
+                             ids=["admm_phi_step", "simplified_phi_step"])
     def test_out_gives_the_same_bytes(self, rng, step):
         """Written into ``out``, also when ``out`` is the feedback volume,
         the step has the bytes of ``(ht_psi + rho * feedback) / denom``."""
