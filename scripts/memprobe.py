@@ -8,14 +8,18 @@ stages of ``run_pipeline`` one at a time: the initialization, block
 matching, the reference counts and a solve of a fixed number of iterations
 (tolerance 0). After each stage it prints the process's peak resident set
 (``ru_maxrss``) and the minor page faults (``ru_minflt``) the stage took;
-the solve's faults are also given per iteration. BLAS runs on one thread
-unless the environment says otherwise, as in ``perfbench``.
+the solve's faults are also given per iteration. The solve also reports
+its ``tracemalloc`` peak in volumes (8 bytes per voxel): the working set
+that the solve allocates beyond the initialization and the cached counts.
+BLAS runs on one thread unless the environment says otherwise, as in
+``perfbench``.
 """
 
 import argparse
 import os
 import resource
 import sys
+import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -62,11 +66,21 @@ def main(argv=None) -> int:
     report("match")
     table.counts()
     report("counts")
-    _, rep = solve(psi, table, cfg, init=init)
+    tracemalloc.start()
+    try:
+        _, rep = solve(psi, table, cfg, init=init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     faults = report("solve")
+    volume = 8 * depth.dims.total_voxels
+    geom = table.geometry
+    dual = (table.n_groups * geom.group_size * geom.patch_side ** 2 * 8
+            if args.algo == "admm3d" else 0)
     print(f"solve: {rep.iterations} iterations, {faults / rep.iterations:.1f} minor "
           f"page faults per iteration, {-(-table.n_groups // CHUNK_GROUPS)} chunks of "
-          f"at most {CHUNK_GROUPS} groups")
+          f"at most {CHUNK_GROUPS} groups, traced peak {peak / volume:.2f} volumes "
+          f"({peak / 1e6:.1f} MB" + (f", {dual / volume:.2f} of them the dual)" if dual else ")"))
     return 0
 
 

@@ -4,10 +4,13 @@ Both solvers run one loop that alternates a blockwise low-rank proximal step
 (one pass over the group table's chunks) with a per-voxel quadratic
 data-consistency step. Because the sampling operator is a selection and the
 patch operator's normal matrix is the diagonal reference-count matrix, every
-quadratic subproblem is a pointwise division, the same one for both. ADMM
-carries a dual variable enforcing agreement between the block estimates and
-the volume; the simplified variants drop it and re-aggregate blocks by
-count-normalized averaging, which spreads the regularization evenly.
+quadratic subproblem is a pointwise division, the same one for both, and
+only the sampled voxels read a measurement. ADMM carries a dual variable
+enforcing agreement between the block estimates and the volume; the
+simplified variants drop it and re-aggregate blocks by count-normalized
+averaging, which spreads the regularization evenly. Each solve rotates two
+volumes, the feedback that becomes the new iterate and the old iterate
+that becomes the change, and never copies its initialization.
 
 Algorithm variants select what drives the block matching: the intensity guide
 (gds3d, gds2d, admm3d), or the interpolated depth itself (ds3d). gds2d
@@ -29,10 +32,8 @@ from .volumes import (
     DepthVolume,
     Measurements,
     SamplingOperator,
-    adjoint_sampling,
     linear_interpolate,
     mask_fill,
-    occupancy,
     snr_db,
 )
 
@@ -159,16 +160,25 @@ class SolveReport:
     lam: float | None = None
 
 
-def admm_phi_step(ht_psi: np.ndarray, denom: np.ndarray, feedback: np.ndarray, rho: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def admm_phi_step(psi: Measurements, base: np.ndarray | float, feedback: np.ndarray,
+                  rho: float, out: np.ndarray | None = None) -> np.ndarray:
     """The data step of every solver, a diagonal solve per voxel:
-    (measured value + rho * feedback) / denom. admm3d feeds back its
-    dual-corrected block sum over occupancy + rho * count; the simplified
-    solvers their count-normalized block average over occupancy + rho.
-    The result goes into ``out`` when given."""
+    (H^T psi + rho * feedback) / (base + occupancy). admm3d feeds back its
+    dual-corrected block sum over the volume ``base = rho * counts``; the
+    simplified solvers their count-normalized block average over the
+    scalar ``base = rho``. H is a selection, so only the sampled voxels
+    ``psi.operator.indices`` add a measured value to the numerator and 1
+    to the denominator, and no adjoint or occupancy volume is formed. The
+    result goes into ``out`` when given, which may be ``feedback`` itself;
+    it has the bytes of the dense formula."""
+    idx = psi.operator.indices
     out = np.multiply(rho, feedback, out=out)
-    out += ht_psi
-    out /= denom
+    sampled = out[idx]
+    sampled += psi.values
+    sampled /= (base[idx] if np.ndim(base) else base) + 1.0
+    out += 0.0  # the adjoint's zeros: they turn an underflowed -0.0 into +0.0
+    out /= base
+    out[idx] = sampled
     return out
 
 
@@ -197,12 +207,22 @@ def _relative(change: float, scale: float) -> float:
     return change / scale if scale > 0 else change
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of ``x``. Where the plain norm's sum of squares overflows,
+    the same norm by ``hypot``, which rescales as it goes and allocates no
+    volume; every finite plain norm is returned as it is."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    return norm if math.isfinite(norm) else float(np.hypot.reduce(x))
+
+
 @dataclass
 class _Workspace:
     """One solve's chunk buffers, allocated once before its volumes and
     reused by every chunk of every block pass: the gather index, the
     gathered blocks (which the simplified solvers shrink in place), admm3d's
-    stack for its dual arithmetic, and the prox's Gram and squaring stacks."""
+    stack for its dual arithmetic, and the prox's Gram and squaring stacks.
+    The two volumes a solve rotates are ``_iterate``'s, not the workspace's."""
 
     index: np.ndarray
     blocks: np.ndarray
@@ -236,9 +256,14 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     blocks and the dual and sums the next feedback ``blocks + dual / rho``.
 
     Every pass streams the table's chunks through one workspace allocated
-    per solve, and the iterate alternates between two volumes, so after
-    set-up no iteration allocates a chunk-sized stack or a volume: besides
-    admm3d's dual the working memory is five volumes and one chunk.
+    per solve, and the solve owns two volumes that rotate. The block pass
+    writes the feedback into one, the data step turns it into the new
+    iterate in place, and the change of the iterate goes into the other:
+    a spare in the first iteration, since ``init`` is the caller's and only
+    read, and from then on the old iterate's own buffer. admm3d's next pass
+    writes into that same buffer. So after set-up no iteration allocates a
+    chunk-sized stack or a volume: the working memory is two volumes and
+    one chunk, plus admm3d's dual and its ``rho * counts`` volume.
     """
     t_start = time.perf_counter()
     admm = cfg.algo == "admm3d"
@@ -246,18 +271,11 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     op = psi.operator
     rho = cfg.rho
     counts = table.counts()
-    ht_psi = adjoint_sampling(op, psi).values
-    # the data step's per-voxel denominator, occ + rho * counts or occ + rho
-    if admm:
-        denom = counts * rho
-        denom += occupancy(op)
-    else:
-        denom = occupancy(op) + rho
+    # the data step's denominator less the occupancy
+    base = counts * rho if admm else rho
 
-    phi = (init if init is not None else default_initialization(psi)).values.copy()
-    new = np.empty_like(phi)
-    # the data step's feedback, then the change of the iterate
-    block_sum = np.empty_like(phi)
+    phi = (init if init is not None else default_initialization(psi)).values
+    feedback, spare = np.empty_like(phi), np.empty_like(phi)
     if admm:
         dual = np.zeros((table.n_groups, *table.chunk_shape()[1:]))
 
@@ -275,7 +293,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
             return blocks
 
         # blocks start as exact extractions of the initialization, the dual at zero
-        ws.block_pass(phi, table, block_sum, lambda groups, blocks: blocks)
+        ws.block_pass(phi, table, feedback, lambda groups, blocks: blocks)
     else:
         def update(groups, blocks):
             return prox_low_rank(blocks, cfg.lam, cfg.nu, out=blocks, work=ws.prox)
@@ -284,22 +302,25 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
         if not admm:
-            ws.block_pass(phi, table, block_sum, update)
-            block_sum /= counts
-        (admm_phi_step if admm else simplified_phi_step)(ht_psi, denom, block_sum, rho, out=new)
+            ws.block_pass(phi, table, feedback, update)
+            feedback /= counts
+        new = (admm_phi_step if admm else simplified_phi_step)(psi, base, feedback, rho,
+                                                               out=feedback)
         if not all_finite(new):
             raise NumericError("iterate diverged to non-finite values")
-        change = np.subtract(new, phi, out=block_sum)
-        entry = TraceEntry(rel_change=_relative(float(np.linalg.norm(change)),
-                                                float(np.linalg.norm(phi))))
+        # from the second iteration on the change overwrites phi: norm it first
+        scale = _norm(phi)
+        entry = TraceEntry(rel_change=_relative(_norm(np.subtract(new, phi, out=spare)),
+                                                scale))
         if admm:
             extracted_sq = resid_sq = 0.0
-            ws.block_pass(new, table, block_sum, update)
+            ws.block_pass(new, table, spare, update)
             entry.primal_residual = _relative(math.sqrt(resid_sq), math.sqrt(extracted_sq))
         if cfg.track_objective:
             entry.objective = objective_nuclear(DepthVolume(op.dims, new),
                                                 psi, op, table, cfg.lam)
-        phi, new = new, phi
+        phi = new
+        feedback, spare = spare, new
         trace.append(entry)
         # the initialization is a fixed point of the first ADMM volume update
         # (blocks start as exact extractions), so the change test is only

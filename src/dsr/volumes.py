@@ -23,7 +23,6 @@ __all__ = [
     "Measurements",
     "apply_sampling",
     "adjoint_sampling",
-    "occupancy",
     "add_noise",
     "snr_db",
     "per_frame_snr",
@@ -185,11 +184,6 @@ def adjoint_sampling(op: SamplingOperator, m: Measurements) -> DepthVolume:
     out = np.zeros(op.dims.total_voxels)
     out[op.indices] = m.values
     return DepthVolume(op.dims, out)
-
-
-def occupancy(op: SamplingOperator) -> np.ndarray:
-    """Per-voxel measurement indicator, the diagonal of the operator's normal matrix."""
-    return op.mask.astype(np.int64)
 
 
 def snr_db(ref, est) -> float:

@@ -15,6 +15,13 @@ from dsr.patches import extract_blocks, scatter_sum
 from dsr.shrinkage import prox_low_rank
 
 
+# ---------------------------------------------------------------- sampling
+
+def occupancy(op) -> np.ndarray:
+    """Per-voxel measurement indicator, the diagonal of the operator's normal matrix."""
+    return op.mask.astype(np.int64)
+
+
 # ---------------------------------------------------------------- matching
 
 def grid_positions_naive(extent: int, patch: int, stride: int) -> list[int]:

@@ -33,10 +33,9 @@ from dsr.volumes import (
     adjoint_sampling,
     apply_sampling,
     mask_fill,
-    occupancy,
     snr_db,
 )
-from oracles import nuclear_objective_oracle
+from oracles import nuclear_objective_oracle, occupancy
 
 
 def _verdict(capsys, name, ok, detail):

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -495,6 +496,7 @@ class TestScripts:
         assert [line.split()[0] for line in stages] == ["init", "match", "counts", "solve"]
         assert all(float(line.split()[1]) > 0 and int(line.split()[2]) >= 0 for line in stages)
         assert summary.startswith("solve: 3 iterations, ")
+        assert re.search(r", traced peak \d+\.\d\d volumes \(", summary)
 
 
 class TestConsoleScript:

@@ -17,11 +17,10 @@ from dsr.volumes import (
     apply_sampling,
     linear_interpolate,
     mask_fill,
-    occupancy,
     per_frame_snr,
     snr_db,
 )
-from oracles import bilinear_naive, mask_fill_ref, nearest_fill_naive
+from oracles import bilinear_naive, mask_fill_ref, nearest_fill_naive, occupancy
 
 
 class TestFrameDims:
