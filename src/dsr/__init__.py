@@ -8,7 +8,6 @@ from .volumes import (
     Measurements,
     SamplingOperator,
     add_noise,
-    adjoint_sampling,
     apply_sampling,
     linear_interpolate,
     mask_fill,
@@ -18,12 +17,10 @@ from .volumes import (
 from .patches import (
     PatchGeometry,
     PatchGroupTable,
-    aggregate_average,
     build_groups,
-    extract_blocks,
     scatter_sum,
 )
-from .shrinkage import nu_shrink, prox_low_rank, prox_nuclear
+from .shrinkage import nu_shrink, prox_low_rank
 from .solvers import (
     SolveReport,
     SolverConfig,

@@ -1,12 +1,13 @@
-"""Motion-adaptive block matching and the patch extraction/aggregation operators.
+"""Motion-adaptive block matching and the patch gather/scatter operators.
 
 Reference patches sit on a stride grid per frame (last row/column clamped so
 borders stay covered). For each reference, the L most similar patches inside
 a clamped space-time search window are grouped; similarity is the sum of
 squared differences on the guide volume, so grouping follows object motion
 without explicit motion estimation. Grouped patches form B x L blocks whose
-columns are vectorized patches; the adjoint scatters block entries back and
-the diagonal of the composed operator is the per-voxel reference count.
+columns are vectorized patches, gathered one chunk of groups at a time
+through the table's gather index; ``scatter_sum`` adds block entries back,
+and the diagonal of the composed operator is the per-voxel reference count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import DataError
 from .volumes import FrameDims
 
 __all__ = ["PatchGeometry", "PatchGroupTable", "check_geometry", "build_groups",
-           "extract_blocks", "scatter_sum", "compute_counts", "aggregate_average"]
+           "scatter_sum", "compute_counts"]
 
 #: Groups per chunk of the solver's gather -> prox -> scatter pass, which
 #: holds one chunk's index and blocks at a time, and about the references
@@ -366,27 +367,14 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     return PatchGroupTable(geom, guide.dims, members.reshape(-1, geom.group_size, 3))
 
 
-def extract_blocks(values: np.ndarray, table: PatchGroupTable) -> np.ndarray:
-    """Gather all groups at once, shape (P, B, L)."""
-    return values[table.gather_indices()]
-
-
-def scatter_sum(blocks: np.ndarray, table: PatchGroupTable, out: np.ndarray | None = None,
-                idx: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint of :func:`extract_blocks`: add block entries onto the voxel grid.
-
-    The blocks are the whole table's, or one chunk's when its gather index
-    ``idx`` is given. The sum is added into ``out`` (a new zero volume by
-    default) and returned. Entries are added one by one in index order, so
-    chunks added in table order give the bytes of one whole-table sum.
+def scatter_sum(blocks: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Adjoint of the gather ``values[idx]``: add the block entries of one
+    chunk, whose gather index is ``idx``, into the volume ``out`` and return
+    it. Entries are added one by one in index order, so chunks added in
+    table order give the bytes of one whole-table sum.
     """
-    if idx is None:
-        idx = table.gather_indices()
     if blocks.shape != idx.shape:
-        raise DataError(f"blocks shape {blocks.shape} does not match table "
-                        f"shape {idx.shape}")
-    if out is None:
-        out = np.zeros(table.dims.total_voxels)
+        raise DataError(f"blocks shape {blocks.shape} does not match index shape {idx.shape}")
     np.add.at(out, idx.reshape(-1), blocks.reshape(-1))
     return out
 
@@ -397,17 +385,3 @@ def compute_counts(table: PatchGroupTable) -> np.ndarray:
     for _, idx in table.chunks():
         np.add.at(counts, idx.reshape(-1), 1)
     return counts
-
-
-def aggregate_average(table: PatchGroupTable, blocks) -> np.ndarray:
-    """Count-normalized adjoint placement: the overcomplete patch average.
-
-    Feeding back the blocks extracted from a volume reproduces that volume
-    exactly, which makes this the natural return path from block space.
-    """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    counts = table.counts()
-    if np.any(counts == 0):
-        raise DataError("group table does not cover every voxel")
-    return scatter_sum(blocks, table) / counts
-

@@ -28,7 +28,6 @@ from .errors import DataError, NumericError, all_finite
 __all__ = [
     "shrink_threshold",
     "nu_shrink",
-    "prox_nuclear",
     "prox_low_rank",
     "prox_work",
 ]
@@ -160,18 +159,6 @@ def _rescaled_shrink(blocks: np.ndarray, fn) -> np.ndarray:
                             lambda s: fn(s * scale[:, None]))
 
 
-def prox_nuclear(mat: np.ndarray, lam: float) -> np.ndarray:
-    """Singular value soft thresholding, the proximal map of lam * nuclear norm.
-
-    Accepts a single matrix or a stack of matrices (leading axes broadcast).
-    """
-    if lam < 0:
-        raise DataError(f"lam must be nonnegative, got {lam}")
-    if lam == 0:
-        return np.asarray(mat, dtype=np.float64).copy()
-    return prox_low_rank(mat, lam, 1.0)
-
-
 def prox_work(n_blocks: int, rows: int, cols: int) -> np.ndarray:
     """Scratch for ``prox_low_rank(..., work=)`` on up to n_blocks blocks of
     rows x cols: the Gram stack and two squaring stacks, each (n, k, k)
@@ -183,7 +170,8 @@ def prox_work(n_blocks: int, rows: int, cols: int) -> np.ndarray:
 def prox_low_rank(mat: np.ndarray, lam: float, nu: float, out: np.ndarray | None = None,
                   work: np.ndarray | None = None) -> np.ndarray:
     """Apply ``nu_shrink`` to the singular values; proximal map of the
-    nonconvex low-rank penalty. Reduces to ``prox_nuclear`` at nu = 1.
+    nonconvex low-rank penalty, and at nu = 1 singular value soft
+    thresholding, the proximal map of lam times the nuclear norm.
 
     Accepts a single matrix or a stack. Each block B takes one of three
     routes, decided from B alone, so a stack's result does not depend on

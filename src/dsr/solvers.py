@@ -31,7 +31,6 @@ from .shrinkage import prox_low_rank, prox_work
 from .volumes import (
     DepthVolume,
     Measurements,
-    SamplingOperator,
     linear_interpolate,
     mask_fill,
     snr_db,
@@ -46,7 +45,6 @@ __all__ = [
     "SolveReport",
     "default_initialization",
     "admm_phi_step",
-    "simplified_phi_step",
     "objective_nuclear",
     "solve_admm",
     "solve_simplified",
@@ -182,10 +180,6 @@ def admm_phi_step(psi: Measurements, base: np.ndarray | float, feedback: np.ndar
     return out
 
 
-# one step under both names: perfbench/tracing.py times each by its name
-simplified_phi_step = admm_phi_step
-
-
 def default_initialization(psi: Measurements) -> DepthVolume:
     """Interpolate decimation measurements, nearest-fill mask measurements."""
     if psi.operator.kind == "decimation":
@@ -193,10 +187,10 @@ def default_initialization(psi: Measurements) -> DepthVolume:
     return mask_fill(psi)
 
 
-def objective_nuclear(phi: DepthVolume, psi: Measurements, op: SamplingOperator,
-                      table: PatchGroupTable, lam: float) -> float:
+def objective_nuclear(phi: DepthVolume, psi: Measurements, table: PatchGroupTable,
+                      lam: float) -> float:
     """Data misfit plus lam times the summed nuclear norms of all blocks, chunk by chunk."""
-    resid = psi.values - phi.values[op.indices]
+    resid = psi.values - phi.values[psi.operator.indices]
     nuclear = sum(float(np.linalg.svd(phi.values[idx], compute_uv=False).sum())
                   for _, idx in table.chunks())
     return 0.5 * float(resid @ resid) + lam * nuclear
@@ -245,7 +239,7 @@ class _Workspace:
         out.fill(0.0)
         for groups, idx in table.chunks(self.index):
             blocks = np.take(values, idx, out=self.blocks[:len(idx)], mode="clip")
-            scatter_sum(update(groups, blocks), table, out, idx)
+            scatter_sum(update(groups, blocks), idx, out)
 
 
 def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
@@ -304,8 +298,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
         if not admm:
             ws.block_pass(phi, table, feedback, update)
             feedback /= counts
-        new = (admm_phi_step if admm else simplified_phi_step)(psi, base, feedback, rho,
-                                                               out=feedback)
+        new = admm_phi_step(psi, base, feedback, rho, out=feedback)
         if not all_finite(new):
             raise NumericError("iterate diverged to non-finite values")
         # from the second iteration on the change overwrites phi: norm it first
@@ -317,8 +310,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
             ws.block_pass(new, table, spare, update)
             entry.primal_residual = _relative(math.sqrt(resid_sq), math.sqrt(extracted_sq))
         if cfg.track_objective:
-            entry.objective = objective_nuclear(DepthVolume(op.dims, new),
-                                                psi, op, table, cfg.lam)
+            entry.objective = objective_nuclear(DepthVolume(op.dims, new), psi, table, cfg.lam)
         phi = new
         feedback, spare = spare, new
         trace.append(entry)

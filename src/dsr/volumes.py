@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, check_seed
+from .errors import DataError, all_finite, check_seed
 
 __all__ = [
     "FrameDims",
@@ -22,7 +22,6 @@ __all__ = [
     "SamplingOperator",
     "Measurements",
     "apply_sampling",
-    "adjoint_sampling",
     "add_noise",
     "snr_db",
     "per_frame_snr",
@@ -66,7 +65,7 @@ class _Volume:
         if arr.size != self.dims.total_voxels:
             raise DataError(f"value array has {arr.size} entries, "
                             f"dims require {self.dims.total_voxels}")
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise DataError("volume values must be finite")
         self.values = arr
 
@@ -175,15 +174,6 @@ def apply_sampling(op: SamplingOperator, vol: DepthVolume) -> Measurements:
     if vol.dims != op.dims:
         raise DataError(f"volume dims {vol.dims} do not match operator dims {op.dims}")
     return Measurements(vol.values[op.indices].copy(), op)
-
-
-def adjoint_sampling(op: SamplingOperator, m: Measurements) -> DepthVolume:
-    """Scatter measurements back onto the voxel grid; unmeasured voxels are 0."""
-    if m.operator != op:
-        raise DataError("measurements were not produced by this operator")
-    out = np.zeros(op.dims.total_voxels)
-    out[op.indices] = m.values
-    return DepthVolume(op.dims, out)
 
 
 def snr_db(ref, est) -> float:

@@ -3,7 +3,7 @@
 Everything here favors obviousness over speed: explicit loops, textbook
 formulas, library one-liners (np.interp), and a long-run primal-dual solver
 for the convex objective. None of it shares code paths with dsr itself,
-except ``iterate_ref``, which runs the package's extraction, prox and
+except ``iterate_ref``, which runs the package's gather index, prox and
 scatter on the whole table to check the solver loop around them.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dsr.patches import extract_blocks, scatter_sum
+from dsr.patches import scatter_sum
 from dsr.shrinkage import prox_low_rank
 
 
@@ -20,6 +20,13 @@ from dsr.shrinkage import prox_low_rank
 def occupancy(op) -> np.ndarray:
     """Per-voxel measurement indicator, the diagonal of the operator's normal matrix."""
     return op.mask.astype(np.int64)
+
+
+def adjoint_ref(op, values) -> np.ndarray:
+    """H^T: the measured values at their voxels, zero elsewhere."""
+    out = np.zeros(op.dims.total_voxels)
+    out[op.indices] = values
+    return out
 
 
 # ---------------------------------------------------------------- matching
@@ -196,24 +203,29 @@ def iterate_ref(psi, table, cfg, init: np.ndarray) -> tuple[np.ndarray, list]:
     occ, ht_psi = np.zeros(n), np.zeros(n)
     occ[psi.operator.indices] = 1.0
     ht_psi[psi.operator.indices] = psi.values
-    counts = scatter_sum(np.ones(table.gather_indices().shape), table)
+    idx = table.gather_indices()
+
+    def scatter(blocks):
+        return scatter_sum(blocks, idx, np.zeros(n))
+
+    counts = scatter(np.ones(idx.shape))
     admm = cfg.algo == "admm3d"
     phi = init.copy()
     if admm:
-        feedback = scatter_sum(extract_blocks(phi, table), table)
-        dual = np.zeros(table.gather_indices().shape)
+        feedback = scatter(phi[idx])
+        dual = np.zeros(idx.shape)
     trace = []
     for k in range(cfg.max_iter):
         if admm:
             new = (ht_psi + rho * feedback) / (occ + rho * counts)
-            b_phi = extract_blocks(new, table)
+            b_phi = new[idx]
             z = prox_low_rank(b_phi - dual / rho, cfg.lam / rho, cfg.nu)
             dual = dual + rho * (z - b_phi)
-            feedback = scatter_sum(z + dual / rho, table)
+            feedback = scatter(z + dual / rho)
             trace.append((relative(new - phi, phi), relative(z - b_phi, b_phi)))
         else:
-            shrunk = prox_low_rank(extract_blocks(phi, table), cfg.lam, cfg.nu)
-            new = (ht_psi + rho * (scatter_sum(shrunk, table) / counts)) / (occ + rho)
+            shrunk = prox_low_rank(phi[idx], cfg.lam, cfg.nu)
+            new = (ht_psi + rho * (scatter(shrunk) / counts)) / (occ + rho)
             trace.append((relative(new - phi, phi), None))
         phi = new
         if k >= 1 and trace[-1][0] <= cfg.tol:

@@ -31,8 +31,9 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 SOURCES = sorted(Path(dsr.__file__).parent.glob("*.py"))
 
 #: hooks the tracer still lists although the program no longer has them
-#: (the stop test became inline in the solver loop)
-EXPECTED_MISSING = {("dsr.solvers", "stop_check")}
+#: (the stop test became inline in the solver loop, and every solver's data
+#: step is ``admm_phi_step``)
+EXPECTED_MISSING = {("dsr.solvers", "stop_check"), ("dsr.solvers", "simplified_phi_step")}
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(dsr.__path__, "dsr.")
                  if name != "dsr.__main__")
@@ -83,8 +84,7 @@ def test_solver_loop_calls_tracer_hooks_every_iteration(monkeypatch, algo):
         return wrapper
 
     for owner, attr in ((dsr.solvers, "prox_low_rank"), (dsr.solvers, "scatter_sum"),
-                        (PatchGroupTable, "gather_indices"),
-                        (dsr.solvers, "simplified_phi_step"), (dsr.solvers, "admm_phi_step")):
+                        (PatchGroupTable, "gather_indices"), (dsr.solvers, "admm_phi_step")):
         monkeypatch.setattr(owner, attr, logged(attr, getattr(owner, attr)))
     cfg = SolverConfig(algo=algo, lam=0.5, max_iter=2, tol=0.0, geometry=geom)
     _, report = dsr.solvers._iterate(psi, table, cfg, None)
@@ -124,6 +124,29 @@ def test_exported_names_exist(module_name):
     module = importlib.import_module(module_name)
     stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not stale, f"{module_name}.__all__ lists missing names {stale}"
+
+
+def test_every_exported_name_is_used_by_the_package():
+    """Each name in a module's ``__all__`` is loaded by code in ``src/dsr``
+    (a name, an attribute or a ``from`` import), besides ``__init__.py``,
+    which only re-exports: a public operator that no pipeline path runs is
+    deleted, not kept for the tests. Its own definition or a docstring does
+    not count."""
+    used = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [f"{module_name}.{name}" for module_name in MODULES
+              for name in getattr(importlib.import_module(module_name), "__all__", ())
+              if name not in used]
+    assert not unused, f"exported but used by no code in the package: {unused}"
 
 
 def test_each_public_name_has_one_home():

@@ -11,14 +11,13 @@ from dsr.errors import DataError
 from dsr.patches import (
     PatchGeometry,
     PatchGroupTable,
-    aggregate_average,
     build_groups,
     compute_counts,
-    extract_blocks,
     grid_positions,
     scatter_sum,
 )
 from dsr.scenes import default_scene, synth_scene
+from dsr.solvers import _Workspace
 from dsr.volumes import FrameDims, IntensityVolume
 from oracles import counts_naive, extract_naive, match_groups_naive, scatter_naive
 
@@ -27,6 +26,27 @@ SMALL_GEOM = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=
 
 def _table(guide, geom=SMALL_GEOM):
     return build_groups(guide, geom)
+
+
+def _gather(values, table):
+    """The solver's gather, chunk by chunk: ``values[idx]`` over ``table.chunks``."""
+    return np.concatenate([values[idx] for _, idx in table.chunks()])
+
+
+def _scatter(blocks, table):
+    """The whole stack's sum, added chunk by chunk into one zero volume."""
+    out = np.zeros(table.dims.total_voxels)
+    for groups, idx in table.chunks():
+        scatter_sum(blocks[groups], idx, out)
+    return out
+
+
+def _average(values, table):
+    """The simplified solvers' feedback on unshrunk blocks: the block pass
+    with an identity update, divided by the reference counts."""
+    out = np.empty(table.dims.total_voxels)
+    _Workspace.allocate(table, admm=False).block_pass(values, table, out, lambda g, b: b)
+    return out / table.counts()
 
 
 def _padded(members) -> bool:
@@ -230,7 +250,7 @@ class TestBuildGroups:
 class TestBlockOperators:
     def test_extract_against_naive(self, random_volume, random_guide):
         table = _table(random_guide)
-        blocks = extract_blocks(random_volume.values, table)
+        blocks = _gather(random_volume.values, table)
         assert blocks.shape == (table.n_groups, 9, 4)
         frames = random_volume.frames()
         for p in range(table.n_groups):
@@ -239,16 +259,16 @@ class TestBlockOperators:
 
     def test_batched_extract_matches_per_group(self, random_volume, random_guide):
         table = _table(random_guide)
-        blocks = extract_blocks(random_volume.values, table)
+        blocks = _gather(random_volume.values, table)
         for p in range(0, table.n_groups, 5):
             single = PatchGroupTable(table.geometry, table.dims, table.members[p:p + 1])
             np.testing.assert_array_equal(
-                blocks[p], extract_blocks(random_volume.values, single)[0])
+                blocks[p], _gather(random_volume.values, single)[0])
 
     def test_scatter_against_naive(self, rng, random_guide):
         table = _table(random_guide)
         blocks = rng.standard_normal((table.n_groups, 9, 4))
-        got = scatter_sum(blocks, table)
+        got = _scatter(blocks, table)
         naive_groups = [[tuple(map(int, trip)) for trip in table.members[p]]
                         for p in range(table.n_groups)]
         d = random_guide.dims
@@ -259,14 +279,15 @@ class TestBlockOperators:
     def test_scatter_shape_checked(self, random_guide):
         table = _table(random_guide)
         with pytest.raises(DataError):
-            scatter_sum(np.zeros((table.n_groups, 9, 3)), table)
+            scatter_sum(np.zeros((table.n_groups, 9, 3)), table.gather_indices(),
+                        np.zeros(table.dims.total_voxels))
 
     def test_adjoint_identity(self, rng, random_volume, random_guide):
         """<B x, Y> == <x, B^T Y> for random volume x and block stack Y."""
         table = _table(random_guide)
         y = rng.standard_normal((table.n_groups, 9, 4))
-        lhs = float(np.sum(extract_blocks(random_volume.values, table) * y))
-        rhs = float(random_volume.values @ scatter_sum(y, table))
+        lhs = float(np.sum(_gather(random_volume.values, table) * y))
+        rhs = float(random_volume.values @ _scatter(y, table))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_counts_against_naive(self, random_guide):
@@ -284,7 +305,7 @@ class TestBlockOperators:
         table = _table(random_guide)
         ones = np.ones((table.n_groups, 9, 4))
         np.testing.assert_array_equal(compute_counts(table),
-                                      scatter_sum(ones, table).astype(np.int64))
+                                      _scatter(ones, table).astype(np.int64))
 
     @pytest.mark.parametrize("chunk", [1, 7, 10_000])
     def test_chunks_write_into_one_buffer(self, monkeypatch, random_guide, chunk):
@@ -345,9 +366,7 @@ class TestBlockOperators:
             next(bad.chunks())
 
     def test_aggregate_reconstructs_exactly(self, random_volume, random_guide):
-        table = _table(random_guide)
-        blocks = extract_blocks(random_volume.values, table)
-        out = aggregate_average(table, blocks)
+        out = _average(random_volume.values, _table(random_guide))
         np.testing.assert_allclose(out, random_volume.values, atol=1e-12)
 
 
@@ -374,20 +393,18 @@ def test_group_operators_property(data):
     try:
         counts = table.counts()
         weights = rng.standard_normal((table.n_groups, patch * patch, big_l))
-        chunked = np.zeros(dims.total_voxels)
-        for groups, idx in table.chunks():
-            scatter_sum(weights[groups], table, chunked, idx)
+        chunked = _scatter(weights, table)
+        average = _average(vol_values, table)
     finally:
         patches_mod.CHUNK_GROUPS = saved
     flat = table.gather_indices().reshape(-1)
     assert counts.tobytes() == np.bincount(flat, minlength=dims.total_voxels).tobytes()
     whole = np.bincount(flat, weights=weights.reshape(-1), minlength=dims.total_voxels)
-    assert scatter_sum(weights, table).tobytes() == whole.tobytes()
+    assert scatter_sum(weights, table.gather_indices(),
+                       np.zeros(dims.total_voxels)).tobytes() == whole.tobytes()
     assert chunked.tobytes() == whole.tobytes()
     assert counts.min() >= 1
-    blocks = extract_blocks(vol_values, table)
-    np.testing.assert_allclose(aggregate_average(table, blocks), vol_values,
-                               atol=1e-10)
+    np.testing.assert_allclose(average, vol_values, atol=1e-10)
     # every stored member must be a valid patch position
     assert np.all(table.members[:, :, 0] <= w - patch)
     assert np.all(table.members[:, :, 1] <= h - patch)

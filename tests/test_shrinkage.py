@@ -8,7 +8,6 @@ from dsr.errors import DataError
 from dsr.shrinkage import (
     nu_shrink,
     prox_low_rank,
-    prox_nuclear,
     prox_work,
     shrink_threshold,
 )
@@ -98,39 +97,35 @@ class TestNuShrink:
 
 
 class TestProxNuclear:
+    """Singular value soft thresholding is the low-rank prox at nu = 1."""
+
     def test_diagonal_example(self):
-        out = prox_nuclear(np.diag([3.0, 1.0]), 1.0)
+        out = prox_low_rank(np.diag([3.0, 1.0]), 1.0, 1.0)
         np.testing.assert_allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_matches_reference(self, rng):
         for _ in range(10):
             mat = rng.standard_normal((6, 4)) * 2
-            np.testing.assert_allclose(prox_nuclear(mat, 0.8),
+            np.testing.assert_allclose(prox_low_rank(mat, 0.8, 1.0),
                                        prox_nuclear_ref(mat, 0.8), atol=1e-10)
 
     def test_batch_matches_loop(self, rng):
         stack = rng.standard_normal((5, 4, 3))
-        out = prox_nuclear(stack, 0.5)
+        out = prox_low_rank(stack, 0.5, 1.0)
         for i in range(5):
-            np.testing.assert_allclose(out[i], prox_nuclear(stack[i], 0.5),
+            np.testing.assert_allclose(out[i], prox_low_rank(stack[i], 0.5, 1.0),
                                        atol=1e-12)
-
-    def test_zero_lam_is_copy(self, rng):
-        mat = rng.standard_normal((3, 3))
-        out = prox_nuclear(mat, 0.0)
-        np.testing.assert_array_equal(out, mat)
-        assert out is not mat
 
     def test_negative_lam_rejected(self):
         with pytest.raises(DataError):
-            prox_nuclear(np.eye(2), -0.5)
+            prox_low_rank(np.eye(2), -0.5, 1.0)
 
     def test_singular_values_soft_thresholded(self, rng):
         """Output spectrum equals the thresholded input spectrum."""
         mat = rng.uniform(1.0, 3.0, (5, 4))
         lam = 1.2
         sv_in = np.linalg.svd(mat, compute_uv=False)
-        sv_out = np.linalg.svd(prox_nuclear(mat, lam), compute_uv=False)
+        sv_out = np.linalg.svd(prox_low_rank(mat, lam, 1.0), compute_uv=False)
         np.testing.assert_allclose(sv_out, soft_threshold_ref(sv_in, lam),
                                    atol=1e-7)
 
@@ -138,7 +133,7 @@ class TestProxNuclear:
         # Y - prox(Y) is the projection onto the lam spectral ball
         mat = rng.standard_normal((6, 5)) * 3
         lam = 1.0
-        resid = mat - prox_nuclear(mat, lam)
+        resid = mat - prox_low_rank(mat, lam, 1.0)
         sv_resid = np.linalg.svd(resid, compute_uv=False)
         sv_in = np.linalg.svd(mat, compute_uv=False)
         np.testing.assert_allclose(sv_resid, np.minimum(sv_in, lam), atol=1e-10)
@@ -148,7 +143,7 @@ class TestProxLowRank:
     def test_nu_one_equals_nuclear(self, rng):
         mat = rng.standard_normal((5, 4))
         np.testing.assert_allclose(prox_low_rank(mat, 0.6, 1.0),
-                                   prox_nuclear(mat, 0.6), atol=1e-12)
+                                   prox_nuclear_ref(mat, 0.6), atol=1e-12)
 
     def test_hard_limit_diagonal_example(self):
         out = prox_low_rank(np.diag([3.0, 1.0]), 1.0, 0.0)
@@ -277,16 +272,10 @@ def test_prox_matches_svd_reference(case, lam, nu):
     mat = SVD_REFERENCE_CASES[case]
     tol = 1e-9 * np.abs(mat).max(axis=(-2, -1))
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        checks = [(prox_low_rank(mat, lam, nu), prox_low_rank_ref(mat, lam, nu))]
-        if nu == 1.0:
-            checks.append((prox_nuclear(mat, lam), prox_low_rank_ref(mat, lam, 1.0)))
-    for out, ref in checks:
-        assert out.shape == mat.shape
-        assert np.all(np.isfinite(out))
-        assert np.all(np.abs(out - ref).max(axis=(-2, -1)) <= tol)
-    if nu == 1.0:
-        # the nuclear-norm prox is the nu = 1 low-rank prox, bit for bit
-        assert prox_nuclear(mat, lam).tobytes() == prox_low_rank(mat, lam, 1.0).tobytes()
+        out, ref = prox_low_rank(mat, lam, nu), prox_low_rank_ref(mat, lam, nu)
+    assert out.shape == mat.shape
+    assert np.all(np.isfinite(out))
+    assert np.all(np.abs(out - ref).max(axis=(-2, -1)) <= tol)
 
 
 @pytest.fixture

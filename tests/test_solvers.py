@@ -8,7 +8,7 @@ import pytest
 import dsr.patches as patches_mod
 import dsr.solvers as solvers_mod
 from dsr.errors import DataError
-from dsr.patches import PatchGeometry, PatchGroupTable, build_groups, extract_blocks
+from dsr.patches import PatchGeometry, PatchGroupTable, build_groups
 from dsr.scenes import default_scene, synth_scene
 from dsr.shrinkage import prox_low_rank
 from dsr.solvers import (
@@ -20,7 +20,6 @@ from dsr.solvers import (
     objective_nuclear,
     run_pipeline,
     select_lambda,
-    simplified_phi_step,
     solve_admm,
     solve_simplified,
 )
@@ -83,7 +82,7 @@ class TestPhiSteps:
         psi, occ, ht_psi = _sampled(rng, n)
         phi_tilde = rng.uniform(2, 9, n)
         rho = 1.3
-        got = simplified_phi_step(psi, rho, phi_tilde, rho)
+        got = admm_phi_step(psi, rho, phi_tilde, rho)
         expect = phi_step_dense(occ, np.ones(n), ht_psi, phi_tilde, rho)
         np.testing.assert_allclose(got, expect, atol=1e-8)
 
@@ -95,10 +94,7 @@ class TestPhiSteps:
         assert out[1] == pytest.approx(2.0)  # rho*bt_z / (rho*counts)
         assert out[0] == pytest.approx(9.0 / 3.0)
 
-    # Explicit ids: the two names bind one function, so ``__name__`` would
-    # give both cases the same id.
-    @pytest.mark.parametrize("step", [admm_phi_step, simplified_phi_step],
-                             ids=["admm_phi_step", "simplified_phi_step"])
+    @pytest.mark.parametrize("step", [admm_phi_step])
     def test_out_gives_the_same_bytes(self, rng, step):
         """Written into ``out``, also when ``out`` is the feedback volume,
         and with a volume or a scalar ``base``, the step has the bytes of
@@ -178,7 +174,7 @@ def test_objective_matches_naive(problem, monkeypatch, chunk):
     vol, _, psi, table = problem
     lam = 0.8
     monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", chunk)
-    got = objective_nuclear(vol, psi, psi.operator, table, lam)
+    got = objective_nuclear(vol, psi, table, lam)
     naive_groups = [([tuple(map(int, trip)) for trip in table.members[p]], None)
                     for p in range(table.n_groups)]
     expect = objective_nuclear_naive(vol.frames(), psi.values,
@@ -628,5 +624,5 @@ class TestConvexCrossCheck:
         cfg = SolverConfig(algo="admm3d", lam=lam, nu=1.0, rho=1.0,
                            max_iter=2000, tol=1e-12, geometry=geom)
         est, _ = solve_admm(psi, table, cfg)
-        ours = objective_nuclear(est, psi, op, table, lam)
+        ours = objective_nuclear(est, psi, table, lam)
         assert ours == pytest.approx(prob.value, rel=1e-6)
