@@ -8,7 +8,8 @@ stages of ``run_pipeline`` one at a time: the initialization, block
 matching, the reference counts and a solve of a fixed number of iterations
 (tolerance 0). After each stage it prints the process's peak resident set
 (``ru_maxrss``) and the minor page faults (``ru_minflt``) the stage took;
-the solve's faults are also given per iteration. The solve also reports
+the match line adds the bytes the group table stores per member, and the
+solve's faults are also given per iteration. The solve also reports
 its ``tracemalloc`` peak in volumes (8 bytes per voxel): the working set
 that the solve allocates beyond the initialization and the cached counts.
 BLAS runs on one thread unless the environment says otherwise, as in
@@ -20,6 +21,8 @@ import os
 import resource
 import sys
 import tracemalloc
+
+import numpy as np
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -53,17 +56,18 @@ def main(argv=None) -> int:
     print(f"{'stage':<8} {'maxrss_mb':>10} {'minflt':>9}")
     last = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    def report(stage: str) -> int:
+    def report(stage: str, note: str = "") -> int:
         nonlocal last
         usage = resource.getrusage(resource.RUSAGE_SELF)
         faults, last = usage.ru_minflt - last, usage.ru_minflt
-        print(f"{stage:<8} {usage.ru_maxrss * 1024 / 1e6:>10.1f} {faults:>9}")
+        print(f"{stage:<8} {usage.ru_maxrss * 1024 / 1e6:>10.1f} {faults:>9}{note}")
         return faults
 
     init = default_initialization(psi)
     report("init")
     table = build_groups(guide if args.algo in GUIDED_ALGORITHMS else init, cfg.geometry)
-    report("match")
+    stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+    report("match", f"  table {stored / table.top_left.size:.1f} bytes per member")
     table.counts()
     report("counts")
     tracemalloc.start()

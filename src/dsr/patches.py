@@ -4,10 +4,12 @@ Reference patches sit on a stride grid per frame (last row/column clamped so
 borders stay covered). For each reference, the L most similar patches inside
 a clamped space-time search window are grouped; similarity is the sum of
 squared differences on the guide volume, so grouping follows object motion
-without explicit motion estimation. Grouped patches form B x L blocks whose
-columns are vectorized patches, gathered one chunk of groups at a time
-through the table's gather index; ``scatter_sum`` adds block entries back,
-and the diagonal of the composed operator is the per-voxel reference count.
+without explicit motion estimation. A group is stored once, as the flat
+voxel index of each member's top-left pixel. Grouped patches form B x L
+blocks whose columns are vectorized patches, gathered one chunk of groups at
+a time through the table's gather index; ``scatter_sum`` adds block entries
+back, and the diagonal of the composed operator is the per-voxel reference
+count.
 """
 
 from __future__ import annotations
@@ -74,78 +76,70 @@ def grid_positions(extent: int, patch_side: int, stride: int) -> list[int]:
 class PatchGroupTable:
     """All patch groups for a volume, in packed array form.
 
-    ``members`` holds (x, y, t) triples with shape (P, L, 3); row p, column 0
-    is the reference of group p. A group whose search window held fewer
-    candidates than the group size repeats the reference in its last columns
-    to keep the block shape fixed; no real candidate equals the reference.
-    The flat voxel index of each member's top-left pixel and the reference
-    counts are derived lazily and cached since every solver iteration reuses
-    them; the first is checked once to lie inside the volume. Gather indices
-    are built from it on demand; the solver builds them one chunk of groups
-    at a time into one reused buffer.
+    ``top_left`` holds, with shape (P, L), the flat voxel index
+    ((t * H) + y) * W + x of each member's top-left pixel; column 0 is the
+    reference of group p. A group whose search window held fewer candidates
+    than the group size repeats the reference in its last columns to keep
+    the block shape fixed; no real candidate equals the reference. Every
+    entry is checked once, here, to be a patch position inside the volume,
+    so every gather index lies in [0, total_voxels) and the solver's gathers
+    check none. The (x, y, t) members are decoded from it on each access.
+    Gather indices are built on demand, one chunk of groups at a time into
+    the caller's buffer; the reference counts are cached on first use.
     """
 
     geometry: PatchGeometry
     dims: FrameDims
-    members: np.ndarray
-    _base: np.ndarray | None = field(default=None, init=False, repr=False)
+    top_left: np.ndarray
     _counts: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        d, ps = self.dims, self.geometry.patch_side
+        for start in range(0, self.n_groups, CHUNK_GROUPS):
+            x, y, t = self._decode(slice(start, start + CHUNK_GROUPS))
+            if (t.min() < 0 or t.max() >= d.frames
+                    or y.max() > d.height - ps or x.max() > d.width - ps):
+                raise DataError("group table members lie outside the volume")
+
+    def _decode(self, key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, t) of the entries ``top_left[key]``; x and y lie in the frame."""
+        w, v = self.dims.width, self.top_left[key]
+        return v % w, v // w % self.dims.height, v // (w * self.dims.height)
 
     @property
     def n_groups(self) -> int:
-        return self.members.shape[0]
+        return self.top_left.shape[0]
+
+    @property
+    def members(self) -> np.ndarray:
+        """(x, y, t) of every member, shape (P, L, 3), int32."""
+        return np.stack(self._decode(slice(None)), axis=-1, dtype=np.int32)
 
     @property
     def references(self) -> np.ndarray:
-        return self.members[:, 0, :]
+        """(x, y, t) of every reference, shape (P, 3), int32."""
+        return np.stack(self._decode((slice(None), 0)), axis=-1, dtype=np.int32)
 
-    def _member_base(self) -> np.ndarray:
-        """Flat voxel index of each member's top-left pixel, shape (P, L).
-
-        Every member must be a patch position inside the volume, so that
-        every gather index lies in [0, total_voxels); this is checked here,
-        once per table, and the solver's gathers check no index. The index
-        is built as ((t * H) + y) * W + x in place, so the int32 members
-        are widened element by element rather than copied whole.
-        """
-        if self._base is None:
-            m, d, ps = self.members, self.dims, self.geometry.patch_side
-            x, y, t = m[:, :, 0], m[:, :, 1], m[:, :, 2]
-            if m.size and any(c.min() < 0 or c.max() > last for c, last in
-                              ((x, d.width - ps), (y, d.height - ps), (t, d.frames - 1))):
-                raise DataError("group table members lie outside the volume")
-            base = t.astype(np.int64)
-            base *= d.height
-            base += y
-            base *= d.width
-            base += x
-            self._base = base
-        return self._base
-
-    def gather_indices(self, groups: slice = slice(None),
-                       out: np.ndarray | None = None) -> np.ndarray:
+    def gather_indices(self, groups: slice, out: np.ndarray) -> np.ndarray:
         """Flat voxel index per (group, in-patch pixel, member), shape (p, B, L),
-        for the groups in ``groups`` (all by default). Built on each call,
-        into ``out`` when it is given."""
+        for the groups in ``groups``, written into ``out`` and returned."""
         ps = self.geometry.patch_side
         off = (np.arange(ps)[:, None] * self.dims.width + np.arange(ps)).reshape(-1, 1)
-        return np.add(self._member_base()[groups][:, None, :], off, out=out)
+        return np.add(self.top_left[groups][:, None, :], off, out=out)
 
     def chunk_shape(self) -> tuple[int, int, int]:
         """Shape (groups, B, L) of the largest chunk ``chunks`` yields."""
         geom = self.geometry
         return min(CHUNK_GROUPS, self.n_groups), geom.patch_side ** 2, geom.group_size
 
-    def chunks(self, index: np.ndarray | None = None):
+    def chunks(self, index: np.ndarray):
         """Yield (groups, gather_indices(groups)) for consecutive runs of
         ``CHUNK_GROUPS`` groups, in table order. Every index is written into
-        ``index``, an int64 buffer of ``chunk_shape()`` (one allocated here
-        by default), so each holds only until the next chunk is yielded."""
-        if index is None:
-            index = np.empty(self.chunk_shape(), dtype=np.int64)
+        ``index``, an int64 buffer of ``chunk_shape()``, so each holds only
+        until the next chunk is yielded."""
         for start in range(0, self.n_groups, CHUNK_GROUPS):
             groups = slice(start, min(start + CHUNK_GROUPS, self.n_groups))
-            yield groups, self.gather_indices(groups, out=index[:groups.stop - start])
+            yield groups, self.gather_indices(groups, index[:groups.stop - start])
 
     def counts(self) -> np.ndarray:
         if self._counts is None:
@@ -264,7 +258,7 @@ def check_geometry(dims: FrameDims, geom: PatchGeometry) -> None:
     ys, xs = (grid_positions(n, ps, geom.stride) for n in (h, w))
     band = max(1, CHUNK_GROUPS // len(xs)) * len(xs)
     dx, dy = 2 * (wx // 2) + 1, 2 * (wy // 2) + 1  # offsets searched along x and y
-    sizes = {"group table": dims.frames * len(ys) * len(xs) * geom.group_size * 3 * 4,
+    sizes = {"group table": dims.frames * len(ys) * len(xs) * geom.group_size * 8,
              "bordered guide": dims.frames * (h + dy - 1) * (w + dx - 1) * 8,
              "band workspace": _Workspace.nbytes(band, wt * dy * dx, band * dx * ps * ps)}
     for what, size in sizes.items():
@@ -306,17 +300,20 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     # SSD per reference and window offset (dt, dy, dx), offsets ascending: the
     # candidate (t, y, x) ascends with the offset, so the (value, offset)
     # order of a row is the (dist, t, y, x) order; the center offset is the
-    # reference itself
+    # reference itself, and delta is each offset's step in the flat index
     shape = (2 * half_t + 1, 2 * half_y + 1, 2 * half_x + 1)
     n_offsets = shape[0] * shape[1] * shape[2]
     center = n_offsets // 2
+    off_t, off_y, off_x = np.indices(shape, dtype=np.int64).reshape(3, -1)
+    delta = ((off_t - half_t) * h + off_y - half_y) * w + off_x - half_x
     # row_windows[u, y, x, dx] is the candidate window at (y, x + dx)
     row_windows = np.moveaxis(sliding_window_view(windows, shape[2], axis=2), -1, 3)
     ys, xs = (grid_positions(n, ps, geom.stride) for n in (h, w))
     band_rows = max(1, CHUNK_GROUPS // len(xs))
     x_runs = _runs(xs, geom.stride, 0, len(xs))
-    n_refs = len(ys) * len(xs)
-    members = np.empty((t_total, n_refs, geom.group_size, 3), dtype=np.int32)
+    # flat index of each reference's top-left pixel in frame 0, grid order
+    refs = (np.array(ys, dtype=np.int64)[:, None] * w + xs).reshape(-1)
+    top_left = np.empty((t_total, len(refs), geom.group_size), dtype=np.int64)
     n_sel = min(geom.group_size - 1, n_offsets)
 
     def match(unit, ws):
@@ -346,25 +343,20 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
                             axis=-1, out=dist[rows, ix, dt, dy])
         flat = dist.reshape(n, n_offsets)
         flat[:, center] = np.inf
-        out = members[t, first * len(xs):stop * len(xs)]
-        out[:, :, 0] = np.tile(xs, stop - first)[:, None]
-        out[:, :, 1] = np.repeat(ys[first:stop], len(xs))[:, None]
-        out[:, :, 2] = t
+        out = top_left[t, first * len(xs):stop * len(xs)]
+        out[:] = (refs[first * len(xs):stop * len(xs)] + t * h * w)[:, None]
         if n_sel:
             pick = _select(flat, n_sel, ws)
             # an inf pick is no candidate: it keeps the reference
             pick[np.isinf(np.take_along_axis(flat, pick, axis=1))] = center
-            offsets = np.unravel_index(pick, shape)
-            for axis, off, half in zip((2, 1, 0), offsets, (half_t, half_y, half_x)):
-                np.add(out[:, 1:1 + n_sel, axis], off - half, out=out[:, 1:1 + n_sel, axis],
-                       casting="unsafe")
+            out[:, 1:1 + n_sel] += delta[pick]
 
     units = [(t, first) for t in range(t_total) for first in range(0, len(ys), band_rows)]
     max_refs = band_rows * len(xs)
     workspaces = [_Workspace.allocate(max_refs, n_offsets, max_refs * shape[2] * ps * ps)
                   for _ in range(min(_worker_count(), len(units)))]
     _run_units(units, match, workspaces)
-    return PatchGroupTable(geom, guide.dims, members.reshape(-1, geom.group_size, 3))
+    return PatchGroupTable(geom, guide.dims, top_left.reshape(-1, geom.group_size))
 
 
 def scatter_sum(blocks: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -382,6 +374,6 @@ def scatter_sum(blocks: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndar
 def compute_counts(table: PatchGroupTable) -> np.ndarray:
     """Number of (group, member, offset) references per voxel."""
     counts = np.zeros(table.dims.total_voxels, dtype=np.int64)
-    for _, idx in table.chunks():
+    for _, idx in table.chunks(np.empty(table.chunk_shape(), dtype=np.int64)):
         np.add.at(counts, idx.reshape(-1), 1)
     return counts

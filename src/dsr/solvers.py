@@ -191,8 +191,9 @@ def objective_nuclear(phi: DepthVolume, psi: Measurements, table: PatchGroupTabl
                       lam: float) -> float:
     """Data misfit plus lam times the summed nuclear norms of all blocks, chunk by chunk."""
     resid = psi.values - phi.values[psi.operator.indices]
+    index = np.empty(table.chunk_shape(), dtype=np.int64)
     nuclear = sum(float(np.linalg.svd(phi.values[idx], compute_uv=False).sum())
-                  for _, idx in table.chunks())
+                  for _, idx in table.chunks(index))
     return 0.5 * float(resid @ resid) + lam * nuclear
 
 
@@ -202,12 +203,12 @@ def _relative(change: float, scale: float) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
-    """The 2-norm of ``x``. Where the plain norm's sum of squares overflows,
-    the same norm by ``hypot``, which rescales as it goes and allocates no
-    volume; every finite plain norm is returned as it is."""
+    """The 2-norm of ``x``, any shape. Where the plain norm's sum of squares
+    overflows, the same norm by ``hypot``, which rescales as it goes and
+    allocates no copy; every finite plain norm is returned as it is."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x))
-    return norm if math.isfinite(norm) else float(np.hypot.reduce(x))
+    return norm if math.isfinite(norm) else float(np.hypot.reduce(x, axis=None))
 
 
 @dataclass
@@ -275,13 +276,13 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
 
         def update(groups, b_phi):
             """Block and dual updates of one chunk; returns its feedback."""
-            nonlocal extracted_sq, resid_sq
-            extracted_sq += float(np.vdot(b_phi, b_phi))
+            nonlocal extracted, resid_norm
+            extracted = math.hypot(extracted, _norm(b_phi))
             dual_g, step = dual[groups], ws.step[:len(b_phi)]
             np.subtract(b_phi, np.divide(dual_g, rho, out=step), out=step)
             blocks = prox_low_rank(step, cfg.lam / rho, cfg.nu, out=step, work=ws.prox)
             resid = np.subtract(blocks, b_phi, out=b_phi)
-            resid_sq += float(np.vdot(resid, resid))
+            resid_norm = math.hypot(resid_norm, _norm(resid))
             dual_g += np.multiply(rho, resid, out=resid)
             blocks += np.divide(dual_g, rho, out=resid)
             return blocks
@@ -306,9 +307,9 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
         entry = TraceEntry(rel_change=_relative(_norm(np.subtract(new, phi, out=spare)),
                                                 scale))
         if admm:
-            extracted_sq = resid_sq = 0.0
+            extracted = resid_norm = 0.0
             ws.block_pass(new, table, spare, update)
-            entry.primal_residual = _relative(math.sqrt(resid_sq), math.sqrt(extracted_sq))
+            entry.primal_residual = _relative(resid_norm, extracted)
         if cfg.track_objective:
             entry.objective = objective_nuclear(DepthVolume(op.dims, new), psi, table, cfg.lam)
         phi = new

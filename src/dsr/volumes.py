@@ -45,10 +45,6 @@ class FrameDims:
                 raise DataError(f"{name} must be a positive integer, got {v!r}")
 
     @property
-    def pixels_per_frame(self) -> int:
-        return self.width * self.height
-
-    @property
     def total_voxels(self) -> int:
         return self.width * self.height * self.frames
 

@@ -3,8 +3,9 @@
 Everything here favors obviousness over speed: explicit loops, textbook
 formulas, library one-liners (np.interp), and a long-run primal-dual solver
 for the convex objective. None of it shares code paths with dsr itself,
-except ``iterate_ref``, which runs the package's gather index, prox and
-scatter on the whole table to check the solver loop around them.
+except ``whole_index``, the package's gather index of the whole table
+at once, and ``iterate_ref``, which runs it with the package's prox and
+scatter to check the solver loop around them.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ def match_groups_naive(guide_frames: np.ndarray, patch: int, stride: int,
 
 
 # ------------------------------------------------------- patch extraction
+
+def whole_index(table) -> np.ndarray:
+    """The table's gather index of every group at once, shape (P, B, L)."""
+    index = np.empty((table.n_groups, *table.chunk_shape()[1:]), dtype=np.int64)
+    return table.gather_indices(slice(None), index)
+
 
 def extract_naive(frames: np.ndarray, members, patch: int) -> np.ndarray:
     """(patch*patch, len(members)) block column by column."""
@@ -203,7 +210,7 @@ def iterate_ref(psi, table, cfg, init: np.ndarray) -> tuple[np.ndarray, list]:
     occ, ht_psi = np.zeros(n), np.zeros(n)
     occ[psi.operator.indices] = 1.0
     ht_psi[psi.operator.indices] = psi.values
-    idx = table.gather_indices()
+    idx = whole_index(table)
 
     def scatter(blocks):
         return scatter_sum(blocks, idx, np.zeros(n))

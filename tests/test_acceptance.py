@@ -32,7 +32,7 @@ from dsr.volumes import (
     mask_fill,
     snr_db,
 )
-from oracles import adjoint_ref, nuclear_objective_oracle, occupancy
+from oracles import adjoint_ref, nuclear_objective_oracle, occupancy, whole_index
 
 
 def _verdict(capsys, name, ok, detail):
@@ -67,10 +67,11 @@ def test_acceptance_1_operator_identities(capsys):
 
     # the solver's chunked gather and scatter, over the whole table
     table = build_groups(guide, PatchGeometry())
-    blocks = np.concatenate([x[idx] for _, idx in table.chunks()])
+    index = np.empty(table.chunk_shape(), dtype=np.int64)
+    blocks = np.concatenate([x[idx] for _, idx in table.chunks(index)])
     y_blocks = rng.standard_normal(blocks.shape)
     scattered, normal = np.zeros(dims.total_voxels), np.zeros(dims.total_voxels)
-    for groups, idx in table.chunks():
+    for groups, idx in table.chunks(index):
         scatter_sum(y_blocks[groups], idx, scattered)
         scatter_sum(blocks[groups], idx, normal)
     lhs = float(np.sum(blocks * y_blocks))
@@ -123,7 +124,7 @@ def test_acceptance_3_convex_solver_optimality(capsys):
     lam = 1.0
 
     _, obj_oracle = nuclear_objective_oracle(
-        psi.values, op.indices, table.gather_indices(), table.counts(),
+        psi.values, op.indices, whole_index(table), table.counts(),
         dims.total_voxels, lam, 100_000)
 
     cfg = SolverConfig(algo="admm3d", lam=lam, nu=1.0, rho=1.0,

@@ -312,7 +312,7 @@ class TestSolve:
     def test_empty_mask_frame_exits_2(self, workspace, tmp_path, capsys, algo):
         depth = read_dsrv(workspace / "scene" / "depth.dsrv")
         mask = np.random.default_rng(0).uniform(size=depth.dims.total_voxels) < 0.2
-        n = depth.dims.pixels_per_frame
+        n = depth.dims.width * depth.dims.height
         mask[n:2 * n] = False  # frame 1 has no samples
         op = SamplingOperator.from_mask(depth.dims, mask)
         write_measurements(tmp_path / "meas", apply_sampling(op, depth))
@@ -495,6 +495,7 @@ class TestScripts:
         assert header.split() == ["stage", "maxrss_mb", "minflt"]
         assert [line.split()[0] for line in stages] == ["init", "match", "counts", "solve"]
         assert all(float(line.split()[1]) > 0 and int(line.split()[2]) >= 0 for line in stages)
+        assert stages[1].endswith("  table 8.0 bytes per member")
         assert summary.startswith("solve: 3 iterations, ")
         assert re.search(r", traced peak \d+\.\d\d volumes \(", summary)
 

@@ -19,7 +19,7 @@ from dsr.patches import (
 from dsr.scenes import default_scene, synth_scene
 from dsr.solvers import _Workspace
 from dsr.volumes import FrameDims, IntensityVolume
-from oracles import counts_naive, extract_naive, match_groups_naive, scatter_naive
+from oracles import counts_naive, extract_naive, match_groups_naive, scatter_naive, whole_index
 
 SMALL_GEOM = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=4)
 
@@ -28,15 +28,20 @@ def _table(guide, geom=SMALL_GEOM):
     return build_groups(guide, geom)
 
 
+def _index(table):
+    """A buffer for ``table.chunks``."""
+    return np.empty(table.chunk_shape(), dtype=np.int64)
+
+
 def _gather(values, table):
     """The solver's gather, chunk by chunk: ``values[idx]`` over ``table.chunks``."""
-    return np.concatenate([values[idx] for _, idx in table.chunks()])
+    return np.concatenate([values[idx] for _, idx in table.chunks(_index(table))])
 
 
 def _scatter(blocks, table):
     """The whole stack's sum, added chunk by chunk into one zero volume."""
     out = np.zeros(table.dims.total_voxels)
-    for groups, idx in table.chunks():
+    for groups, idx in table.chunks(_index(table)):
         scatter_sum(blocks[groups], idx, out)
     return out
 
@@ -133,24 +138,20 @@ class TestBuildGroups:
             mp.setattr(patches_mod, "CHUNK_GROUPS",
                        data.draw(st.integers(1, refs_per_frame), label="band"))
             table = build_groups(guide, PatchGeometry(patch, stride, window, big_l))
-        assert table.members.dtype == np.int32
+        got = table.members
+        assert got.dtype == np.int32
         expect = match_groups_naive(guide.frames(), patch, stride, window, big_l)
         assert table.n_groups == len(expect)
         for p, (members, padded) in enumerate(expect):
-            got = [tuple(map(int, trip)) for trip in table.members[p]]
-            assert got == members, f"group {p} differs"
-            assert _padded(table.members[p]) == padded
+            assert [tuple(map(int, trip)) for trip in got[p]] == members, f"group {p} differs"
+            assert _padded(got[p]) == padded
 
     def test_reference_comes_first(self, random_guide):
         table = _table(random_guide)
         xs = grid_positions(random_guide.dims.width, 3, 2)
         ys = grid_positions(random_guide.dims.height, 3, 2)
-        p = 0
-        for t in range(random_guide.dims.frames):
-            for y in ys:
-                for x in xs:
-                    assert tuple(table.members[p, 0]) == (x, y, t)
-                    p += 1
+        refs = [(x, y, t) for t in range(random_guide.dims.frames) for y in ys for x in xs]
+        assert [tuple(map(int, ref)) for ref in table.references] == refs
 
     def test_constant_guide_orders_lexicographically(self):
         # all SSDs tie, so selection is purely by (t, y, x)
@@ -158,8 +159,9 @@ class TestBuildGroups:
         guide = IntensityVolume(dims, np.full(dims.total_voxels, 0.5))
         table = build_groups(guide, SMALL_GEOM)
         expect = match_groups_naive(guide.frames(), 3, 2, (5, 5, 3), 4)
+        got = table.members
         for p, (members, _) in enumerate(expect):
-            assert [tuple(map(int, m)) for m in table.members[p]] == members
+            assert [tuple(map(int, m)) for m in got[p]] == members
 
     def test_single_frame_window_stays_in_frame(self, random_guide):
         geom = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 1), group_size=4)
@@ -253,15 +255,15 @@ class TestBlockOperators:
         blocks = _gather(random_volume.values, table)
         assert blocks.shape == (table.n_groups, 9, 4)
         frames = random_volume.frames()
-        for p in range(table.n_groups):
-            members = [tuple(map(int, trip)) for trip in table.members[p]]
+        for p, group in enumerate(table.members):
+            members = [tuple(map(int, trip)) for trip in group]
             np.testing.assert_array_equal(blocks[p], extract_naive(frames, members, 3))
 
     def test_batched_extract_matches_per_group(self, random_volume, random_guide):
         table = _table(random_guide)
         blocks = _gather(random_volume.values, table)
         for p in range(0, table.n_groups, 5):
-            single = PatchGroupTable(table.geometry, table.dims, table.members[p:p + 1])
+            single = PatchGroupTable(table.geometry, table.dims, table.top_left[p:p + 1])
             np.testing.assert_array_equal(
                 blocks[p], _gather(random_volume.values, single)[0])
 
@@ -269,8 +271,7 @@ class TestBlockOperators:
         table = _table(random_guide)
         blocks = rng.standard_normal((table.n_groups, 9, 4))
         got = _scatter(blocks, table)
-        naive_groups = [[tuple(map(int, trip)) for trip in table.members[p]]
-                        for p in range(table.n_groups)]
+        naive_groups = [[tuple(map(int, trip)) for trip in group] for group in table.members]
         d = random_guide.dims
         expect = scatter_naive([blocks[p] for p in range(table.n_groups)],
                                naive_groups, 3, (d.frames, d.height, d.width))
@@ -279,7 +280,7 @@ class TestBlockOperators:
     def test_scatter_shape_checked(self, random_guide):
         table = _table(random_guide)
         with pytest.raises(DataError):
-            scatter_sum(np.zeros((table.n_groups, 9, 3)), table.gather_indices(),
+            scatter_sum(np.zeros((table.n_groups, 9, 3)), whole_index(table),
                         np.zeros(table.dims.total_voxels))
 
     def test_adjoint_identity(self, rng, random_volume, random_guide):
@@ -292,8 +293,8 @@ class TestBlockOperators:
 
     def test_counts_against_naive(self, random_guide):
         table = _table(random_guide)
-        naive_groups = [([tuple(map(int, trip)) for trip in table.members[p]], None)
-                        for p in range(table.n_groups)]
+        naive_groups = [([tuple(map(int, trip)) for trip in group], None)
+                        for group in table.members]
         d = random_guide.dims
         expect = counts_naive(naive_groups, 3, (d.frames, d.height, d.width))
         np.testing.assert_array_equal(table.counts(), expect.reshape(-1))
@@ -310,60 +311,50 @@ class TestBlockOperators:
     @pytest.mark.parametrize("chunk", [1, 7, 10_000])
     def test_chunks_write_into_one_buffer(self, monkeypatch, random_guide, chunk):
         """Every chunk's index is gather_indices(groups), written into the
-        buffer given (or into one allocated per call), never a new array."""
+        buffer given, never a new array."""
         table = _table(random_guide)
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", chunk)
-        whole = table.gather_indices()
-        index = np.empty(table.chunk_shape(), dtype=np.int64)
+        whole = whole_index(table)
+        index = _index(table)
         assert index.shape == (min(chunk, table.n_groups), 9, 4)
-        for buffer in (index, None):
-            seen, bases = [], set()
-            for groups, idx in table.chunks(buffer):
-                assert idx.tobytes() == whole[groups].tobytes()
-                bases.add(id(idx.base))
-                seen.append(groups)
-            assert len(bases) == 1
-            if buffer is not None:
-                assert bases == {id(index)}
-            assert [g.start for g in seen] == list(range(0, table.n_groups, chunk))
-            assert seen[-1].stop == table.n_groups
+        seen = []
+        for groups, idx in table.chunks(index):
+            assert idx.tobytes() == whole[groups].tobytes()
+            assert idx.base is index
+            seen.append(groups)
+        assert [g.start for g in seen] == list(range(0, table.n_groups, chunk))
+        assert seen[-1].stop == table.n_groups
 
     def test_member_base_keeps_its_values(self, random_guide):
+        """``top_left`` is ((t * H) + y) * W + x of the decoded members."""
         table = _table(random_guide)
         m = table.members.astype(np.int64)
         d = table.dims
-        expect = m[:, :, 2] * d.pixels_per_frame + m[:, :, 1] * d.width + m[:, :, 0]
-        got = table._member_base()
-        assert got.dtype == np.int64
-        assert got.tobytes() == expect.tobytes()
+        expect = (m[:, :, 2] * d.height + m[:, :, 1]) * d.width + m[:, :, 0]
+        assert table.top_left.dtype == np.int64
+        assert table.top_left.tobytes() == expect.tobytes()
+        assert table.references.tobytes() == table.members[:, 0].tobytes()
 
-    def test_member_base_makes_no_wide_copy_of_the_members(self):
-        """The (P, L) index is built in place: no int64 copy of the (P, L, 3)
-        members, which is three times its size, exists on the way."""
-        dims = FrameDims(320, 240, 8)
-        rng = np.random.default_rng(0)
-        members = np.stack([rng.integers(0, 316, (20_000, 10)), rng.integers(0, 236, (20_000, 10)),
-                            rng.integers(0, 8, (20_000, 10))], axis=-1).astype(np.int32)
-        table = PatchGroupTable(PatchGeometry(), dims, members)
-        tracemalloc.start()
-        try:
-            base = table._member_base()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * base.nbytes
-
-    @pytest.mark.parametrize("axis,value", [(0, -1), (0, 10), (1, 10), (2, 3), (2, -1)])
-    def test_members_outside_the_volume_are_rejected(self, random_guide, axis, value):
-        """The one bounds check per table stands in for the gathers' own."""
+    def test_a_built_table_stores_8_bytes_per_member(self, random_guide):
+        """Matching stores one int64 per member, and nothing else until the
+        reference counts are asked for."""
         table = _table(random_guide)
-        members = table.members.copy()
-        members[-1, -1, axis] = value
-        bad = PatchGroupTable(table.geometry, table.dims, members)
-        with pytest.raises(DataError):
-            bad.gather_indices()
-        with pytest.raises(DataError):
-            next(bad.chunks())
+        stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+        assert stored == 8 * table.n_groups * table.geometry.group_size
+
+    @pytest.mark.parametrize("axis,value", [(0, -1), (0, 10), (1, 8), (2, 3), (2, -1)])
+    def test_members_outside_the_volume_are_rejected(self, random_guide, axis, value):
+        """The one bounds check per table, at construction, stands in for
+        the gathers' own. The first reference, (0, 0, 0), moves to x = 10
+        or y = 8, past the last patch position of the 12 x 10 x 3 guide, to
+        t = 3, or to x or t = -1, a negative index."""
+        table = _table(random_guide)
+        assert table.top_left[0, 0] == 0
+        x, y, t = (value if a == axis else 0 for a in range(3))
+        top_left = table.top_left.copy()
+        top_left[0, 0] = (t * table.dims.height + y) * table.dims.width + x
+        with pytest.raises(DataError, match="outside the volume"):
+            PatchGroupTable(table.geometry, table.dims, top_left)
 
     def test_aggregate_reconstructs_exactly(self, random_volume, random_guide):
         out = _average(random_volume.values, _table(random_guide))
@@ -397,16 +388,17 @@ def test_group_operators_property(data):
         average = _average(vol_values, table)
     finally:
         patches_mod.CHUNK_GROUPS = saved
-    flat = table.gather_indices().reshape(-1)
+    idx = whole_index(table)
+    flat = idx.reshape(-1)
     assert counts.tobytes() == np.bincount(flat, minlength=dims.total_voxels).tobytes()
     whole = np.bincount(flat, weights=weights.reshape(-1), minlength=dims.total_voxels)
-    assert scatter_sum(weights, table.gather_indices(),
-                       np.zeros(dims.total_voxels)).tobytes() == whole.tobytes()
+    assert scatter_sum(weights, idx, np.zeros(dims.total_voxels)).tobytes() == whole.tobytes()
     assert chunked.tobytes() == whole.tobytes()
     assert counts.min() >= 1
     np.testing.assert_allclose(average, vol_values, atol=1e-10)
-    # every stored member must be a valid patch position
-    assert np.all(table.members[:, :, 0] <= w - patch)
-    assert np.all(table.members[:, :, 1] <= h - patch)
-    assert np.all(table.members[:, :, 2] < t)
-    assert np.all(table.members >= 0)
+    # every member must be a valid patch position
+    members = table.members
+    assert np.all(members[:, :, 0] <= w - patch)
+    assert np.all(members[:, :, 1] <= h - patch)
+    assert np.all(members[:, :, 2] < t)
+    assert np.all(members >= 0)

@@ -35,7 +35,8 @@ from dsr.volumes import (
     mask_fill,
     snr_db,
 )
-from oracles import iterate_ref, objective_nuclear_naive, phi_step_dense, prox_low_rank_ref
+from oracles import (iterate_ref, objective_nuclear_naive, phi_step_dense, prox_low_rank_ref,
+                     whole_index)
 
 GEOM = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=4)
 
@@ -162,7 +163,7 @@ class TestInitialization:
         dims = random_volume.dims
         mask = rng.uniform(size=dims.total_voxels) < 0.3
         for k in range(dims.frames):
-            mask[k * dims.pixels_per_frame] = True
+            mask[k * dims.width * dims.height] = True
         op = SamplingOperator.from_mask(dims, mask)
         psi = apply_sampling(op, random_volume)
         np.testing.assert_array_equal(default_initialization(psi).values,
@@ -175,8 +176,8 @@ def test_objective_matches_naive(problem, monkeypatch, chunk):
     lam = 0.8
     monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", chunk)
     got = objective_nuclear(vol, psi, table, lam)
-    naive_groups = [([tuple(map(int, trip)) for trip in table.members[p]], None)
-                    for p in range(table.n_groups)]
+    naive_groups = [([tuple(map(int, trip)) for trip in group], None)
+                    for group in table.members]
     expect = objective_nuclear_naive(vol.frames(), psi.values,
                                      psi.operator.indices, naive_groups, 3, lam)
     assert got == pytest.approx(expect, rel=1e-12)
@@ -289,7 +290,7 @@ class TestChunkedBlockPass:
         runs = []
         for size in (1, 7, table.n_groups, 10 * table.n_groups):
             monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", size)
-            fresh = PatchGroupTable(table.geometry, table.dims, table.members)
+            fresh = PatchGroupTable(table.geometry, table.dims, table.top_left)
             est, rep = solvers_mod._iterate(psi, fresh, cfg, None)
             runs.append((est.values.tobytes(), [e.rel_change for e in rep.trace]))
         assert all(run == runs[0] for run in runs)
@@ -306,13 +307,14 @@ class TestChunkedBlockPass:
 
     @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
     def test_one_iteration_peak_memory(self, large, algo):
-        """The reference counts, the members' flat index, the
-        initialization, the two rotating volumes and one chunk's workspace:
-        about 5.6 volumes. admm3d adds its dual and its ``rho * counts``
-        volume, about 6.8 volumes besides the dual. Holding every block of
-        the video at once takes over 100 volumes."""
+        """The reference counts, the initialization, the two rotating
+        volumes and one chunk's workspace: about 4.5 volumes, beside the
+        table's flat member index, which matching stored. admm3d adds its
+        dual and its ``rho * counts`` volume, about 5.7 volumes besides the
+        dual. Holding every block of the video at once takes over 100
+        volumes."""
         psi, table = large
-        table = PatchGroupTable(table.geometry, table.dims, table.members)
+        table = PatchGroupTable(table.geometry, table.dims, table.top_left)
         cfg = SolverConfig(algo=algo, lam=12.0, max_iter=1, geometry=table.geometry)
         volume = psi.operator.dims.total_voxels * 8
         dual = table.n_groups * table.geometry.patch_side ** 2 * table.geometry.group_size * 8
@@ -361,7 +363,7 @@ def test_solve_matches_whole_table_reference(algo, lam):
     """run_pipeline's solve agrees with ``oracles.iterate_ref``, the two
     update rules applied to the whole table at once: the same iterations,
     estimate bytes and relative changes, and the primal residual to
-    round-off (the reference sums its squares whole, the solver chunk by
+    round-off (the reference takes its norms whole, the solver chunk by
     chunk). The table's 600 groups span three chunks, the last one partial."""
     dims = FrameDims(32, 32, 6)
     ref, guide = synth_scene(default_scene(dims))
@@ -448,8 +450,9 @@ def test_nu_near_zero_matches_nu_zero(algo):
 @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
 def test_huge_depth_stops_on_tolerance(algo):
     """At depth 1e300 the plain norm's sum of squares overflows. The stop
-    test then takes an overflow-safe norm, so it warns of no overflow, its
-    trace is finite and the solve stops on tolerance."""
+    test and admm3d's primal residual then take an overflow-safe norm, so
+    the solve warns of no overflow, its trace is finite and it stops on
+    tolerance."""
     dims = FrameDims(16, 16, 4)
     ref, guide = synth_scene(default_scene(dims))
     psi = apply_sampling(SamplingOperator.decimation(dims, 2),
@@ -458,6 +461,8 @@ def test_huge_depth_stops_on_tolerance(algo):
         warnings.simplefilter("error")
         _, rep = run_pipeline(psi, guide, SolverConfig(algo=algo, lam=12.0))
     assert all(math.isfinite(e.rel_change) for e in rep.trace)
+    if algo == "admm3d":
+        assert all(math.isfinite(e.primal_residual) for e in rep.trace)
     assert rep.stop_reason == "tolerance"
 
 
@@ -611,7 +616,7 @@ class TestConvexCrossCheck:
         table = build_groups(guide, geom)
         lam = 1.0
 
-        idx = table.gather_indices()
+        idx = whole_index(table)
         x = cp.Variable(dims.total_voxels)
         objective = 0.5 * cp.sum_squares(psi.values - x[op.indices])
         for p in range(table.n_groups):

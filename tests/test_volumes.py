@@ -24,9 +24,7 @@ from oracles import adjoint_ref, bilinear_naive, mask_fill_ref, nearest_fill_nai
 
 class TestFrameDims:
     def test_counts(self):
-        d = FrameDims(6, 4, 3)
-        assert d.pixels_per_frame == 24
-        assert d.total_voxels == 72
+        assert FrameDims(6, 4, 3).total_voxels == 72
 
     @pytest.mark.parametrize("bad", [(0, 4, 3), (6, -1, 3), (6, 4, 0)])
     def test_rejects_nonpositive(self, bad):
@@ -272,7 +270,7 @@ class TestMaskFill:
         dims = FrameDims(7, 6, 2)
         vol = DepthVolume(dims, rng.uniform(1, 9, dims.total_voxels))
         mask = rng.uniform(size=dims.total_voxels) < 0.25
-        mask[0] = mask[dims.pixels_per_frame] = True  # keep every frame fillable
+        mask[0] = mask[dims.width * dims.height] = True  # keep every frame fillable
         op = SamplingOperator.from_mask(dims, mask)
         out = mask_fill(apply_sampling(op, vol))
         for k in range(dims.frames):
@@ -382,7 +380,7 @@ class TestMaskFillExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * dims.pixels_per_frame * 8
+        assert peak < 32 * dims.width * dims.height * 8
 
 
 @settings(max_examples=30, deadline=None)
