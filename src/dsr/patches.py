@@ -94,7 +94,14 @@ class PatchGroupTable:
     _counts: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d, ps = self.dims, self.geometry.patch_side
+        d, ps, top = self.dims, self.geometry.patch_side, self.top_left
+        if not (isinstance(top, np.ndarray) and top.ndim == 2
+                and top.shape[1] == self.geometry.group_size
+                and top.dtype.kind in "iu" and np.can_cast(top.dtype, np.int64)):
+            raise DataError(f"top_left must be a 2-D integer array with "
+                            f"{self.geometry.group_size} columns, got "
+                            f"{getattr(top, 'dtype', type(top).__name__)} of shape "
+                            f"{np.shape(top)}")
         for start in range(0, self.n_groups, CHUNK_GROUPS):
             x, y, t = self._decode(slice(start, start + CHUNK_GROUPS))
             if (t.min() < 0 or t.max() >= d.frames

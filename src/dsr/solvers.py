@@ -215,20 +215,23 @@ def _norm(x: np.ndarray) -> float:
 class _Workspace:
     """One solve's chunk buffers, allocated once before its volumes and
     reused by every chunk of every block pass: the gather index, the
-    gathered blocks (which the simplified solvers shrink in place), admm3d's
-    stack for its dual arithmetic, and the prox's Gram and squaring stacks.
-    The two volumes a solve rotates are ``_iterate``'s, not the workspace's."""
+    gathered blocks, a second block stack, and the prox's Gram and
+    projector stacks. The simplified solvers write the prox of the gathered
+    blocks into the second stack, since a product into its own input works
+    on a copy; admm3d does its dual arithmetic there and shrinks it in
+    place. The two volumes a solve rotates are ``_iterate``'s, not the
+    workspace's."""
 
     index: np.ndarray
     blocks: np.ndarray
-    step: np.ndarray | None
+    step: np.ndarray
     prox: np.ndarray
 
     @classmethod
-    def allocate(cls, table: PatchGroupTable, admm: bool) -> "_Workspace":
+    def allocate(cls, table: PatchGroupTable) -> "_Workspace":
         shape = table.chunk_shape()
-        return cls(np.empty(shape, dtype=np.int64), np.empty(shape),
-                   np.empty(shape) if admm else None, prox_work(*shape))
+        return cls(np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape),
+                   prox_work(*shape))
 
     def block_pass(self, values: np.ndarray, table: PatchGroupTable, out: np.ndarray,
                    update) -> None:
@@ -257,12 +260,13 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     a spare in the first iteration, since ``init`` is the caller's and only
     read, and from then on the old iterate's own buffer. admm3d's next pass
     writes into that same buffer. So after set-up no iteration allocates a
-    chunk-sized stack or a volume: the working memory is two volumes and
-    one chunk, plus admm3d's dual and its ``rho * counts`` volume.
+    volume: the working memory is two volumes and one chunk, plus admm3d's
+    dual and its ``rho * counts`` volume, and for admm3d the copy of its
+    chunk that the in-place prox's product works on.
     """
     t_start = time.perf_counter()
     admm = cfg.algo == "admm3d"
-    ws = _Workspace.allocate(table, admm)
+    ws = _Workspace.allocate(table)
     op = psi.operator
     rho = cfg.rho
     counts = table.counts()
@@ -291,7 +295,8 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
         ws.block_pass(phi, table, feedback, lambda groups, blocks: blocks)
     else:
         def update(groups, blocks):
-            return prox_low_rank(blocks, cfg.lam, cfg.nu, out=blocks, work=ws.prox)
+            return prox_low_rank(blocks, cfg.lam, cfg.nu, out=ws.step[:len(blocks)],
+                                 work=ws.prox)
 
     trace: list[TraceEntry] = []
     stop_reason = "max_iter"

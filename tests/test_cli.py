@@ -499,6 +499,25 @@ class TestScripts:
         assert summary.startswith("solve: 3 iterations, ")
         assert re.search(r", traced peak \d+\.\d\d volumes \(", summary)
 
+    def test_abtime_compares_a_tree_with_itself(self):
+        """The working tree against itself: both sides time every round and
+        give equal iterations and SNR."""
+        root = Path(__file__).resolve().parents[1]
+        proc = _run([sys.executable, str(root / "scripts" / "abtime.py"), "--base", str(root),
+                     "--workload", "dec3-gds3d", "sparse-preview", "--seeds", "3",
+                     "--size", "12", "12", "3", "--rounds", "2"])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line for line in lines if not line.startswith("  ")] == [
+            "dec3-gds3d seed 3, 12x12x3, 2 rounds", "sparse-preview seed 3, 12x12x3, 2 rounds"]
+        keys = [line.split()[0] for line in lines if line.startswith("  ")]
+        assert keys == 2 * ["s_per_iter", "wall_s", "iterations", "snr_db"]
+        for line in lines:
+            if line.startswith(("  s_per_iter", "  wall_s")):
+                assert re.search(r"head/base \d+\.\d{3}  head won [0-2]/2$", line)
+            elif line.startswith(("  iterations", "  snr_db")):
+                assert line.endswith("  equal")
+
 
 class TestConsoleScript:
     """The exit-code contract through a real process: the entry point run as

@@ -50,7 +50,7 @@ def _average(values, table):
     """The simplified solvers' feedback on unshrunk blocks: the block pass
     with an identity update, divided by the reference counts."""
     out = np.empty(table.dims.total_voxels)
-    _Workspace.allocate(table, admm=False).block_pass(values, table, out, lambda g, b: b)
+    _Workspace.allocate(table).block_pass(values, table, out, lambda g, b: b)
     return out / table.counts()
 
 
@@ -355,6 +355,16 @@ class TestBlockOperators:
         top_left[0, 0] = (t * table.dims.height + y) * table.dims.width + x
         with pytest.raises(DataError, match="outside the volume"):
             PatchGroupTable(table.geometry, table.dims, top_left)
+
+    @pytest.mark.parametrize("top_left", [np.zeros((3, 4), np.int64), np.zeros(3, np.int64),
+                                          np.zeros((3, 10)), np.zeros((3, 10, 1), np.int64)],
+                             ids=["3x4", "3", "float_3x10", "3x10x1"])
+    def test_wrongly_shaped_tables_are_rejected(self, top_left):
+        """Only a 2-D integer array with a column per member builds a table;
+        anything else would fail later, in the first ``counts()``."""
+        geometry = PatchGeometry(group_size=10)
+        with pytest.raises(DataError, match="2-D integer array with 10 columns"):
+            PatchGroupTable(geometry, FrameDims(12, 12, 3), top_left)
 
     def test_aggregate_reconstructs_exactly(self, random_volume, random_guide):
         out = _average(random_volume.values, _table(random_guide))

@@ -247,8 +247,9 @@ def _svd_reference_cases():
         "near_equal_top": np.concatenate([
             _per_threshold(lambda tau: [0.9 * tau, 0.9 * tau * (1 - 1e-8)], rng),
             _per_threshold(lambda tau: [3 * tau, 3 * tau * (1 - 1e-8)], rng)]),
-        # s2 / s1 = 0.8 with s2 < tau < s1: five squarings leave about 6e-7
-        # of the second direction in v, which the gap test must refuse
+        # s2 / s1 = 0.8 with s2 < tau < s1: six power steps leave about
+        # 0.64**6 = 0.07 of the second direction in v, which the gap test
+        # must refuse
         "slow_top_convergence": _per_threshold(lambda tau: [1.2 * tau, 0.96 * tau], rng),
         "rank1_zero_column": _rank1_zero_column(rng),
         "mixed_routes": _mixed_routes(rng)[0],
@@ -280,19 +281,25 @@ def test_prox_matches_svd_reference(case, lam, nu):
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
-    """The stacks ``prox_low_rank`` hands to the eigendecomposition route."""
-    calls, original = [], shrinkage_mod._spectral_shrink
+    """The (Gram stack, scale) pairs ``prox_low_rank`` hands to the
+    eigendecomposition route."""
+    calls, original = [], shrinkage_mod._projectors
 
-    def spy(blocks, fn, work=None):
-        calls.append(blocks.copy())
-        return original(blocks, fn, work)
+    def spy(gram, fn, scale=1.0):
+        calls.append((gram.copy(), scale))
+        return original(gram, fn, scale)
 
-    monkeypatch.setattr(shrinkage_mod, "_spectral_shrink", spy)
+    monkeypatch.setattr(shrinkage_mod, "_projectors", spy)
     return calls
 
 
 def _fallback_count(calls) -> int:
-    return sum(len(blocks) for blocks in calls)
+    return sum(len(gram) for gram, _ in calls)
+
+
+def _grams(blocks):
+    """The Gram matrices B^T B of a stack of tall blocks."""
+    return np.swapaxes(blocks, -1, -2) @ blocks
 
 
 class TestProxRoutes:
@@ -313,15 +320,19 @@ class TestProxRoutes:
     def test_mixed_stack_sends_only_its_fallback_blocks(self, fallback_calls):
         stack, kinds = _mixed_routes(np.random.default_rng(3))
         out = prox_low_rank(stack, 12.0, 0.02)
-        (sent,) = fallback_calls
-        np.testing.assert_array_equal(sent, stack[kinds["fallback"]])
+        ((sent, scale),) = fallback_calls
+        np.testing.assert_array_equal(sent, _grams(stack[kinds["fallback"]]))
+        assert scale == 1.0
         assert not np.any(out[kinds["zeroed"]])
         assert np.all(np.abs(out[kinds["certified"]]).max(axis=(1, 2)) > 0)
 
     @pytest.mark.parametrize("sign,falls_back", [(-1, False), (1, True)])
     def test_tail_mass_decides_at_tau_squared(self, fallback_calls, rng, sign, falls_back):
+        """A tail mass s2**2 + s3**2 just on either side of tau**2. The top
+        value 10 tau leaves the power steps (1/200)**7 of the tail in v, so
+        the gap test passes and the tail mass alone decides."""
         tail = TAU * np.sqrt((1 + sign * 1e-9) / 2)
-        prox_low_rank(_rotated([3 * TAU, tail, tail], 25, 10, rng), 12.0, 0.02)
+        prox_low_rank(_rotated([10 * TAU, tail, tail], 25, 10, rng), 12.0, 0.02)
         assert _fallback_count(fallback_calls) == int(falls_back)
 
     @pytest.mark.parametrize("spectrum", [[0.9, 0.9 * (1 - 1e-8)], [3.0, 3.0 * (1 - 1e-8)],
@@ -336,11 +347,13 @@ class TestProxRoutes:
         with np.errstate(over="raise"):
             out = prox_low_rank(stack, 0.4, 0.02)
         assert out[ordinary].tobytes() == prox_low_rank(stack[ordinary], 0.4, 0.02).tobytes()
-        # the two overflowing blocks reach the eigendecomposition rescaled
-        # to a largest entry in [0.5, 1)
-        peaks = [np.abs(blocks).max(axis=(1, 2)) for blocks in fallback_calls]
-        assert max(peak.max() for peak in peaks) < 1e3
-        assert sum(np.count_nonzero(peak < 1.0) for peak in peaks) == 2
+        # the two overflowing blocks reach the eigendecomposition as the
+        # Gram matrices of their rescales to a largest entry in [0.5, 1)
+        ((sent, scale),) = [(g, sc) for g, sc in fallback_calls if np.ndim(sc)]
+        assert max(np.abs(g).max() for g, _ in fallback_calls) < 1e3
+        peaks = np.abs(stack[[1, 4]]).max(axis=(1, 2)) / scale.ravel()
+        assert np.all((0.5 <= peaks) & (peaks < 1.0))
+        np.testing.assert_array_equal(sent, _grams(stack[[1, 4]] / scale[:, :, None]))
 
     def test_checks_run_before_either_route(self, fallback_calls):
         with pytest.raises(DataError):
@@ -352,6 +365,44 @@ class TestProxRoutes:
     def test_empty_stacks_keep_their_shape(self):
         for shape in [(0, 25, 10), (3, 0, 4), (2, 4, 0)]:
             assert prox_low_rank(np.zeros(shape), 1.0, 0.5).shape == shape
+
+    @pytest.mark.parametrize("ratio", [1e-3, 0.1, 0.3, 0.5])
+    def test_certified_blocks_match_the_svd_reference(self, fallback_calls, ratio):
+        """Blocks with singular values s1 and s2 = ratio * s1, s2 < tau < s1.
+        Every block the certificate keeps agrees with the full-SVD prox to
+        1e-11 of its largest entry. Far-apart pairs are all certified; the
+        power steps leave too much of s2's direction in v on closer pairs,
+        and the gap test sends those to the eigendecomposition."""
+        rng = np.random.default_rng(17)
+        stack = np.stack([_rotated([s1, ratio * s1], 25, 10, rng)
+                          for s1 in TAU * rng.uniform(1.05, 1.9, 64)])
+        out = prox_low_rank(stack, 12.0, 0.02)
+        sent = {g.tobytes() for gram, _ in fallback_calls for g in gram}
+        certified = [i for i, g in enumerate(_grams(stack)) if g.tobytes() not in sent]
+        assert len(certified) + len(sent) == len(stack)
+        if ratio <= 0.1:
+            assert len(certified) == len(stack)
+        ref = prox_low_rank_ref(stack[certified], 12.0, 0.02)
+        peak = np.abs(stack[certified]).max(axis=(1, 2))
+        assert np.all(np.abs(out[certified] - ref).max(axis=(1, 2)) <= 1e-11 * peak)
+
+    @pytest.mark.parametrize("huge", [False, True], ids=["alone", "beside_1e200"])
+    @pytest.mark.parametrize("entry", [0, 125, 249], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries_are_refused_before_out_is_written(self, value, entry, huge):
+        """Every entry enters its block's Gram trace squared, so one NaN or
+        infinity anywhere in a 256-block stack makes that trace non-finite,
+        also beside a finite block whose trace overflows. It is a DataError,
+        and neither ``out`` nor an input that is its own output is written."""
+        stack = np.random.default_rng(11).standard_normal((256, 25, 10)) * 3
+        if huge:
+            stack[20] *= 1e200
+        stack[137].flat[entry] = value
+        for target in (np.full_like(stack, 7.0), stack):
+            before = target.tobytes()
+            with pytest.raises(DataError, match="finite"):
+                prox_low_rank(stack, 12.0, 0.02, out=target, work=prox_work(256, 25, 10))
+            assert target.tobytes() == before
 
 
 #: Stacks that take each route of the prox: certified rank 1 (with zeroed
@@ -371,7 +422,7 @@ class TestProxOut:
         expect = prox_low_rank(mat, lam, nu)
         blocks = mat.reshape((-1,) + mat.shape[-2:])
         # scratch for more blocks than the stack has, left dirty on purpose
-        work = np.full((3, len(blocks) + 5) + (min(mat.shape[-2:]),) * 2, np.nan)
+        work = np.full(prox_work(len(blocks) + 5, *mat.shape[-2:]).shape, np.nan)
         buf = np.full(mat.shape, np.nan)
         assert prox_low_rank(mat, lam, nu, out=buf) is buf
         assert buf.tobytes() == expect.tobytes()

@@ -330,7 +330,7 @@ class TestChunkedBlockPass:
             assert peak < 6 * volume
 
 
-@pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
+@pytest.mark.parametrize("algo", ["gds3d", "gds2d", "ds3d", "admm3d"])
 def test_prox_round_off_leaves_solves_unchanged(monkeypatch, algo):
     """Eight iterations with the library prox and with the full-SVD oracle
     prox take the same iterations and agree to 1e-10 relative: the prox's
