@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import shutil
@@ -501,7 +502,7 @@ class TestScripts:
 
     def test_abtime_compares_a_tree_with_itself(self):
         """The working tree against itself: both sides time every round and
-        give equal iterations and SNR."""
+        give equal iterations, SNR and failed counts."""
         root = Path(__file__).resolve().parents[1]
         proc = _run([sys.executable, str(root / "scripts" / "abtime.py"), "--base", str(root),
                      "--workload", "dec3-gds3d", "sparse-preview", "--seeds", "3",
@@ -511,12 +512,88 @@ class TestScripts:
         assert [line for line in lines if not line.startswith("  ")] == [
             "dec3-gds3d seed 3, 12x12x3, 2 rounds", "sparse-preview seed 3, 12x12x3, 2 rounds"]
         keys = [line.split()[0] for line in lines if line.startswith("  ")]
-        assert keys == 2 * ["s_per_iter", "wall_s", "iterations", "snr_db"]
+        assert keys == 2 * ["s_per_iter", "wall_s", "iterations", "snr_db", "failed"]
         for line in lines:
             if line.startswith(("  s_per_iter", "  wall_s")):
                 assert re.search(r"head/base \d+\.\d{3}  head won [0-2]/2$", line)
-            elif line.startswith(("  iterations", "  snr_db")):
+            elif line.startswith(("  iterations", "  snr_db", "  failed")):
                 assert line.endswith("  equal")
+
+    def test_abtime_compares_grid_sweep_tables(self):
+        """One grid-sweep round at a tiny size: the two sides wrote equal
+        table.csv bytes, and the SNR floors fail equally on both."""
+        root = Path(__file__).resolve().parents[1]
+        proc = _run([sys.executable, str(root / "scripts" / "abtime.py"), "--base", str(root),
+                     "--workload", "grid-sweep", "--seeds", "0",
+                     "--size", "8", "8", "2", "--rounds", "1"])
+        assert proc.returncode == 0, proc.stderr
+        head, *lines = proc.stdout.splitlines()
+        assert head == "grid-sweep seed 0, 8x8x2, 1 rounds"
+        assert [line.split()[0] for line in lines] == [
+            "s_per_iter", "wall_s", "iterations", "snr_db", "failed", "table.csv"]
+        assert all(line.endswith("  equal") for line in lines[2:])
+
+    @pytest.fixture
+    def abtime(self, monkeypatch):
+        """scripts/abtime.py as a module; the BLAS pin it sets goes to a copy
+        of the environment, so later child processes do not inherit it."""
+        monkeypatch.setattr(os, "environ", dict(os.environ))
+        path = Path(__file__).resolve().parents[1] / "scripts" / "abtime.py"
+        spec = importlib.util.spec_from_file_location("abtime", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_abtime_loads_each_tree_against_its_own_package(self, abtime):
+        """Each tree's workloads reach that tree's modules and no other's, and
+        the dsr entries of sys.modules are the same objects afterwards. A leak
+        would run one tree on both sides, and every line would read equal."""
+        def dsr_entries():
+            return {k: m for k, m in sys.modules.items() if k == "dsr" or k.startswith("dsr.")}
+
+        before = dsr_entries()
+        assert "dsr" in before and "dsr.solvers" in before
+        trees = [abtime.Tree(abtime.HEAD, name) for name in ("dsr_alias_a", "dsr_alias_b")]
+        after = dsr_entries()
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
+        attrs = {"solvers": "solvers", "bench": "bench", "scenes": "scenes", "dsr_io": "io"}
+        for tree in trees:
+            for attr, module in attrs.items():
+                assert getattr(tree.workloads, attr) is sys.modules[f"{tree.name}.{module}"]
+            assert tree.workloads.FrameDims is sys.modules[f"{tree.name}.volumes"].FrameDims
+        a, b = (tree.workloads for tree in trees)
+        for attr in attrs:
+            assert getattr(a, attr) is not getattr(b, attr)
+            assert getattr(a, attr) is not before[f"dsr.{attrs[attr]}"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--seeds", "0", "-1"], "--seeds must not be negative"),
+        (["--size", "0", "12", "3"], "--size values must be at least 1"),
+        (["--size", "12", "12", "-3"], "--size values must be at least 1"),
+        (["--rounds", "0"], "--rounds must be at least 1"),
+    ])
+    def test_abtime_rejects_bad_values_before_loading(self, abtime, monkeypatch, capsys,
+                                                      args, message):
+        monkeypatch.setattr(abtime, "Tree", None)  # loading a tree would raise TypeError
+        with pytest.raises(SystemExit) as err:
+            abtime.main(["--base", str(abtime.HEAD), *args])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_abtime_lists_the_workloads_on_an_unknown_name(self, abtime, capsys):
+        with pytest.raises(SystemExit) as err:
+            abtime.main(["--base", str(abtime.HEAD), "--workload", "dec3-gds3d", "nope"])
+        assert err.value.code == 2
+        assert "unknown workload nope; choose from dec3-gds3d, " in capsys.readouterr().err
+
+    def test_abtime_leaves_runs_without_iterations_out_of_s_per_iter(self, abtime):
+        """As perfbench/run.py does: a run with no solver iteration is not a 0 s
+        iteration; with none iterated on a side the line says so."""
+        line = abtime._timing("s_per_iter", [2.0, None, 4.0], [1.0, 3.0, None])
+        assert line == ("  s_per_iter base 3.00000 [2.50000, 3.50000]  "
+                        "head 2.00000 [1.50000, 2.50000]  head/base 0.667  head won 1/1")
+        assert abtime._timing("s_per_iter", [None], [None]) == "  s_per_iter no solver iterations"
 
 
 class TestConsoleScript:
