@@ -20,9 +20,11 @@ reports as ``failed_share``) and, where one is written, ``table.csv``.
 Separate benchmark processes differ by up to a fifth in speed on a shared
 machine; in one process the two trees run under the same conditions, so a
 change of a few percent can show. ``--size W H T`` replaces each workload's
-``dims`` for a quick check; at such sizes the SNR floors fail on both sides,
-so compare the two ``failed`` counts rather than expect zero. BLAS runs on
-one thread unless the environment says otherwise, as in ``perfbench``.
+``dims`` for a quick check; a size the scene does not fit is a usage error
+(exit 2) before any timing. At such sizes the SNR floors fail on both
+sides, so compare the two ``failed`` counts rather than expect zero. BLAS
+runs on one thread unless the environment says otherwise, as in
+``perfbench``.
 """
 
 import argparse
@@ -153,6 +155,12 @@ def main(argv=None) -> int:
         for tree in trees:
             for w in tree.workloads.WORKLOADS.values():
                 w.dims = tree.workloads.FrameDims(*args.size)
+            for name in chosen:  # a scene that does not fit the size fails here
+                try:
+                    tree.workloads.WORKLOADS[name].build(args.seeds[0])
+                except sys.modules[f"{tree.name}.errors"].DataError as exc:
+                    ap.error(f"--size {' '.join(map(str, args.size))} does not fit "
+                             f"{name}: {exc}")
     with tempfile.TemporaryDirectory(prefix="abtime_") as scratch:
         for name in chosen:
             for seed in args.seeds:

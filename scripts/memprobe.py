@@ -5,13 +5,13 @@
 
 Renders ``default_scene``, decimates it at 30 dB input SNR and runs the
 stages of ``run_pipeline`` one at a time: the initialization, block
-matching, the reference counts and a solve of a fixed number of iterations
-(tolerance 0). After each stage it prints the process's peak resident set
-(``ru_maxrss``) and the minor page faults (``ru_minflt``) the stage took;
-the match line adds the bytes the group table stores per member, and the
-solve's faults are also given per iteration. The solve also reports
-its ``tracemalloc`` peak in volumes (8 bytes per voxel): the working set
-that the solve allocates beyond the initialization and the cached counts.
+matching and a solve of a fixed number of iterations (tolerance 0). After
+each stage it prints the process's peak resident set (``ru_maxrss``) and
+the minor page faults (``ru_minflt``) the stage took; the match line adds
+the bytes the group table stores per member, and the solve's faults are
+also given per iteration. The solve also reports its ``tracemalloc`` peak
+in volumes (8 bytes per voxel): the working set that the solve allocates
+beyond the initialization, its reference counts included.
 BLAS runs on one thread unless the environment says otherwise, as in
 ``perfbench``.
 """
@@ -68,8 +68,6 @@ def main(argv=None) -> int:
     table = build_groups(guide if args.algo in GUIDED_ALGORITHMS else init, cfg.geometry)
     stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
     report("match", f"  table {stored / table.top_left.size:.1f} bytes per member")
-    table.counts()
-    report("counts")
     tracemalloc.start()
     try:
         _, rep = solve(psi, table, cfg, init=init)

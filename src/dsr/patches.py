@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,9 +72,9 @@ def grid_positions(extent: int, patch_side: int, stride: int) -> list[int]:
     return pos
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchGroupTable:
-    """All patch groups for a volume, in packed array form.
+    """All patch groups for a volume, in packed array form; a read-only value.
 
     ``top_left`` holds, with shape (P, L), the flat voxel index
     ((t * H) + y) * W + x of each member's top-left pixel; column 0 is the
@@ -85,13 +85,12 @@ class PatchGroupTable:
     so every gather index lies in [0, total_voxels) and the solver's gathers
     check none. The (x, y, t) members are decoded from it on each access.
     Gather indices are built on demand, one chunk of groups at a time into
-    the caller's buffer; the reference counts are cached on first use.
+    the caller's buffer, and ``compute_counts`` makes the reference counts.
     """
 
     geometry: PatchGeometry
     dims: FrameDims
     top_left: np.ndarray
-    _counts: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d, ps, top = self.dims, self.geometry.patch_side, self.top_left
@@ -147,11 +146,6 @@ class PatchGroupTable:
         for start in range(0, self.n_groups, CHUNK_GROUPS):
             groups = slice(start, min(start + CHUNK_GROUPS, self.n_groups))
             yield groups, self.gather_indices(groups, index[:groups.stop - start])
-
-    def counts(self) -> np.ndarray:
-        if self._counts is None:
-            self._counts = compute_counts(self)
-        return self._counts
 
 
 def _worker_count() -> int:

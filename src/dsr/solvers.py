@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import patches
 from .errors import DataError, NumericError, all_finite, as_list, as_number
 from .patches import PatchGeometry, PatchGroupTable, build_groups, scatter_sum
 from .shrinkage import prox_low_rank, prox_work
@@ -217,10 +218,10 @@ class _Workspace:
     reused by every chunk of every block pass: the gather index, the
     gathered blocks, a second block stack, and the prox's Gram and
     projector stacks. The simplified solvers write the prox of the gathered
-    blocks into the second stack, since a product into its own input works
-    on a copy; admm3d does its dual arithmetic there and shrinks it in
-    place. The two volumes a solve rotates are ``_iterate``'s, not the
-    workspace's."""
+    blocks into the second stack; admm3d does its dual arithmetic there and
+    writes the prox into a block stack that ``_iterate`` allocates next to
+    the dual. No prox writes into its input, since a product into its own
+    input works on a copy."""
 
     index: np.ndarray
     blocks: np.ndarray
@@ -253,30 +254,31 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     and feeds back their average; admm3d's, after its data step, updates the
     blocks and the dual and sums the next feedback ``blocks + dual / rho``.
 
-    Every pass streams the table's chunks through one workspace allocated
-    per solve, and the solve owns two volumes that rotate. The block pass
-    writes the feedback into one, the data step turns it into the new
-    iterate in place, and the change of the iterate goes into the other:
-    a spare in the first iteration, since ``init`` is the caller's and only
-    read, and from then on the old iterate's own buffer. admm3d's next pass
-    writes into that same buffer. So after set-up no iteration allocates a
-    volume: the working memory is two volumes and one chunk, plus admm3d's
-    dual and its ``rho * counts`` volume, and for admm3d the copy of its
-    chunk that the in-place prox's product works on.
+    The solve allocates its whole working set here, once: the reference
+    counts (admm3d keeps only ``rho * counts``), one workspace through which
+    every pass streams the table's chunks, two volumes that rotate, and for
+    admm3d the dual and the block stack its prox writes. The block pass
+    writes the feedback into one volume, the data step turns it into the
+    new iterate in place, and the change of the iterate goes into the
+    other: a spare in the first iteration, since ``init`` is the caller's
+    and only read, and from then on the old iterate's own buffer. admm3d's
+    next pass writes into that same buffer. So after set-up no iteration
+    allocates a volume or a block stack.
     """
     t_start = time.perf_counter()
     admm = cfg.algo == "admm3d"
     ws = _Workspace.allocate(table)
     op = psi.operator
     rho = cfg.rho
-    counts = table.counts()
-    # the data step's denominator less the occupancy
-    base = counts * rho if admm else rho
+    counts = patches.compute_counts(table)
+    # the data step's denominator less the occupancy; admm3d drops the integer counts
+    base, counts = (counts * rho, None) if admm else (rho, counts)
 
     phi = (init if init is not None else default_initialization(psi)).values
     feedback, spare = np.empty_like(phi), np.empty_like(phi)
     if admm:
         dual = np.zeros((table.n_groups, *table.chunk_shape()[1:]))
+        shrunk = np.empty(table.chunk_shape())
 
         def update(groups, b_phi):
             """Block and dual updates of one chunk; returns its feedback."""
@@ -284,7 +286,8 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
             extracted = math.hypot(extracted, _norm(b_phi))
             dual_g, step = dual[groups], ws.step[:len(b_phi)]
             np.subtract(b_phi, np.divide(dual_g, rho, out=step), out=step)
-            blocks = prox_low_rank(step, cfg.lam / rho, cfg.nu, out=step, work=ws.prox)
+            blocks = prox_low_rank(step, cfg.lam / rho, cfg.nu, out=shrunk[:len(b_phi)],
+                                   work=ws.prox)
             resid = np.subtract(blocks, b_phi, out=b_phi)
             resid_norm = math.hypot(resid_norm, _norm(resid))
             dual_g += np.multiply(rho, resid, out=resid)

@@ -118,24 +118,6 @@ def bilinear_naive(low: np.ndarray, factor: int, width: int, height: int) -> np.
     return out
 
 
-def nearest_fill_naive(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Nearest measured pixel per missing pixel; scan order breaks ties."""
-    height, width = frame.shape
-    measured = [(y, x) for y in range(height) for x in range(width) if mask[y, x]]
-    out = frame.copy()
-    for y in range(height):
-        for x in range(width):
-            if mask[y, x]:
-                continue
-            best, best_d = None, None
-            for my, mx in measured:
-                d = (my - y) ** 2 + (mx - x) ** 2
-                if best_d is None or d < best_d:
-                    best, best_d = (my, mx), d
-            out[y, x] = frame[best]
-    return out
-
-
 # --------------------------------------------------------------- shrinkage
 
 def soft_threshold_ref(y, lam: float):
@@ -158,11 +140,6 @@ def prox_low_rank_ref(mat: np.ndarray, lam: float, nu: float) -> np.ndarray:
     stack of matrices."""
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     return (u * shrink_values_ref(s, lam, nu)[..., None, :]) @ vh
-
-
-def prox_nuclear_ref(mat: np.ndarray, lam: float) -> np.ndarray:
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return u @ np.diag(soft_threshold_ref(s, lam)) @ vh
 
 
 # ------------------------------------------------------------ solver steps

@@ -494,7 +494,7 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         _, header, *stages, summary = proc.stdout.splitlines()
         assert header.split() == ["stage", "maxrss_mb", "minflt"]
-        assert [line.split()[0] for line in stages] == ["init", "match", "counts", "solve"]
+        assert [line.split()[0] for line in stages] == ["init", "match", "solve"]
         assert all(float(line.split()[1]) > 0 and int(line.split()[2]) >= 0 for line in stages)
         assert stages[1].endswith("  table 8.0 bytes per member")
         assert summary.startswith("solve: 3 iterations, ")
@@ -580,6 +580,15 @@ class TestScripts:
             abtime.main(["--base", str(abtime.HEAD), *args])
         assert err.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_abtime_rejects_a_size_the_scene_does_not_fit(self, abtime, monkeypatch, capsys):
+        """A scene that leaves a 1x1x1 frame is a usage error before any timing."""
+        monkeypatch.setattr(abtime, "compare", None)  # timing would raise TypeError
+        with pytest.raises(SystemExit) as err:
+            abtime.main(["--base", str(abtime.HEAD), "--size", "1", "1", "1"])
+        assert err.value.code == 2
+        assert ("--size 1 1 1 does not fit dec3-gds3d: object 0 leaves the frame"
+                in capsys.readouterr().err)
 
     def test_abtime_lists_the_workloads_on_an_unknown_name(self, abtime, capsys):
         with pytest.raises(SystemExit) as err:

@@ -63,8 +63,9 @@ def test_tracer_hooks_resolve(tracing):
 @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
 def test_solver_loop_calls_tracer_hooks_every_iteration(monkeypatch, algo):
     """The loop reaches the prox, the scatter and the gather index through
-    the attributes the tracer rebinds, so an inlined one would fail here
-    rather than zero its per-layer metric."""
+    the attributes the tracer rebinds, and the solve makes its reference
+    counts once through ``dsr.patches.compute_counts``, so an inlined one
+    would fail here rather than zero its per-layer metric."""
     rng = np.random.default_rng(0)
     dims = FrameDims(12, 12, 3)
     vol = DepthVolume(dims, rng.uniform(4.0, 8.0, dims.total_voxels))
@@ -84,11 +85,13 @@ def test_solver_loop_calls_tracer_hooks_every_iteration(monkeypatch, algo):
         return wrapper
 
     for owner, attr in ((dsr.solvers, "prox_low_rank"), (dsr.solvers, "scatter_sum"),
-                        (PatchGroupTable, "gather_indices"), (dsr.solvers, "admm_phi_step")):
+                        (PatchGroupTable, "gather_indices"), (dsr.solvers, "admm_phi_step"),
+                        (dsr.patches, "compute_counts")):
         monkeypatch.setattr(owner, attr, logged(attr, getattr(owner, attr)))
     cfg = SolverConfig(algo=algo, lam=0.5, max_iter=2, tol=0.0, geometry=geom)
     _, report = dsr.solvers._iterate(psi, table, cfg, None)
     assert report.iterations == 2
+    assert log.count("compute_counts") == 1
 
     # split the calls at each volume update; admm3d updates its blocks after
     # it, the simplified solvers before it

