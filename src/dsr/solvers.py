@@ -204,12 +204,15 @@ def _relative(change: float, scale: float) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
-    """The 2-norm of ``x``, any shape. Where the plain norm's sum of squares
-    overflows, the same norm by ``hypot``, which rescales as it goes and
-    allocates no copy; every finite plain norm is returned as it is."""
+    """The 2-norm of ``x``, any shape, as the root of an ``einsum`` sum of
+    squares: unlike the BLAS dot of ``np.linalg.norm``, it sums in an order
+    that does not follow the BLAS thread count. Where that sum overflows,
+    the same norm by ``hypot``, which rescales as it goes; every finite
+    plain norm is returned as it is. Neither copies a C-contiguous ``x``."""
+    flat = x.reshape(-1)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    return norm if math.isfinite(norm) else float(np.hypot.reduce(x, axis=None))
+        norm = math.sqrt(np.einsum("i,i->", flat, flat))
+    return norm if math.isfinite(norm) else float(np.hypot.reduce(flat))
 
 
 @dataclass

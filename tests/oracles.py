@@ -10,6 +10,8 @@ scatter to check the solver loop around them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from dsr.patches import scatter_sum
@@ -180,7 +182,8 @@ def iterate_ref(psi, table, cfg, init: np.ndarray) -> tuple[np.ndarray, list]:
     for the simplified rule.
     """
     def relative(a, b):
-        change, scale = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        # the solver's norm: the root of an einsum sum of squares, no BLAS
+        change, scale = (math.sqrt(np.einsum("i,i->", x.ravel(), x.ravel())) for x in (a, b))
         return change / scale if scale > 0 else change
 
     rho, n = cfg.rho, table.dims.total_voxels

@@ -1,8 +1,9 @@
 """Every output byte of a fixed set of solves, against a committed record.
 
 ``byte_record.json`` holds, per environment, the sha256 of each run's
-estimate and of its ``rel_change``, ``primal_residual`` and (for the short
-runs) ``objective`` traces, plus its iterations, stop reason and SNR. The
+estimate and of its ``rel_change``, ``primal_residual`` and (for the runs
+of a fixed length) ``objective`` traces, plus its iterations, stop reason
+and SNR. The
 runs are on ``default_scene`` at 32x32x6, seed 0:
 
 - each iterative algorithm, on decimation x3 at 30 dB and on the 10 %
@@ -10,20 +11,24 @@ runs are on ``default_scene`` at 32x32x6, seed 0:
   (lam, rho) = (0.5, 1) and (12, 0.7), for 25 iterations with tol 0 and
   the objective tracked;
 - ``gds3d`` at lam 12 and ``admm3d`` at lam 0.15, rho 0.015, on the
-  decimation, run to the default tolerance.
+  decimation, run to the default tolerance;
+- ``gds3d`` at (12, 0.7) for 2 iterations on a noiseless decimation x3 of
+  the scene with the left half of every frame's depth scaled by 1e-321.
+  That depth is subnormal, and in the second data step ``rho * feedback``
+  underflows to -0.0 at unsampled voxels, which the step's ``out += 0.0``
+  turns into the dense formula's +0.0; without that line the estimate's
+  bytes differ.
 
-The bytes depend on the numpy and BLAS kernels and on the BLAS thread
-count (``np.linalg.norm`` sums in an order that follows it), so they are
-compared only when the record holds an entry for this process's
-environment. Otherwise each run must give the recorded iterations and stop
-reason, and an SNR within ``SNR_TOL_DB`` of the recorded one, and the test
-says that bytes were not compared.
+The bytes depend on the numpy and BLAS kernels, so they are compared only
+when the record holds an entry for this process's environment. Otherwise
+each run must give the recorded iterations and stop reason, and an SNR
+within ``SNR_TOL_DB`` of the recorded one, and the test says that bytes
+were not compared.
 
-A change that moves results on purpose rewrites the entry of each
+A change that moves results on purpose rewrites the entry of the
 environment it is run in:
 
     PYTHONPATH=src python3 tests/test_byte_record.py
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tests/test_byte_record.py
 """
 
 import hashlib
@@ -38,7 +43,14 @@ import pytest
 from dsr.bench import sparse_split
 from dsr.scenes import default_scene, synth_scene
 from dsr.solvers import SolverConfig, run_pipeline
-from dsr.volumes import FrameDims, SamplingOperator, add_noise, apply_sampling, snr_db
+from dsr.volumes import (
+    DepthVolume,
+    FrameDims,
+    SamplingOperator,
+    add_noise,
+    apply_sampling,
+    snr_db,
+)
 
 RECORD = Path(__file__).with_name("byte_record.json")
 
@@ -56,50 +68,53 @@ def environment() -> dict:
     except (TypeError, KeyError):  # numpy without mode="dicts"
         blas = "unknown"
     return {"numpy": np.__version__, "blas": blas,
-            "cpus_usable": len(os.sched_getaffinity(0)),
-            "threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS",
-                                                       "OMP_NUM_THREADS")}}
+            "cpus_usable": len(os.sched_getaffinity(0))}
 
 
-#: read at import, before any test can change the environment; BLAS has
-#: fixed its thread count by then
 ENVIRONMENT = environment()
 
 
 @dataclass(frozen=True)
 class Run:
     algo: str
-    sampling: str  # "dec3" | "mask10"
+    sampling: str  # "dec3" | "mask10" | "dec3-subnormal"
     lam: float
     rho: float
-    short: bool  # 25 iterations with tol 0 and the objective, or to tolerance
+    #: with tol 0 and the objective tracked, or None: to the default tolerance
+    max_iter: int | None
 
     @property
     def name(self) -> str:
-        stop = "25it" if self.short else "tol"
+        stop = "tol" if self.max_iter is None else f"{self.max_iter}it"
         return f"{self.algo}-{self.sampling}-lam{self.lam:g}-rho{self.rho:g}-{stop}"
 
     def config(self) -> SolverConfig:
-        if self.short:
-            return SolverConfig(algo=self.algo, lam=self.lam, rho=self.rho, max_iter=25,
-                                tol=0.0, track_objective=True)
-        return SolverConfig(algo=self.algo, lam=self.lam, rho=self.rho)
+        if self.max_iter is None:
+            return SolverConfig(algo=self.algo, lam=self.lam, rho=self.rho)
+        return SolverConfig(algo=self.algo, lam=self.lam, rho=self.rho,
+                            max_iter=self.max_iter, tol=0.0, track_objective=True)
 
 
-RUNS = [Run(algo, sampling, lam, rho, True)
+RUNS = [Run(algo, sampling, lam, rho, 25)
         for algo in ("gds3d", "gds2d", "ds3d", "admm3d")
         for sampling in ("dec3", "mask10")
         for lam, rho in ((0.5, 1.0), (12.0, 0.7))]
-RUNS += [Run("gds3d", "dec3", 12.0, 1.0, False), Run("admm3d", "dec3", 0.15, 0.015, False)]
+RUNS += [Run("gds3d", "dec3", 12.0, 1.0, None), Run("admm3d", "dec3", 0.15, 0.015, None),
+         Run("gds3d", "dec3-subnormal", 12.0, 0.7, 2)]
 
 
 def scene():
-    """(depth, guide, {sampling: measurements}) of the record's runs."""
+    """(depth, guide, {sampling: measurements}) of the record's runs; the
+    SNRs of the subnormal run are taken against ``depth`` too."""
     dims = FrameDims(32, 32, 6)
     depth, guide = synth_scene(default_scene(dims, seed=0))
-    dec3 = add_noise(apply_sampling(SamplingOperator.decimation(dims, 3), depth), 30.0, 0)
+    dec3 = SamplingOperator.decimation(dims, 3)
     mask10, _ = sparse_split(depth, 0.2, seed=0, split=0.5)
-    return depth, guide, {"dec3": dec3, "mask10": mask10}
+    subnormal = depth.values.copy()
+    subnormal.reshape(dims.frames, dims.height, dims.width)[:, :, :dims.width // 2] *= 1e-321
+    return depth, guide, {"dec3": add_noise(apply_sampling(dec3, depth), 30.0, 0),
+                          "mask10": mask10,
+                          "dec3-subnormal": apply_sampling(dec3, DepthVolume(dims, subnormal))}
 
 
 def _sha(values) -> str:
@@ -113,7 +128,7 @@ def measure(run: Run, depth, guide, psi) -> dict:
              "rel_change": _sha([e.rel_change for e in rep.trace])}
     if run.algo == "admm3d":
         entry["primal_residual"] = _sha([e.primal_residual for e in rep.trace])
-    if run.short:
+    if run.max_iter is not None:
         entry["objective"] = _sha([e.objective for e in rep.trace])
     return entry
 

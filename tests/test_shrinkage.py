@@ -328,12 +328,52 @@ class TestProxRoutes:
 
     @pytest.mark.parametrize("sign,falls_back", [(-1, False), (1, True)])
     def test_tail_mass_decides_at_tau_squared(self, fallback_calls, rng, sign, falls_back):
-        """A tail mass s2**2 + s3**2 just on either side of tau**2. The top
-        value 10 tau leaves the power steps (1/200)**7 of the tail in v, so
-        the gap test passes and the tail mass alone decides."""
-        tail = TAU * np.sqrt((1 + sign * 1e-9) / 2)
+        """A tail s2 = s3 whose Frobenius bound sqrt(s2**4 + s3**4) lies just
+        on either side of tau**2, while its sum s2**2 + s3**2 is about
+        1.41 tau**2. The top value 10 tau leaves the power steps (1/200)**7
+        of the tail in v, so the gap test passes and the bound alone
+        decides."""
+        tail = TAU * ((1 + sign * 1e-9) / np.sqrt(2)) ** 0.5
         prox_low_rank(_rotated([10 * TAU, tail, tail], 25, 10, rng), 12.0, 0.02)
         assert _fallback_count(fallback_calls) == int(falls_back)
+
+    def test_frobenius_bound_certifies_a_heavy_tail(self, fallback_calls):
+        """Four tail values with s**2 = 0.45 tau**2: their sum 1.8 tau**2
+        exceeds tau**2, but ||QGQ||_F = 0.9 tau**2 does not, so every block
+        is certified, and it agrees with the full-SVD prox to 1e-12 of its
+        largest entry."""
+        rng = np.random.default_rng(23)
+        tail = 4 * [TAU * np.sqrt(0.45)]
+        stack = np.stack([_rotated([s1] + tail, 25, 10, rng)
+                          for s1 in TAU * rng.uniform(6.0, 20.0, 32)])
+        tail_sq = np.linalg.svd(stack, compute_uv=False)[:, 1:] ** 2
+        assert np.all(tail_sq.sum(axis=1) > 1.7 * TAU**2)
+        assert np.all(np.sqrt((tail_sq**2).sum(axis=1)) < 0.91 * TAU**2)
+        out = prox_low_rank(stack, 12.0, 0.02)
+        assert _fallback_count(fallback_calls) == 0
+        peak = np.abs(stack).max(axis=(1, 2))
+        ref = prox_low_rank_ref(stack, 12.0, 0.02)
+        assert np.all(np.abs(out - ref).max(axis=(1, 2)) <= 1e-12 * peak)
+
+    def test_every_block_the_tail_sum_certifies_stays_certified(self):
+        """The Frobenius bound only adds blocks: each block that passes the
+        tail-sum test tr G - mu <= tau**2 with ||r|| < 1e-12 (2 mu - tr G)
+        is still certified, on the mixed-route stack and on random stacks of
+        a strong rank-1 part plus noise of spread-out size."""
+        rng = np.random.default_rng(29)
+        rank1 = rng.standard_normal((512, 25, 1)) @ rng.standard_normal((512, 1, 10))
+        noise = rng.standard_normal((512, 25, 10)) * 10.0 ** rng.uniform(-3, 0, (512, 1, 1))
+        added = 0
+        for stack in (_mixed_routes(rng)[0], TAU * (rank1 + noise)):
+            gram = _grams(stack)
+            trace = np.einsum("gii->g", gram)
+            vec, mu, live, certified = shrinkage_mod._top_eigenpairs(gram, trace, TAU)
+            resid = np.linalg.norm(np.einsum("gij,gj->gi", gram, vec) - mu[:, None] * vec,
+                                   axis=-1)
+            by_sum = live & (trace - mu <= TAU**2) & (resid < 1e-12 * (2 * mu - trace))
+            assert np.all(certified[by_sum])
+            added += np.count_nonzero(certified & ~by_sum)
+        assert added > 0
 
     @pytest.mark.parametrize("spectrum", [[0.9, 0.9 * (1 - 1e-8)], [3.0, 3.0 * (1 - 1e-8)],
                                           [1.2, 0.96]])
