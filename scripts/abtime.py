@@ -7,12 +7,15 @@ Loads ``src/dsr`` of the checkout at ``--base`` and of this working tree
 into one process, under the package names ``dsr_base`` and ``dsr_head``,
 and loads this tree's ``perfbench/workloads.py`` once against each, so both
 sides run perfbench's own workload objects: their ``build`` makes the
-inputs, their ``run`` times the call and checks the results. Per seed the
-two sides run in turn for ``--rounds`` pairs, switching which goes first
-every round, and it prints, per side, the median and quartiles of
-``s_per_iter`` (as ``perfbench/run.py`` computes it: runs without solver
-iterations are left out) and ``wall_s``, the ratio of the medians and the
-pairs the working tree won. It also says whether the two sides gave equal
+inputs, their ``run`` times the call and checks the results. Per seed it
+runs ``--rounds`` rounds of four runs, base-head-head-base or its mirror,
+switching between the two every round. Each side's value for a round is
+the mean of its two runs there, so a drift in the machine's speed that is
+linear over the round cancels from the pair. It prints, per side, the
+median and quartiles over rounds of ``s_per_iter`` (as
+``perfbench/run.py`` computes it: runs without solver iterations are left
+out) and ``wall_s``, the ratio of the medians and the rounds the working
+tree won. It also says whether the two sides gave equal
 iterations, SNR, ``failed`` (reconstructions that raised, came out
 malformed or fell below the workload's SNR floor, whose share perfbench
 reports as ``failed_share``) and, where one is written, ``table.csv``.
@@ -82,7 +85,8 @@ class Tree:
 
 
 def _timing(key: str, base: list, head: list) -> str:
-    """One timing line; ``None`` marks a run without solver iterations."""
+    """One timing line from per-round values; ``None`` marks a round without
+    solver iterations."""
     va, vb = [x for x in base if x is not None], [y for y in head if y is not None]
     if not (va and vb):
         return f"  {key:<10} no solver iterations"
@@ -92,6 +96,12 @@ def _timing(key: str, base: list, head: list) -> str:
              for q1, m, q3 in (np.percentile(v, [25, 50, 75]) for v in (va, vb))]
     return (f"  {key:<10} base {stats[0]}  head {stats[1]}  "
             f"head/base {np.median(vb) / np.median(va):.3f}  head won {won}/{len(pairs)}")
+
+
+def _per_round(values: list) -> list:
+    """The mean of each round's two runs, in run order; ``None`` where a run
+    has no solver iterations."""
+    return [None if None in pair else sum(pair) / 2 for pair in zip(values[::2], values[1::2])]
 
 
 def _verdict(va: list, vb: list) -> str:
@@ -106,7 +116,7 @@ def compare(name: str, seed: int, trees, rounds: int, scratch: Path) -> None:
     inputs = [w.build(seed) for w in workloads]
     runs, tables = ([], []), ([], [])
     for r in range(rounds):
-        for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+        for i in ((0, 1, 1, 0) if r % 2 == 0 else (1, 0, 0, 1)):
             out_dir = trees[i].workloads.fresh_dir(scratch / trees[i].name)
             runs[i].append(workloads[i].run(inputs[i], out_dir))
             table = out_dir / "table.csv"
@@ -115,7 +125,7 @@ def compare(name: str, seed: int, trees, rounds: int, scratch: Path) -> None:
     print(f"{name} seed {seed}, {dims.width}x{dims.height}x{dims.frames}, {rounds} rounds")
     per_iter = lambda r: r.solve_s / r.iterations if r.iterations > 0 else None  # noqa: E731
     for key, value in (("s_per_iter", per_iter), ("wall_s", lambda r: r.wall_s)):
-        print(_timing(key, *[[value(r) for r in side] for side in runs]))
+        print(_timing(key, *[_per_round([value(r) for r in side]) for side in runs]))
     for key in ("iterations", "snr_db", "failed"):
         va, vb = [[getattr(r, key) for r in side] for side in runs]
         print(f"  {key:<10} base {va[0]}  head {vb[0]}  {_verdict(va, vb)}")

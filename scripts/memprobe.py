@@ -4,14 +4,17 @@
     PYTHONPATH=src python3 scripts/memprobe.py --size 24 24 8 --algo gds3d
 
 Renders ``default_scene``, decimates it at 30 dB input SNR and runs the
-stages of ``run_pipeline`` one at a time: the initialization, block
-matching and a solve of a fixed number of iterations (tolerance 0). After
-each stage it prints the process's peak resident set (``ru_maxrss``) and
-the minor page faults (``ru_minflt``) the stage took; the match line adds
-the bytes the group table stores per member, and the solve's faults are
-also given per iteration. The solve also reports its ``tracemalloc`` peak
-in volumes (8 bytes per voxel): the working set that the solve allocates
-beyond the initialization, its reference counts included.
+stages of ``run_pipeline`` one at a time, as it runs them: the
+initialization, block matching and a solve of a fixed number of iterations
+(tolerance 0). ds3d makes the initialization first, matches on it and
+hands it to the solve; a guided solve gets none and makes its own, so its
+init line reads the state before matching and says so. After each stage it
+prints the process's peak resident set (``ru_maxrss``) and the minor page
+faults (``ru_minflt``) the stage took; the match line adds the bytes the
+group table stores per member, and the solve's faults are also given per
+iteration. The solve also reports its ``tracemalloc`` peak in volumes (8
+bytes per voxel): the working set that the solve allocates, its own
+iterate and reference counts included.
 BLAS runs on one thread unless the environment says otherwise, as in
 ``perfbench``.
 """
@@ -63,9 +66,13 @@ def main(argv=None) -> int:
         print(f"{stage:<8} {usage.ru_maxrss * 1024 / 1e6:>10.1f} {faults:>9}{note}")
         return faults
 
-    init = default_initialization(psi)
-    report("init")
-    table = build_groups(guide if args.algo in GUIDED_ALGORITHMS else init, cfg.geometry)
+    if args.algo in GUIDED_ALGORITHMS:
+        init, match_on = None, guide
+        report("init", "  made in the solve")
+    else:
+        init = match_on = default_initialization(psi)
+        report("init")
+    table = build_groups(match_on, cfg.geometry)
     stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
     report("match", f"  table {stored / table.top_left.size:.1f} bytes per member")
     tracemalloc.start()

@@ -78,14 +78,17 @@ class PatchGroupTable:
 
     ``top_left`` holds, with shape (P, L), the flat voxel index
     ((t * H) + y) * W + x of each member's top-left pixel; column 0 is the
-    reference of group p. A group whose search window held fewer candidates
+    reference of group p. ``build_groups`` stores it as ``_index_dtype(dims)``,
+    4 bytes per member below 2**31 voxels; any integer type that converts to
+    int64 builds a table. A group whose search window held fewer candidates
     than the group size repeats the reference in its last columns to keep
     the block shape fixed; no real candidate equals the reference. Every
     entry is checked once, here, to be a patch position inside the volume,
     so every gather index lies in [0, total_voxels) and the solver's gathers
     check none. The (x, y, t) members are decoded from it on each access.
     Gather indices are built on demand, one chunk of groups at a time into
-    the caller's buffer, and ``compute_counts`` makes the reference counts.
+    the caller's int64 buffer, and ``compute_counts`` makes the reference
+    counts.
     """
 
     geometry: PatchGeometry
@@ -128,10 +131,19 @@ class PatchGroupTable:
 
     def gather_indices(self, groups: slice, out: np.ndarray) -> np.ndarray:
         """Flat voxel index per (group, in-patch pixel, member), shape (p, B, L),
-        for the groups in ``groups``, written into ``out`` and returned."""
-        ps = self.geometry.patch_side
-        off = (np.arange(ps)[:, None] * self.dims.width + np.arange(ps)).reshape(-1, 1)
-        return np.add(self.top_left[groups][:, None, :], off, out=out)
+        for the groups in ``groups``, written into ``out`` and returned.
+
+        One add whose innermost run is a whole B * L row: the chunk's rows
+        tiled B times plus each in-patch offset repeated L times. Every sum
+        is a voxel index, so it holds in ``_index_dtype(dims)``, the type
+        of a built table, and the add runs in that type or the table's, if
+        wider."""
+        top = self.top_left[groups]
+        ps, size = self.geometry.patch_side, top.shape[1]
+        pixel = np.arange(ps, dtype=np.promote_types(top.dtype, _index_dtype(self.dims)))
+        off = np.repeat((pixel[:, None] * self.dims.width + pixel).reshape(-1), size)
+        np.add(np.tile(top, ps * ps), off, out=out.reshape(len(top), -1))
+        return out
 
     def chunk_shape(self) -> tuple[int, int, int]:
         """Shape (groups, B, L) of the largest chunk ``chunks`` yields."""
@@ -246,6 +258,13 @@ def _run_units(units, work, workspaces) -> None:
         raise errors[0]
 
 
+def _index_dtype(dims: FrameDims) -> np.dtype:
+    """The integer type of a group table on a volume of ``dims``: int32 while
+    it holds the voxel count, so every flat index and every in-patch sum,
+    else int64."""
+    return np.dtype(np.int32 if dims.total_voxels <= np.iinfo(np.int32).max else np.int64)
+
+
 def check_geometry(dims: FrameDims, geom: PatchGeometry) -> None:
     """Raise DataError when ``build_groups`` on a volume of ``dims`` would
     allocate a group table, bordered guide or band workspace larger than
@@ -259,7 +278,8 @@ def check_geometry(dims: FrameDims, geom: PatchGeometry) -> None:
     ys, xs = (grid_positions(n, ps, geom.stride) for n in (h, w))
     band = max(1, CHUNK_GROUPS // len(xs)) * len(xs)
     dx, dy = 2 * (wx // 2) + 1, 2 * (wy // 2) + 1  # offsets searched along x and y
-    sizes = {"group table": dims.frames * len(ys) * len(xs) * geom.group_size * 8,
+    sizes = {"group table": (dims.frames * len(ys) * len(xs) * geom.group_size
+                             * _index_dtype(dims).itemsize),
              "bordered guide": dims.frames * (h + dy - 1) * (w + dx - 1) * 8,
              "band workspace": _Workspace.nbytes(band, wt * dy * dx, band * dx * ps * ps)}
     for what, size in sizes.items():
@@ -314,7 +334,8 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     x_runs = _runs(xs, geom.stride, 0, len(xs))
     # flat index of each reference's top-left pixel in frame 0, grid order
     refs = (np.array(ys, dtype=np.int64)[:, None] * w + xs).reshape(-1)
-    top_left = np.empty((t_total, len(refs), geom.group_size), dtype=np.int64)
+    top_left = np.empty((t_total, len(refs), geom.group_size),
+                        dtype=_index_dtype(guide.dims))
     n_sel = min(geom.group_size - 1, n_offsets)
 
     def match(unit, ws):
@@ -373,8 +394,10 @@ def scatter_sum(blocks: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndar
 
 
 def compute_counts(table: PatchGroupTable) -> np.ndarray:
-    """Number of (group, member, offset) references per voxel."""
+    """Number of (group, member, offset) references per voxel, in the
+    narrowest unsigned dtype that holds the largest: uint8 while no voxel
+    has more than 255. Every count converts to float64 exactly."""
     counts = np.zeros(table.dims.total_voxels, dtype=np.int64)
     for _, idx in table.chunks(np.empty(table.chunk_shape(), dtype=np.int64)):
         np.add.at(counts, idx.reshape(-1), 1)
-    return counts
+    return counts.astype(np.min_scalar_type(counts.max()))

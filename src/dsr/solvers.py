@@ -10,7 +10,8 @@ enforcing agreement between the block estimates and the volume; the
 simplified variants drop it and re-aggregate blocks by count-normalized
 averaging, which spreads the regularization evenly. Each solve rotates two
 volumes, the feedback that becomes the new iterate and the old iterate
-that becomes the change, and never copies its initialization.
+that becomes the change. The first iterate is the solve's own: the default
+initialization it makes, or one copy of the caller's, which it never writes.
 
 Algorithm variants select what drives the block matching: the intensity guide
 (gds3d, gds2d, admm3d), or the interpolated depth itself (ds3d). gds2d
@@ -257,17 +258,19 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     and feeds back their average; admm3d's, after its data step, updates the
     blocks and the dual and sums the next feedback ``blocks + dual / rho``.
 
-    The solve allocates its whole working set here, once: the reference
-    counts (admm3d keeps only ``rho * counts``), one workspace through which
-    every pass streams the table's chunks, two volumes that rotate, and for
-    admm3d the dual and the block stack its prox writes. The block pass
-    writes the feedback into one volume, the data step turns it into the
-    new iterate in place, and the change of the iterate goes into the
-    other: a spare in the first iteration, since ``init`` is the caller's
-    and only read, and from then on the old iterate's own buffer. admm3d's
-    next pass writes into that same buffer. So after set-up no iteration
-    allocates a volume or a block stack.
+    The solve allocates its whole working set here, once. Before its clock
+    starts it makes the first iterate: ``default_initialization(psi)``
+    without ``init``, else one copy of ``init``, which stays the caller's
+    and is only read. Then come the reference counts in their narrow
+    unsigned dtype (admm3d keeps only ``rho * counts``), one workspace
+    through which every pass streams the table's chunks, the feedback
+    volume, and for admm3d the dual and the block stack its prox writes.
+    The block pass writes the feedback, the data step turns it into the new
+    iterate in place, and the change of the iterate goes over the old
+    iterate, into which admm3d's next pass then writes; the two volumes
+    swap. So after set-up no iteration allocates a volume or a block stack.
     """
+    phi = default_initialization(psi).values if init is None else init.values.copy()
     t_start = time.perf_counter()
     admm = cfg.algo == "admm3d"
     ws = _Workspace.allocate(table)
@@ -277,8 +280,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     # the data step's denominator less the occupancy; admm3d drops the integer counts
     base, counts = (counts * rho, None) if admm else (rho, counts)
 
-    phi = (init if init is not None else default_initialization(psi)).values
-    feedback, spare = np.empty_like(phi), np.empty_like(phi)
+    feedback = np.empty_like(phi)
     if admm:
         dual = np.zeros((table.n_groups, *table.chunk_shape()[1:]))
         shrunk = np.empty(table.chunk_shape())
@@ -313,18 +315,16 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
         new = admm_phi_step(psi, base, feedback, rho, out=feedback)
         if not all_finite(new):
             raise NumericError("iterate diverged to non-finite values")
-        # from the second iteration on the change overwrites phi: norm it first
+        # the change overwrites phi: norm it first
         scale = _norm(phi)
-        entry = TraceEntry(rel_change=_relative(_norm(np.subtract(new, phi, out=spare)),
-                                                scale))
+        entry = TraceEntry(rel_change=_relative(_norm(np.subtract(new, phi, out=phi)), scale))
         if admm:
             extracted = resid_norm = 0.0
-            ws.block_pass(new, table, spare, update)
+            ws.block_pass(new, table, phi, update)
             entry.primal_residual = _relative(resid_norm, extracted)
         if cfg.track_objective:
             entry.objective = objective_nuclear(DepthVolume(op.dims, new), psi, table, cfg.lam)
-        phi = new
-        feedback, spare = spare, new
+        phi, feedback = new, phi
         trace.append(entry)
         # the initialization is a fixed point of the first ADMM volume update
         # (blocks start as exact extractions), so the change test is only
@@ -345,7 +345,9 @@ def solve_admm(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     Per iteration: diagonal data step on the volume, blockwise low-rank
     proximal step with threshold lam/rho, then the dual ascent update.
     Stops when the relative change of the volume falls within cfg.tol (the
-    absolute change while the previous iterate is all zero).
+    absolute change while the previous iterate is all zero). Starts from
+    ``init``, copied once and never written, or else from
+    ``default_initialization(psi)``, which the solve makes itself.
     """
     if cfg.algo != "admm3d":
         raise DataError(f"solve_admm called with algo {cfg.algo!r}")
@@ -355,7 +357,8 @@ def solve_admm(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
 def solve_simplified(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
                      init: DepthVolume | None = None) -> tuple[DepthVolume, SolveReport]:
     """Decoupled alternation: blockwise proximal step with threshold lam,
-    count-normalized aggregation, then the diagonal data step."""
+    count-normalized aggregation, then the diagonal data step. Starts from
+    ``init`` or the default initialization, as ``solve_admm`` does."""
     if cfg.algo not in ("gds3d", "gds2d", "ds3d"):
         raise DataError(f"solve_simplified called with algo {cfg.algo!r}")
     return _iterate(psi, table, cfg, init)
@@ -363,15 +366,16 @@ def solve_simplified(psi: Measurements, table: PatchGroupTable, cfg: SolverConfi
 
 def run_pipeline(psi: Measurements, guide, cfg: SolverConfig
                  ) -> tuple[DepthVolume, SolveReport]:
-    """Initialize, build the group table from the configured guide, and solve.
+    """Build the group table from the configured guide, and solve.
 
-    The guided modes require the intensity volume; ds3d matches on the
-    interpolated depth initialization instead, and linear returns the
-    initialization directly.
+    The guided modes match on the intensity volume, which they require, and
+    their solve makes its own initialization. ds3d matches on the
+    interpolated depth initialization instead and starts its solve from it,
+    and linear returns the initialization directly.
     """
     t_start = time.perf_counter()
-    init = default_initialization(psi)
     if cfg.algo == "linear":
+        init = default_initialization(psi)
         report = SolveReport(0, "tolerance", [], time.perf_counter() - t_start,
                              cfg.algo, None)
         return init, report
@@ -382,9 +386,9 @@ def run_pipeline(psi: Measurements, guide, cfg: SolverConfig
         if guide.dims != psi.operator.dims:
             raise DataError(f"guide dims {guide.dims} do not match "
                             f"measurement dims {psi.operator.dims}")
-        match_on = guide
+        init, match_on = None, guide
     else:  # ds3d matches on the depth itself
-        match_on = init
+        init = match_on = default_initialization(psi)
 
     table = build_groups(match_on, cfg.geometry)
     if cfg.algo == "admm3d":

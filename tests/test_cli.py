@@ -496,7 +496,7 @@ class TestScripts:
         assert header.split() == ["stage", "maxrss_mb", "minflt"]
         assert [line.split()[0] for line in stages] == ["init", "match", "solve"]
         assert all(float(line.split()[1]) > 0 and int(line.split()[2]) >= 0 for line in stages)
-        assert stages[1].endswith("  table 8.0 bytes per member")
+        assert stages[1].endswith("  table 4.0 bytes per member")
         assert summary.startswith("solve: 3 iterations, ")
         assert re.search(r", traced peak \d+\.\d\d volumes \(", summary)
 

@@ -332,16 +332,41 @@ class TestBlockOperators:
         m = table.members.astype(np.int64)
         d = table.dims
         expect = (m[:, :, 2] * d.height + m[:, :, 1]) * d.width + m[:, :, 0]
-        assert table.top_left.dtype == np.int64
-        assert table.top_left.tobytes() == expect.tobytes()
+        assert table.top_left.dtype == np.int32
+        assert table.top_left.tobytes() == expect.astype(np.int32).tobytes()
         assert table.references.tobytes() == table.members[:, 0].tobytes()
 
-    def test_a_built_table_stores_8_bytes_per_member(self, random_guide):
-        """Matching stores one int64 per member, and nothing else until the
+    def test_a_built_table_stores_4_bytes_per_member(self, random_guide):
+        """Matching stores one int32 per member, and nothing else until the
         reference counts are asked for."""
         table = _table(random_guide)
         stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
-        assert stored == 8 * table.n_groups * table.geometry.group_size
+        assert stored == 4 * table.n_groups * table.geometry.group_size
+
+    @pytest.mark.parametrize("dims, dtype", [
+        (FrameDims(320, 240, 8), np.int32),
+        (FrameDims(2 ** 31 - 1, 1, 1), np.int32),
+        (FrameDims(2 ** 16, 2 ** 15, 1), np.int64),
+        (FrameDims(2 ** 16, 2 ** 16, 3), np.int64)])
+    def test_index_dtype_is_int64_from_2_31_voxels(self, dims, dtype):
+        """The table's type holds the voxel count itself, so every flat
+        index and every in-patch sum; it is chosen from the dims alone,
+        without matching or allocating anything."""
+        assert patches_mod._index_dtype(dims) == dtype
+
+    def test_counts_above_255_are_uint16(self):
+        """Stride 1 and 40-member groups on a constant 8 x 8 x 2 guide give
+        some voxel more than 255 references, so the counts take two bytes
+        each; they still equal the naive count."""
+        dims = FrameDims(8, 8, 2)
+        table = build_groups(IntensityVolume(dims, np.full(dims.total_voxels, 0.5)),
+                             PatchGeometry(patch_side=3, stride=1, window=(5, 5, 3),
+                                           group_size=40))
+        counts = compute_counts(table)
+        expect = np.bincount(whole_index(table).reshape(-1), minlength=dims.total_voxels)
+        assert expect.max() > 255
+        assert counts.dtype == np.uint16
+        np.testing.assert_array_equal(counts, expect)
 
     @pytest.mark.parametrize("axis,value", [(0, -1), (0, 10), (1, 8), (2, 3), (2, -1)])
     def test_members_outside_the_volume_are_rejected(self, random_guide, axis, value):
@@ -409,7 +434,9 @@ def test_group_operators_property(data):
         patches_mod.CHUNK_GROUPS = saved
     idx = whole_index(table)
     flat = idx.reshape(-1)
-    assert counts.tobytes() == np.bincount(flat, minlength=dims.total_voxels).tobytes()
+    expect = np.bincount(flat, minlength=dims.total_voxels)
+    np.testing.assert_array_equal(counts, expect)
+    assert counts.dtype == np.min_scalar_type(expect.max()) and counts.dtype.kind == "u"
     whole = np.bincount(flat, weights=weights.reshape(-1), minlength=dims.total_voxels)
     assert scatter_sum(weights, idx, np.zeros(dims.total_voxels)).tobytes() == whole.tobytes()
     assert chunked.tobytes() == whole.tobytes()

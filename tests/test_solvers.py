@@ -310,12 +310,15 @@ class TestChunkedBlockPass:
 
     @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
     def test_one_iteration_peak_memory(self, large, algo):
-        """The reference counts, the initialization, the two rotating
-        volumes and one chunk's workspace: about 4.5 volumes, beside the
-        table's flat member index, which matching stored. admm3d keeps
-        ``rho * counts`` in place of the counts and adds its dual and its
-        prox's block stack, about 4.7 volumes besides the dual. Holding
-        every block of the video at once takes over 100 volumes."""
+        """The initialization that the solve makes and then writes over, the
+        feedback volume it swaps with, the one-byte reference counts and one
+        chunk's workspace: about 2.6 volumes, beside the table's flat member
+        index, which matching stored. The int64 counts are narrowed before
+        the feedback is allocated, so they do not add to that peak. admm3d
+        keeps ``rho * counts``, one float64 volume, in place of the counts
+        and adds its dual and its prox's block stack, about 3.7 volumes
+        besides the dual. Holding every block of the video at once takes
+        over 100 volumes."""
         psi, table = large
         cfg = SolverConfig(algo=algo, lam=12.0, max_iter=1, geometry=table.geometry)
         volume = psi.operator.dims.total_voxels * 8
@@ -327,9 +330,9 @@ class TestChunkedBlockPass:
         finally:
             tracemalloc.stop()
         if algo == "admm3d":
-            assert peak < dual + 5 * volume
+            assert peak < dual + 4 * volume
         else:
-            assert peak < 6 * volume
+            assert peak < 3 * volume
 
 
 @pytest.mark.parametrize("algo", ["gds3d", "gds2d", "ds3d", "admm3d"])
@@ -495,8 +498,9 @@ def test_norm_bytes_do_not_follow_the_blas_thread_count():
 
 @pytest.mark.parametrize("algo", ["gds3d", "gds2d", "ds3d", "admm3d"])
 def test_explicit_init_is_only_read(problem, algo):
-    """A solve reads the caller's initialization without copying it: the
-    initialization keeps its bytes, and the estimate is an array of its own."""
+    """A solve never writes the caller's initialization: it copies it once
+    and writes every change over that copy, so the initialization keeps its
+    bytes, and the estimate is an array of its own."""
     _, _, psi, table = problem
     init = DepthVolume(psi.operator.dims, default_initialization(psi).values + 0.25)
     before = init.values.tobytes()
@@ -539,6 +543,24 @@ class TestRunPipeline:
         est, rep = run_pipeline(psi, None, cfg)
         assert rep.algo == "ds3d"
         assert est.dims == psi.operator.dims
+
+    @pytest.mark.parametrize("kind", ["decimation", "mask"])
+    @pytest.mark.parametrize("algo", ["gds3d", "gds2d", "admm3d"])
+    def test_guided_solve_makes_its_own_initialization(self, problem, algo, kind):
+        """A guided solve gets no init from run_pipeline and makes the
+        default initialization itself: estimate and trace have the bytes
+        of a solve handed ``default_initialization(psi)``."""
+        vol, guide, psi, _ = problem
+        if kind == "mask":
+            mask = np.arange(vol.dims.total_voxels) % 5 == 0
+            psi = apply_sampling(SamplingOperator.from_mask(vol.dims, mask), vol)
+        cfg = SolverConfig(algo=algo, lam=1.0, max_iter=4, tol=0.0, geometry=GEOM)
+        est, rep = run_pipeline(psi, guide, cfg)
+        solve = solve_admm if algo == "admm3d" else solve_simplified
+        expect, rep_expect = solve(psi, build_groups(guide, cfg.geometry), cfg,
+                                   init=default_initialization(psi))
+        assert est.values.tobytes() == expect.values.tobytes()
+        assert repr(rep.trace) == repr(rep_expect.trace)
 
     def test_improves_over_initialization(self, problem):
         vol, guide, psi, _ = problem
