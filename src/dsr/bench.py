@@ -125,7 +125,8 @@ def run_bench(scene_spec: SceneSpec, grid: ExperimentGrid, solver: dict | None,
               out_dir) -> dict:
     """Run the full grid and write table.csv, per-frame CSVs, reconstructions
     and run.json under out_dir. Returns {algo: {factor: overall SNR}}."""
-    solver = {**DEFAULT_SOLVER, **read_section(solver or {}, "solver config", DEFAULT_SOLVER)}
+    solver = {**DEFAULT_SOLVER,
+              **read_section({} if solver is None else solver, "solver config", DEFAULT_SOLVER)}
     # linear keeps the window whole; a gds2d cell collapses only its own copy
     base = SolverConfig.from_settings("linear", None, solver)
     # a table numpy cannot address fails the config, not each cell that builds one
@@ -208,7 +209,8 @@ def bench_from_config(config, out_dir) -> dict:
     """Build scene/grid/solver settings from a parsed config and run.
 
     The config and its optional sections "scene", "grid" and "solver" must be
-    objects with known keys; missing keys take the package defaults. List
+    objects with known keys (a null "solver" is a missing one, as ``None``
+    is for ``run_bench``); missing keys take the package defaults. List
     settings (factors, algorithms, lambdas, seeds, objects, window) must be
     arrays, counts must fit in int64 and real numbers in a float. Any
     violation is a DataError, raised before ``out_dir`` is created.
@@ -217,5 +219,4 @@ def bench_from_config(config, out_dir) -> dict:
     spec = scene_from_config(config.get("scene", {}))
     grid = read_section(config.get("grid", {}), "grid config",
                         [f.name for f in fields(ExperimentGrid)])
-    solver = read_section(config.get("solver", {}), "solver config", DEFAULT_SOLVER)
-    return run_bench(spec, ExperimentGrid(**grid), solver, out_dir)
+    return run_bench(spec, ExperimentGrid(**grid), config.get("solver"), out_dir)

@@ -78,17 +78,16 @@ class PatchGroupTable:
 
     ``top_left`` holds, with shape (P, L), the flat voxel index
     ((t * H) + y) * W + x of each member's top-left pixel; column 0 is the
-    reference of group p. ``build_groups`` stores it as ``_index_dtype(dims)``,
-    4 bytes per member below 2**31 voxels; any integer type that converts to
-    int64 builds a table. A group whose search window held fewer candidates
-    than the group size repeats the reference in its last columns to keep
-    the block shape fixed; no real candidate equals the reference. Every
-    entry is checked once, here, to be a patch position inside the volume,
-    so every gather index lies in [0, total_voxels) and the solver's gathers
-    check none. The (x, y, t) members are decoded from it on each access.
-    Gather indices are built on demand, one chunk of groups at a time into
-    the caller's int64 buffer, and ``compute_counts`` makes the reference
-    counts.
+    reference of group p. Its type must be ``_index_dtype(dims)``, which
+    ``build_groups`` stores, 4 bytes per member below 2**31 voxels. A group
+    whose search window held fewer candidates than the group size repeats
+    the reference in its last columns to keep the block shape fixed; no
+    real candidate equals the reference. Every entry is checked once, here,
+    to be a patch position inside the volume, so every gather index lies in
+    [0, total_voxels) and the solver's gathers check none. The (x, y, t)
+    members are decoded from it on each access. Gather indices are built on
+    demand, one chunk of groups at a time into the caller's int64 buffer,
+    and ``compute_counts`` makes the reference counts.
     """
 
     geometry: PatchGeometry
@@ -99,10 +98,10 @@ class PatchGroupTable:
         d, ps, top = self.dims, self.geometry.patch_side, self.top_left
         if not (isinstance(top, np.ndarray) and top.ndim == 2
                 and top.shape[1] == self.geometry.group_size
-                and top.dtype.kind in "iu" and np.can_cast(top.dtype, np.int64)):
+                and top.dtype == _index_dtype(d)):
             raise DataError(f"top_left must be a 2-D integer array with "
-                            f"{self.geometry.group_size} columns, got "
-                            f"{getattr(top, 'dtype', type(top).__name__)} of shape "
+                            f"{self.geometry.group_size} columns of type {_index_dtype(d)}, "
+                            f"got {getattr(top, 'dtype', type(top).__name__)} of shape "
                             f"{np.shape(top)}")
         for start in range(0, self.n_groups, CHUNK_GROUPS):
             x, y, t = self._decode(slice(start, start + CHUNK_GROUPS))
@@ -134,13 +133,11 @@ class PatchGroupTable:
         for the groups in ``groups``, written into ``out`` and returned.
 
         One add whose innermost run is a whole B * L row: the chunk's rows
-        tiled B times plus each in-patch offset repeated L times. Every sum
-        is a voxel index, so it holds in ``_index_dtype(dims)``, the type
-        of a built table, and the add runs in that type or the table's, if
-        wider."""
+        tiled B times plus each in-patch offset repeated L times, in the
+        table's type, which holds every voxel index."""
         top = self.top_left[groups]
         ps, size = self.geometry.patch_side, top.shape[1]
-        pixel = np.arange(ps, dtype=np.promote_types(top.dtype, _index_dtype(self.dims)))
+        pixel = np.arange(ps, dtype=top.dtype)
         off = np.repeat((pixel[:, None] * self.dims.width + pixel).reshape(-1), size)
         np.add(np.tile(top, ps * ps), off, out=out.reshape(len(top), -1))
         return out

@@ -30,13 +30,8 @@ from . import patches
 from .errors import DataError, NumericError, all_finite, as_list, as_number
 from .patches import PatchGeometry, PatchGroupTable, build_groups, scatter_sum
 from .shrinkage import prox_low_rank, prox_work
-from .volumes import (
-    DepthVolume,
-    Measurements,
-    linear_interpolate,
-    mask_fill,
-    snr_db,
-)
+from .volumes import (DepthVolume, Measurements, _norm, _sum_squares, linear_interpolate,
+                      mask_fill, snr_db)
 
 __all__ = [
     "ALGORITHMS",
@@ -196,24 +191,12 @@ def objective_nuclear(phi: DepthVolume, psi: Measurements, table: PatchGroupTabl
     index = np.empty(table.chunk_shape(), dtype=np.int64)
     nuclear = sum(float(np.linalg.svd(phi.values[idx], compute_uv=False).sum())
                   for _, idx in table.chunks(index))
-    return 0.5 * float(resid @ resid) + lam * nuclear
+    return 0.5 * _sum_squares(resid) + lam * nuclear
 
 
 def _relative(change: float, scale: float) -> float:
     """change / scale for two norms, or change itself when scale is zero."""
     return change / scale if scale > 0 else change
-
-
-def _norm(x: np.ndarray) -> float:
-    """The 2-norm of ``x``, any shape, as the root of an ``einsum`` sum of
-    squares: unlike the BLAS dot of ``np.linalg.norm``, it sums in an order
-    that does not follow the BLAS thread count. Where that sum overflows,
-    the same norm by ``hypot``, which rescales as it goes; every finite
-    plain norm is returned as it is. Neither copies a C-contiguous ``x``."""
-    flat = x.reshape(-1)
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(np.einsum("i,i->", flat, flat))
-    return norm if math.isfinite(norm) else float(np.hypot.reduce(flat))
 
 
 @dataclass
@@ -428,7 +411,7 @@ def default_lambda_grid(psi: Measurements, input_snr_db: float) -> list[float]:
     if not np.isfinite(input_snr_db):
         raise DataError("default candidates need a finite input SNR; "
                         "pass explicit weights for noiseless data")
-    rms = float(np.linalg.norm(psi.values)) / np.sqrt(psi.values.size)
+    rms = _norm(psi.values) / np.sqrt(psi.values.size)
     sigma = rms * 10.0 ** (-input_snr_db / 20.0)
     if sigma == 0.0:
         raise DataError("measurements are all zero; cannot scale candidates")

@@ -33,7 +33,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dsr.bench import ExperimentGrid, run_bench, scene_from_config
 from dsr.cli import main
+from dsr.errors import DataError
 from dsr.solvers import ALGORITHMS, DEFAULT_SOLVER
 
 BASE = {
@@ -113,6 +115,17 @@ def test_bench_config_exits_0_or_2(config):
             assert not out.exists()
         else:
             assert (out / "table.csv").exists()
+
+
+@pytest.mark.parametrize("solver", [[], 0, "", False], ids=repr)
+def test_run_bench_rejects_a_falsy_solver_section(tmp_path, solver):
+    """``run_bench`` reads its solver section once, as the config reader
+    hands it on: only ``None`` stands for the defaults, and any other
+    non-object is a DataError before ``out_dir`` is made."""
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match="solver config must be a JSON object"):
+        run_bench(scene_from_config(BASE["scene"]), ExperimentGrid(**BASE["grid"]), solver, out)
+    assert not out.exists()
 
 
 MEAS_KEYS = ("width", "height", "frames", "kind", "factor")

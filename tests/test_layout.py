@@ -122,6 +122,37 @@ def test_solvers_call_scatter_sum_from_one_place():
     assert len(lines) == 1, f"scatter_sum is called on lines {lines}"
 
 
+def _blas_vector_sums(path):
+    """Lines of a source file that sum a whole vector by BLAS: an ``@``, a
+    ``dot`` or ``vdot`` call, or ``np.linalg.norm`` without ``axis=``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.split(".")[-1] in ("dot", "vdot") or (
+                    name == "np.linalg.norm"
+                    and "axis" not in [k.arg for k in node.keywords]):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("name", ["volumes.py", "solvers.py"])
+def test_norms_and_snr_sum_without_blas(name):
+    """Every norm, SNR and misfit of the volumes and the solvers goes
+    through ``volumes._sum_squares``, whose order does not follow the BLAS
+    thread count, so a BLAS vector sum cannot come back unnoticed."""
+    assert _blas_vector_sums(Path(dsr.__file__).parent / name) == []
+
+
+def test_blas_sum_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("a = x @ x\nb = np.dot(x, x)\nc = x.vdot(x)\n"
+                    "d = np.linalg.norm(x)\ne = np.linalg.norm(x, axis=-1)\n")
+    assert _blas_vector_sums(path) == ["1: @", "2: np.dot", "3: x.vdot", "4: np.linalg.norm"]
+
+
 @pytest.mark.parametrize("module_name", MODULES)
 def test_exported_names_exist(module_name):
     module = importlib.import_module(module_name)

@@ -382,8 +382,8 @@ class TestBlockOperators:
         with pytest.raises(DataError, match="outside the volume"):
             PatchGroupTable(table.geometry, table.dims, top_left)
 
-    @pytest.mark.parametrize("top_left", [np.zeros((3, 4), np.int64), np.zeros(3, np.int64),
-                                          np.zeros((3, 10)), np.zeros((3, 10, 1), np.int64)],
+    @pytest.mark.parametrize("top_left", [np.zeros((3, 4), np.int32), np.zeros(3, np.int32),
+                                          np.zeros((3, 10)), np.zeros((3, 10, 1), np.int32)],
                              ids=["3x4", "3", "float_3x10", "3x10x1"])
     def test_wrongly_shaped_tables_are_rejected(self, top_left):
         """Only a 2-D integer array with a column per member builds a table;
@@ -391,6 +391,19 @@ class TestBlockOperators:
         geometry = PatchGeometry(group_size=10)
         with pytest.raises(DataError, match="2-D integer array with 10 columns"):
             PatchGroupTable(geometry, FrameDims(12, 12, 3), top_left)
+
+    @pytest.mark.parametrize("top_left", [np.full((2, 4), 255, np.uint8),
+                                          np.zeros((2, 4), np.int16), np.zeros((2, 4), np.int64)],
+                             ids=["uint8", "int16", "int64"])
+    def test_tables_of_another_index_type_are_rejected(self, top_left):
+        """A table holds its members in ``_index_dtype(dims)``, int32 on a
+        20 x 20 x 1 volume, the type ``build_groups`` stores. Any other is a
+        DataError at construction: a uint8 decode would fail with numpy's
+        OverflowError on the 400 voxels of a frame, and a narrow gather
+        index could wrap."""
+        geometry = PatchGeometry(3, 1, (5, 5, 1), 4)
+        with pytest.raises(DataError, match="4 columns of type int32, got " + top_left.dtype.name):
+            PatchGroupTable(geometry, FrameDims(20, 20, 1), top_left)
 
     def test_table_is_a_frozen_value(self, random_guide):
         """A table holds its geometry, dims and members and nothing a solve

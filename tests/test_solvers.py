@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,31 +465,6 @@ def test_huge_depth_stops_on_tolerance(algo):
     if algo == "admm3d":
         assert all(math.isfinite(e.primal_residual) for e in rep.trace)
     assert rep.stop_reason == "tolerance"
-
-
-def test_norm_falls_back_only_when_the_plain_norm_overflows(rng):
-    x = rng.standard_normal(1000)
-    assert solvers_mod._norm(x) == math.sqrt(np.einsum("i,i->", x, x))
-    assert solvers_mod._norm(x * 1e300) == pytest.approx(1e300 * float(np.linalg.norm(x)),
-                                                         rel=1e-12)
-
-
-def test_norm_bytes_do_not_follow_the_blas_thread_count():
-    """On a 614,400-voxel vector the BLAS dot of ``np.linalg.norm`` gives
-    different bytes with one OpenBLAS thread and with two; ``_norm`` must
-    not. Each setting runs in a fresh interpreter, as BLAS fixes its thread
-    count at load."""
-    code = ("import numpy as np; from dsr.solvers import _norm; "
-            "print(repr(_norm(np.random.default_rng(0).standard_normal(614400) * 3)))")
-    path = [str(Path(solvers_mod.__file__).parents[1]),
-            *filter(None, [os.environ.get("PYTHONPATH")])]
-    outputs = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
-               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        outputs.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                   text=True, env=env, check=True).stdout)
-    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("algo", ["gds3d", "gds2d", "ds3d", "admm3d"])

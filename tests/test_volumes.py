@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,8 @@ from dsr.volumes import (
     IntensityVolume,
     Measurements,
     SamplingOperator,
+    _norm,
+    _sum_squares,
     add_noise,
     apply_sampling,
     linear_interpolate,
@@ -179,6 +182,21 @@ class TestSnr:
                             np.ones(random_volume.dims.total_voxels))
         with pytest.raises(DataError):
             per_frame_snr(random_volume, other)
+
+
+def test_norm_falls_back_only_when_the_plain_norm_overflows(rng):
+    x = rng.standard_normal(1000)
+    assert _norm(x) == math.sqrt(np.einsum("i,i->", x, x))
+    assert _norm(x * 1e300) == pytest.approx(1e300 * float(np.linalg.norm(x)), rel=1e-12)
+
+
+def test_norms_and_snr_share_one_sum_of_squares(rng):
+    """Whatever the shape, ``_sum_squares`` is the ``einsum`` sum of the
+    flat values, ``_norm`` its root and ``snr_db`` the ratio of two of them."""
+    ref, est = rng.standard_normal((2, 4, 6, 5))
+    assert _sum_squares(ref) == float(np.einsum("i,i->", ref.reshape(-1), ref.reshape(-1)))
+    assert _norm(ref) == math.sqrt(_sum_squares(ref))
+    assert snr_db(ref, est) == 10.0 * float(np.log10(_sum_squares(ref) / _sum_squares(ref - est)))
 
 
 class TestAddNoise:
