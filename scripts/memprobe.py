@@ -9,12 +9,17 @@ initialization, block matching and a solve of a fixed number of iterations
 (tolerance 0). ds3d makes the initialization first, matches on it and
 hands it to the solve; a guided solve gets none and makes its own, so its
 init line reads the state before matching and says so. After each stage it
-prints the process's peak resident set (``ru_maxrss``) and the minor page
-faults (``ru_minflt``) the stage took; the match line adds the bytes the
-group table stores per member, and the solve's faults are also given per
-iteration. The solve also reports its ``tracemalloc`` peak in volumes (8
-bytes per voxel): the working set that the solve allocates, its own
-iterate and reference counts included.
+prints the process's peak resident set (``ru_maxrss``), the largest peak
+of the child processes it has waited for (``ru_maxrss`` of
+``RUSAGE_CHILDREN``: the solve's block-pass helpers, which share the
+parent's pages until they write them, so the two peaks overlap) and the
+minor page faults (``ru_minflt``) the stage took; the match line adds the
+bytes the group table stores per member, and the solve's faults are also
+given per iteration. The solve also reports its peak working set in
+volumes (8 bytes per voxel): the ``tracemalloc`` peak plus every byte of
+the shared mappings that the solve allocates and ``tracemalloc`` does not
+see (the iterate, the helpers' result slots and admm3d's dual), its own
+reference counts included.
 BLAS runs on one thread unless the environment says otherwise, as in
 ``perfbench``.
 """
@@ -30,7 +35,8 @@ import numpy as np
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from dsr.patches import CHUNK_GROUPS, build_groups  # noqa: E402  (after the BLAS pin)
+from dsr import solvers  # noqa: E402  (after the BLAS pin)
+from dsr.patches import CHUNK_GROUPS, build_groups  # noqa: E402
 from dsr.scenes import default_scene, synth_scene  # noqa: E402
 from dsr.solvers import (GUIDED_ALGORITHMS, SolverConfig, default_initialization,  # noqa: E402
                          solve_admm, solve_simplified)
@@ -56,14 +62,16 @@ def main(argv=None) -> int:
 
     print(f"{args.algo} at {'x'.join(map(str, args.size))}, decimation x{args.factor}, "
           f"{args.iterations} iterations")
-    print(f"{'stage':<8} {'maxrss_mb':>10} {'minflt':>9}")
+    print(f"{'stage':<8} {'maxrss_mb':>10} {'child_mb':>9} {'minflt':>9}")
     last = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     def report(stage: str, note: str = "") -> int:
         nonlocal last
         usage = resource.getrusage(resource.RUSAGE_SELF)
+        child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / 1e6
         faults, last = usage.ru_minflt - last, usage.ru_minflt
-        print(f"{stage:<8} {usage.ru_maxrss * 1024 / 1e6:>10.1f} {faults:>9}{note}")
+        print(f"{stage:<8} {usage.ru_maxrss * 1024 / 1e6:>10.1f} {child:>9.1f} "
+              f"{faults:>9}{note}")
         return faults
 
     if args.algo in GUIDED_ALGORITHMS:
@@ -75,13 +83,22 @@ def main(argv=None) -> int:
     table = build_groups(match_on, cfg.geometry)
     stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
     report("match", f"  table {stored / table.top_left.size:.1f} bytes per member")
+    shared, allocate = [], solvers._shared
+
+    def recorded(shape):
+        arr = allocate(shape)
+        shared.append(arr.nbytes)
+        return arr
+
+    solvers._shared = recorded
     tracemalloc.start()
     try:
         _, rep = solve(psi, table, cfg, init=init)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] + sum(shared)
     finally:
         tracemalloc.stop()
-    faults = report("solve")
+        solvers._shared = allocate
+    faults = report("solve", f"  workers {rep.workers}")
     volume = 8 * depth.dims.total_voxels
     geom = table.geometry
     dual = (table.n_groups * geom.group_size * geom.patch_side ** 2 * 8
@@ -89,7 +106,8 @@ def main(argv=None) -> int:
     print(f"solve: {rep.iterations} iterations, {faults / rep.iterations:.1f} minor "
           f"page faults per iteration, {-(-table.n_groups // CHUNK_GROUPS)} chunks of "
           f"at most {CHUNK_GROUPS} groups, traced peak {peak / volume:.2f} volumes "
-          f"({peak / 1e6:.1f} MB" + (f", {dual / volume:.2f} of them the dual)" if dual else ")"))
+          f"({peak / 1e6:.1f} MB, {sum(shared) / volume:.2f} volumes of them shared"
+          + (f", {dual / volume:.2f} the dual)" if dual else ")"))
     return 0
 
 

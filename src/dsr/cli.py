@@ -233,6 +233,8 @@ def cmd_solve(args) -> int:
         "iterations": report.iterations,
         "stop_reason": report.stop_reason,
         "final_rel_change": final_rel,
+        "workers": report.workers,
+        "wait_s": report.wait_s,
     })
     print(f"algo={args.algo} iterations={report.iterations} "
           f"stop={report.stop_reason}")

@@ -8,10 +8,17 @@ quadratic subproblem is a pointwise division, the same one for both, and
 only the sampled voxels read a measurement. ADMM carries a dual variable
 enforcing agreement between the block estimates and the volume; the
 simplified variants drop it and re-aggregate blocks by count-normalized
-averaging, which spreads the regularization evenly. Each solve rotates two
-volumes, the feedback that becomes the new iterate and the old iterate
-that becomes the change. The first iterate is the solve's own: the default
-initialization it makes, or one copy of the caller's, which it never writes.
+averaging, which spreads the regularization evenly. Each solve owns two
+volumes: the iterate, in shared memory, and the private feedback that the
+data step turns into the new iterate. The first iterate is the solve's own:
+the default initialization it makes, or one copy of the caller's, which it
+never writes.
+
+The groups are independent, so each block pass runs its chunks on every
+usable core: the solve forks helper processes once, each gathers and
+shrinks the chunks the parent orders from the shared iterate, and the
+parent adds every chunk's result into the feedback in table order, so the
+bytes do not depend on the number of processes.
 
 Algorithm variants select what drives the block matching: the intensity guide
 (gds3d, gds2d, admm3d), or the interpolated depth itself (ds3d). gds2d
@@ -21,7 +28,15 @@ restricts matching to single frames.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import select
+import signal
+import struct
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,6 +168,11 @@ class SolveReport:
     wall_time: float
     algo: str
     lam: float | None = None
+    #: processes that ran the block pass (0 when none ran), and the seconds
+    #: the parent waited for the others; a profile of the parent alone sees
+    #: only its own share of the pass
+    workers: int = 0
+    wait_s: float = 0.0
 
 
 def admm_phi_step(psi: Measurements, base: np.ndarray | float, feedback: np.ndarray,
@@ -177,11 +197,12 @@ def admm_phi_step(psi: Measurements, base: np.ndarray | float, feedback: np.ndar
     return out
 
 
-def default_initialization(psi: Measurements) -> DepthVolume:
-    """Interpolate decimation measurements, nearest-fill mask measurements."""
+def default_initialization(psi: Measurements, out: np.ndarray | None = None) -> DepthVolume:
+    """Interpolate decimation measurements, nearest-fill mask measurements;
+    into the flat float64 array ``out`` when given."""
     if psi.operator.kind == "decimation":
-        return linear_interpolate(psi, psi.operator.dims)
-    return mask_fill(psi)
+        return linear_interpolate(psi, psi.operator.dims, out=out)
+    return mask_fill(psi, out=out)
 
 
 def objective_nuclear(phi: DepthVolume, psi: Measurements, table: PatchGroupTable,
@@ -199,39 +220,220 @@ def _relative(change: float, scale: float) -> float:
     return change / scale if scale > 0 else change
 
 
+#: A chunk order to a helper: the chunk's first group and the group after
+#: its last; a negative first group tells the helper to leave.
+_ORDER = struct.Struct("<qq")
+#: A helper's answer to one order: the chunk's two norms from the update, and
+#: the byte count of a pickled exception that follows, 0 when none does.
+_ANSWER = struct.Struct("<ddq")
+#: The two norms of an update that folds none.
+_NO_NORMS = (0.0, 0.0)
+#: Seconds a wait on a pipe polls before it sleeps in ``select``. Between
+#: chunks a hand-off takes well under a chunk's time; a process that slept
+#: each time would lose more than that waking up.
+_SPIN_S = 0.002
+
+
+def _shared(shape) -> np.ndarray:
+    """A zero-filled float64 array in anonymous shared memory: what a forked
+    helper writes there the parent reads, and the reverse."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+
+
+def _recv(fd: int, size: int) -> bytes:
+    """``size`` bytes from the non-blocking pipe ``fd``, or fewer at end of
+    file. It polls for ``_SPIN_S``, then sleeps in ``select`` between reads."""
+    data = b""
+    spin_until = time.perf_counter() + _SPIN_S
+    while len(data) < size:
+        try:
+            part = os.read(fd, size - len(data))
+        except BlockingIOError:
+            if time.perf_counter() > spin_until:
+                select.select([fd], [], [])
+            continue
+        if not part:
+            break
+        data += part
+    return data
+
+
+def _extract(groups, blocks, out) -> tuple[float, float]:
+    """The identity update of a block pass: each chunk's blocks unchanged."""
+    np.copyto(out, blocks)
+    return _NO_NORMS
+
+
+def _helper_count(table: PatchGroupTable) -> int:
+    """Processes to fork beside this one for a solve's block pass: one per
+    further usable core, at most one per further chunk of a pass. None
+    without ``os.fork``, or while other threads run, since a fork copies
+    only the calling thread and their locks might be held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    chunks = -(-table.n_groups // patches.CHUNK_GROUPS)
+    return min(patches._worker_count(), chunks) - 1
+
+
 @dataclass
 class _Workspace:
-    """One solve's chunk buffers, allocated once before its volumes and
-    reused by every chunk of every block pass: the gather index, the
-    gathered blocks, a second block stack, and the prox's Gram and
-    projector stacks. The simplified solvers write the prox of the gathered
-    blocks into the second stack; admm3d does its dual arithmetic there and
-    writes the prox into a block stack that ``_iterate`` allocates next to
+    """One solve's chunk buffers, allocated once and reused by every chunk
+    of every block pass, and the helper processes that share the pass. Each
+    process has its own gather index, gathered blocks and prox scratch (a
+    helper gets copies when it forks), and writes the result of each chunk
+    it runs into its own block stack of ``slots``, from which the parent
+    scatters it: the parent's is private, the helpers' are in shared memory.
+    admm3d allocates one more block stack for its dual arithmetic next to
     the dual. No prox writes into its input, since a product into its own
-    input works on a copy."""
+    input works on a copy.
+
+    ``helpers`` holds (pid, order pipe, answer pipe) of each helper while
+    ``forked`` runs, and ``wait_s`` the seconds the parent waited for their
+    answers."""
 
     index: np.ndarray
     blocks: np.ndarray
-    step: np.ndarray
     prox: np.ndarray
+    slots: list
+    helpers: list = field(default_factory=list)
+    wait_s: float = 0.0
 
     @classmethod
-    def allocate(cls, table: PatchGroupTable) -> "_Workspace":
+    def allocate(cls, table: PatchGroupTable, helpers: int) -> "_Workspace":
         shape = table.chunk_shape()
-        return cls(np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape),
-                   prox_work(*shape))
+        slots = [np.empty(shape), *(_shared((helpers, *shape)) if helpers else ())]
+        return cls(np.empty(shape, dtype=np.int64), np.empty(shape), prox_work(*shape), slots)
+
+    def _run(self, values, idx, groups: slice, worker: int, update) -> tuple[float, float]:
+        """Gather one chunk's blocks of ``values`` and apply ``update`` into
+        this process's slot. The table has checked that every index lies in
+        the volume, so the gather checks none."""
+        n = len(idx)
+        blocks = np.take(values, idx, out=self.blocks[:n], mode="clip")
+        return update(groups, blocks, self.slots[worker][:n])
+
+    def _order(self, table: PatchGroupTable, chunk: int) -> None:
+        """Send chunk ``chunk`` of the table to the helper that runs it."""
+        start = chunk * patches.CHUNK_GROUPS
+        stop = min(start + patches.CHUNK_GROUPS, table.n_groups)
+        os.write(self.helpers[chunk % (len(self.helpers) + 1) - 1][1], _ORDER.pack(start, stop))
+
+    def _answer(self, worker: int) -> tuple[float, float]:
+        """The norms helper ``worker`` posts once its slot holds its chunk;
+        the helper's exception when it raised one, and a NumericError when
+        it ended without an answer."""
+        pid, _, answers = self.helpers[worker - 1]
+        t_wait = time.perf_counter()
+        head = _recv(answers, _ANSWER.size)
+        if len(head) < _ANSWER.size:
+            raise NumericError(f"block-pass helper {pid} ended in the middle of a pass")
+        *norms, size = _ANSWER.unpack(head)
+        if size:
+            raise pickle.loads(_recv(answers, size))
+        self.wait_s += time.perf_counter() - t_wait
+        return norms
 
     def block_pass(self, values: np.ndarray, table: PatchGroupTable, out: np.ndarray,
-                   update) -> None:
-        """Set ``out`` to the sum of ``update(groups, blocks)`` over the
-        table's chunks, where ``blocks`` are the chunk's blocks of ``values``
-        in the block buffer. The table has checked that every index lies in
-        the volume, so the gather checks none; the chunks are added in table
-        order, so ``out`` has the bytes of one whole-table sum."""
+                   update) -> tuple[float, float]:
+        """Set ``out`` to the sum of ``update(groups, blocks, result)`` over
+        the table's chunks, where ``blocks`` are the chunk's blocks of
+        ``values`` and ``update`` writes the chunk's result into ``result``;
+        return the two norms each update returns, folded with ``hypot``.
+
+        With W processes, chunk c runs on process c mod W: the parent is
+        process 0 and the helpers run the update they forked with. Each
+        helper runs one chunk at a time, ordered from here as soon as its
+        slot is free. The parent builds every chunk's gather index, scatters
+        the chunks and folds their norms in table order, so ``out`` has the
+        bytes of one whole-table sum and the norms those of one fold over
+        the table, whatever W is."""
         out.fill(0.0)
-        for groups, idx in table.chunks(self.index):
-            blocks = np.take(values, idx, out=self.blocks[:len(idx)], mode="clip")
-            scatter_sum(update(groups, blocks), idx, out)
+        workers = len(self.helpers) + 1
+        n_chunks = -(-table.n_groups // patches.CHUNK_GROUPS)
+        for chunk in range(1, min(workers, n_chunks)):
+            self._order(table, chunk)
+        folded = _NO_NORMS
+        for chunk, (groups, idx) in enumerate(table.chunks(self.index)):
+            worker = chunk % workers
+            norms = (self._answer(worker) if worker else
+                     self._run(values, idx, groups, 0, update))
+            scatter_sum(self.slots[worker][:len(idx)], idx, out)
+            if worker and chunk + workers < n_chunks:
+                self._order(table, chunk + workers)
+            folded = tuple(map(math.hypot, folded, norms))
+        return folded
+
+    @contextmanager
+    def forked(self, values: np.ndarray, table: PatchGroupTable, update, helpers: int):
+        """Fork ``helpers`` processes that run ``update`` on the chunks the
+        block pass orders, for as long as the block lasts. When it ends,
+        also by an exception, each helper is told to leave and is waited
+        for, so none outlives the solve."""
+        try:
+            for worker in range(1, helpers + 1):
+                orders, order_end = os.pipe()
+                answer_end, answers = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    for fd in (orders, order_end, answer_end, answers):
+                        os.close(fd)
+                    raise
+                if pid == 0:
+                    self._serve(values, table, update, worker, orders, answers,
+                                (order_end, answer_end,
+                                 *(fd for _, *fds in self.helpers for fd in fds)))
+                os.close(orders)
+                os.close(answers)
+                os.set_blocking(answer_end, False)
+                self.helpers.append((pid, order_end, answer_end))
+            yield
+        finally:
+            for pid, orders, answers in self.helpers:
+                try:
+                    os.write(orders, _ORDER.pack(-1, -1))
+                except OSError:  # the helper has already ended
+                    pass
+                os.close(orders)
+                os.close(answers)
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
+                    pass
+            self.helpers.clear()
+
+    def _serve(self, values, table: PatchGroupTable, update, worker: int, orders: int,
+               answers: int, inherited) -> None:
+        """A helper's whole life: close the parent's pipe ends it
+        ``inherited``, then run each ordered chunk into slot ``worker`` and
+        post its norms, until a leave order or the end of file that the
+        parent's exit leaves. It ends only through ``os._exit``, since
+        unwinding would run the parent's code in this process; an exception
+        is posted for the parent to raise. An interrupt is the parent's to
+        handle: it tells its helpers to leave."""
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            for fd in inherited:
+                os.close(fd)
+            os.set_blocking(orders, False)
+            while len(order := _recv(orders, _ORDER.size)) == _ORDER.size:
+                start, stop = _ORDER.unpack(order)
+                if start < 0:
+                    break
+                groups = slice(start, stop)
+                idx = table.gather_indices(groups, self.index[:stop - start])
+                norms = self._run(values, idx, groups, worker, update)
+                os.write(answers, _ANSWER.pack(*norms, 0))
+            status = 0
+        except BaseException as exc:  # noqa: B036  (posted, then the process ends)
+            try:
+                raised = pickle.dumps(exc)
+                os.write(answers, _ANSWER.pack(*_NO_NORMS, len(raised)) + raised)
+            except BaseException:  # noqa: B036  (the parent sees the end of file)
+                pass
+        finally:
+            os._exit(status)
 
 
 def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
@@ -242,83 +444,102 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     blocks and the dual and sums the next feedback ``blocks + dual / rho``.
 
     The solve allocates its whole working set here, once. Before its clock
-    starts it makes the first iterate: ``default_initialization(psi)``
-    without ``init``, else one copy of ``init``, which stays the caller's
-    and is only read. Then come the reference counts in their narrow
-    unsigned dtype (admm3d keeps only ``rho * counts``), one workspace
-    through which every pass streams the table's chunks, the feedback
-    volume, and for admm3d the dual and the block stack its prox writes.
-    The block pass writes the feedback, the data step turns it into the new
-    iterate in place, and the change of the iterate goes over the old
-    iterate, into which admm3d's next pass then writes; the two volumes
-    swap. So after set-up no iteration allocates a volume or a block stack.
+    starts it makes the first iterate, in shared memory:
+    ``default_initialization(psi)`` writes it there without ``init``, else
+    it is a copy of ``init``, which stays the caller's and is only read.
+    Then come the reference counts in their narrow unsigned dtype (admm3d
+    keeps only ``rho * counts``), the feedback volume, one workspace through
+    which every pass streams the table's chunks, and for admm3d the dual,
+    also in shared memory, and the block stack of its dual arithmetic.
+    admm3d's first pass, on the initialization, runs here alone. Then the
+    solve forks its helpers (``_helper_count``), which run their share of
+    every later pass's chunks and are gone when it returns, also when it
+    raises.
+
+    The block pass writes the feedback, and the data step turns it into the
+    new iterate in place. The change of the iterate goes over the old
+    iterate, whose norm is taken first, and the new iterate is then copied
+    over it, so every pass reads the one shared iterate; admm3d's pass then
+    writes the next feedback. So after set-up no iteration allocates a
+    volume or a block stack. At the end the estimate is copied into the
+    feedback volume, out of shared memory. ``SolveReport.workers`` counts
+    the processes that ran the passes and ``wait_s`` the parent's waits for
+    helpers.
     """
-    phi = default_initialization(psi).values if init is None else init.values.copy()
+    op = psi.operator
+    phi = _shared((op.dims.total_voxels,))
+    if init is None:
+        default_initialization(psi, out=phi)
+    else:
+        phi[:] = init.values
     t_start = time.perf_counter()
     admm = cfg.algo == "admm3d"
-    ws = _Workspace.allocate(table)
-    op = psi.operator
     rho = cfg.rho
     counts = patches.compute_counts(table)
     # the data step's denominator less the occupancy; admm3d drops the integer counts
     base, counts = (counts * rho, None) if admm else (rho, counts)
 
+    # the one private volume goes where the int64 counts were, before any
+    # chunk-sized buffer can split that space
     feedback = np.empty_like(phi)
+    helpers = _helper_count(table)
+    ws = _Workspace.allocate(table, helpers)
     if admm:
-        dual = np.zeros((table.n_groups, *table.chunk_shape()[1:]))
-        shrunk = np.empty(table.chunk_shape())
+        dual = _shared((table.n_groups, *table.chunk_shape()[1:]))
+        step = np.empty(table.chunk_shape())
 
-        def update(groups, b_phi):
-            """Block and dual updates of one chunk; returns its feedback."""
-            nonlocal extracted, resid_norm
-            extracted = math.hypot(extracted, _norm(b_phi))
-            dual_g, step = dual[groups], ws.step[:len(b_phi)]
-            np.subtract(b_phi, np.divide(dual_g, rho, out=step), out=step)
-            blocks = prox_low_rank(step, cfg.lam / rho, cfg.nu, out=shrunk[:len(b_phi)],
-                                   work=ws.prox)
+        def update(groups, b_phi, out):
+            """Block and dual updates of one chunk; its feedback goes into ``out``."""
+            extracted = _norm(b_phi)
+            dual_g, step_g = dual[groups], step[:len(b_phi)]
+            np.subtract(b_phi, np.divide(dual_g, rho, out=step_g), out=step_g)
+            blocks = prox_low_rank(step_g, cfg.lam / rho, cfg.nu, out=out, work=ws.prox)
             resid = np.subtract(blocks, b_phi, out=b_phi)
-            resid_norm = math.hypot(resid_norm, _norm(resid))
+            resid_norm = _norm(resid)
             dual_g += np.multiply(rho, resid, out=resid)
             blocks += np.divide(dual_g, rho, out=resid)
-            return blocks
+            return extracted, resid_norm
 
         # blocks start as exact extractions of the initialization, the dual at zero
-        ws.block_pass(phi, table, feedback, lambda groups, blocks: blocks)
+        ws.block_pass(phi, table, feedback, _extract)
     else:
-        def update(groups, blocks):
-            return prox_low_rank(blocks, cfg.lam, cfg.nu, out=ws.step[:len(blocks)],
-                                 work=ws.prox)
+        def update(groups, blocks, out):
+            prox_low_rank(blocks, cfg.lam, cfg.nu, out=out, work=ws.prox)
+            return _NO_NORMS
 
     trace: list[TraceEntry] = []
     stop_reason = "max_iter"
-    for k in range(cfg.max_iter):
-        if not admm:
-            ws.block_pass(phi, table, feedback, update)
-            feedback /= counts
-        new = admm_phi_step(psi, base, feedback, rho, out=feedback)
-        if not all_finite(new):
-            raise NumericError("iterate diverged to non-finite values")
-        # the change overwrites phi: norm it first
-        scale = _norm(phi)
-        entry = TraceEntry(rel_change=_relative(_norm(np.subtract(new, phi, out=phi)), scale))
-        if admm:
-            extracted = resid_norm = 0.0
-            ws.block_pass(new, table, phi, update)
-            entry.primal_residual = _relative(resid_norm, extracted)
-        if cfg.track_objective:
-            entry.objective = objective_nuclear(DepthVolume(op.dims, new), psi, table, cfg.lam)
-        phi, feedback = new, phi
-        trace.append(entry)
-        # the initialization is a fixed point of the first ADMM volume update
-        # (blocks start as exact extractions), so the change test is only
-        # meaningful from the second iteration on
-        if k >= 1 and entry.rel_change <= cfg.tol:
-            stop_reason = "tolerance"
-            break
+    with ws.forked(phi, table, update, helpers):
+        for k in range(cfg.max_iter):
+            if not admm:
+                ws.block_pass(phi, table, feedback, update)
+                feedback /= counts
+            new = admm_phi_step(psi, base, feedback, rho, out=feedback)
+            if not all_finite(new):
+                raise NumericError("iterate diverged to non-finite values")
+            # the change overwrites phi: norm it first
+            scale = _norm(phi)
+            entry = TraceEntry(rel_change=_relative(_norm(np.subtract(new, phi, out=phi)),
+                                                    scale))
+            phi[:] = new
+            if admm:
+                extracted, resid_norm = ws.block_pass(phi, table, feedback, update)
+                entry.primal_residual = _relative(resid_norm, extracted)
+            if cfg.track_objective:
+                entry.objective = objective_nuclear(DepthVolume(op.dims, phi), psi, table,
+                                                    cfg.lam)
+            trace.append(entry)
+            # the initialization is a fixed point of the first ADMM volume update
+            # (blocks start as exact extractions), so the change test is only
+            # meaningful from the second iteration on
+            if k >= 1 and entry.rel_change <= cfg.tol:
+                stop_reason = "tolerance"
+                break
 
-    report = SolveReport(len(trace), stop_reason, trace,
-                         time.perf_counter() - t_start, cfg.algo, cfg.lam)
-    return DepthVolume(op.dims, phi), report
+    feedback[:] = phi
+    report = SolveReport(len(trace), stop_reason, trace, time.perf_counter() - t_start,
+                         cfg.algo, cfg.lam, helpers + 1, ws.wait_s)
+    return DepthVolume(op.dims, feedback), report
 
 
 def solve_admm(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,

@@ -252,11 +252,13 @@ def _bilinear_axis(coords: np.ndarray, step: int, n_samples: int):
     return i0, i1, frac
 
 
-def linear_interpolate(m: Measurements, hi_dims: FrameDims) -> DepthVolume:
+def linear_interpolate(m: Measurements, hi_dims: FrameDims,
+                       out: np.ndarray | None = None) -> DepthVolume:
     """Per-frame bilinear upsampling of decimation measurements to the full grid.
 
     Exact at sample locations; rows/columns beyond the last sample replicate
-    the nearest sampled value.
+    the nearest sampled value. The values go into the flat float64 array
+    ``out`` when given, which the result then holds.
     """
     op = m.operator
     if op.kind != "decimation":
@@ -275,7 +277,7 @@ def linear_interpolate(m: Measurements, hi_dims: FrameDims) -> DepthVolume:
     xf = xf[np.newaxis, :]
     yf = yf[:, np.newaxis]
 
-    out = np.empty((t, h, w))
+    out = np.empty((t, h, w)) if out is None else out.reshape(t, h, w)
     for k in range(t):
         g = low[k]
         top = g[np.ix_(yi0, xi0)] * (1.0 - xf) + g[np.ix_(yi0, xi1)] * xf
@@ -321,18 +323,20 @@ def _nearest_sample(mask: np.ndarray) -> np.ndarray:
     return best % n
 
 
-def mask_fill(m: Measurements) -> DepthVolume:
+def mask_fill(m: Measurements, out: np.ndarray | None = None) -> DepthVolume:
     """Fill unmeasured voxels with the nearest measured voxel in the same frame.
 
     Distance is Euclidean in pixel coordinates; ties go to the measured voxel
-    with the smallest scan index. Measured voxels keep their values.
+    with the smallest scan index. Measured voxels keep their values. The
+    values go into the flat float64 array ``out`` when given, which the
+    result then holds.
     """
     op = m.operator
     if op.kind != "mask":
         raise DataError("mask_fill requires a mask operator")
     w, h, t = op.dims.width, op.dims.height, op.dims.frames
     mask = op.mask.reshape(t, h, w)
-    out = np.zeros((t, h * w))
+    out = np.zeros((t, h * w)) if out is None else out.reshape(t, h * w)
     out.reshape(-1)[op.indices] = m.values
 
     for k in range(t):

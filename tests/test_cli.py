@@ -206,7 +206,7 @@ class TestSolve:
         assert set(read_json(out / "run.json")) == {
             "algo", "lambda", "lambda_candidates", "rho", "nu", "patch", "window",
             "stride", "group_size", "max_iter", "tol", "meas", "guide",
-            "iterations", "stop_reason", "final_rel_change"}
+            "iterations", "stop_reason", "final_rel_change", "workers", "wait_s"}
 
     def test_reruns_are_byte_identical(self, workspace, tmp_path):
         args = ["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
@@ -214,9 +214,12 @@ class TestSolve:
                 "--lambda", "2.0", *SOLVE_GEOM]
         assert main([*args, "--out", str(tmp_path / "r1")]) == 0
         assert main([*args, "--out", str(tmp_path / "r2")]) == 0
-        for name in ("est.dsrv", "run.json"):
-            assert (tmp_path / "r1" / name).read_bytes() == \
-                   (tmp_path / "r2" / name).read_bytes()
+        assert (tmp_path / "r1" / "est.dsrv").read_bytes() == \
+               (tmp_path / "r2" / "est.dsrv").read_bytes()
+        # everything but the parent's time spent waiting for its helpers
+        runs = [read_json(tmp_path / r / "run.json") for r in ("r1", "r2")]
+        assert [run.pop("wait_s") >= 0 for run in runs] == [True, True]
+        assert runs[0] == runs[1]
 
     def test_missing_lambda_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as err:
@@ -264,6 +267,27 @@ class TestSolve:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_helper_that_dies_exits_3(self, workspace, tmp_path, monkeypatch):
+        """A block-pass helper that ends mid-pass is a numeric failure: exit
+        3, no output, and no child process left behind."""
+        monkeypatch.setattr(dsr.patches, "_worker_count", lambda: 2)
+        parent, prox = os.getpid(), dsr.solvers.prox_low_rank
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return prox(*args, **kwargs)
+
+        monkeypatch.setattr(dsr.solvers, "prox_low_rank", dying)
+        out = tmp_path / "out"
+        code = main(["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
+                     "--guide", str(workspace / "scene" / "guide.dsrv"),
+                     "--lambda", "2.0", *SOLVE_GEOM, "--out", str(out)])
+        assert code == 3
+        assert not (out / "run.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_numeric_failure_exit_3(self, workspace, tmp_path, monkeypatch):
         def explode(*a, **kw):
@@ -493,12 +517,16 @@ class TestScripts:
                      "--algo", algo, "--iterations", "3"])
         assert proc.returncode == 0, proc.stderr
         _, header, *stages, summary = proc.stdout.splitlines()
-        assert header.split() == ["stage", "maxrss_mb", "minflt"]
+        assert header.split() == ["stage", "maxrss_mb", "child_mb", "minflt"]
         assert [line.split()[0] for line in stages] == ["init", "match", "solve"]
-        assert all(float(line.split()[1]) > 0 and int(line.split()[2]) >= 0 for line in stages)
+        assert all(float(line.split()[1]) > 0 and float(line.split()[2]) >= 0
+                   and int(line.split()[3]) >= 0 for line in stages)
         assert stages[1].endswith("  table 4.0 bytes per member")
+        # 12x12x3 makes 48 groups, one chunk, so the solve runs on one process
+        assert stages[2].endswith("  workers 1")
         assert summary.startswith("solve: 3 iterations, ")
-        assert re.search(r", traced peak \d+\.\d\d volumes \(", summary)
+        assert re.search(r", traced peak \d+\.\d\d volumes \(\d+\.\d MB, "
+                         r"[1-9]\d*\.\d\d volumes of them shared", summary)
 
     def test_abtime_compares_a_tree_with_itself(self):
         """The working tree against itself: both sides time every round and

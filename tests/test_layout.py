@@ -65,7 +65,8 @@ def test_solver_loop_calls_tracer_hooks_every_iteration(monkeypatch, algo):
     """The loop reaches the prox, the scatter and the gather index through
     the attributes the tracer rebinds, and the solve makes its reference
     counts once through ``dsr.patches.compute_counts``, so an inlined one
-    would fail here rather than zero its per-layer metric."""
+    would fail here rather than zero its per-layer metric. The solve runs on
+    one process, since the call order is logged in this one."""
     rng = np.random.default_rng(0)
     dims = FrameDims(12, 12, 3)
     vol = DepthVolume(dims, rng.uniform(4.0, 8.0, dims.total_voxels))
@@ -74,6 +75,7 @@ def test_solver_loop_calls_tracer_hooks_every_iteration(monkeypatch, algo):
     geom = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=4)
     table = build_groups(guide, geom)
     monkeypatch.setattr(dsr.patches, "CHUNK_GROUPS", 50)
+    monkeypatch.setattr(dsr.patches, "_worker_count", lambda: 1)
     n_chunks = math.ceil(table.n_groups / 50)
 
     log = []

@@ -18,7 +18,7 @@ from dsr.patches import (
     scatter_sum,
 )
 from dsr.scenes import default_scene, synth_scene
-from dsr.solvers import _Workspace
+from dsr.solvers import _extract, _Workspace
 from dsr.volumes import FrameDims, IntensityVolume
 from oracles import counts_naive, extract_naive, match_groups_naive, scatter_naive, whole_index
 
@@ -51,7 +51,7 @@ def _average(values, table):
     """The simplified solvers' feedback on unshrunk blocks: the block pass
     with an identity update, divided by the reference counts."""
     out = np.empty(table.dims.total_voxels)
-    _Workspace.allocate(table).block_pass(values, table, out, lambda g, b: b)
+    _Workspace.allocate(table, 0).block_pass(values, table, out, _extract)
     return out / compute_counts(table)
 
 

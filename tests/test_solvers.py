@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -7,7 +9,7 @@ import pytest
 
 import dsr.patches as patches_mod
 import dsr.solvers as solvers_mod
-from dsr.errors import DataError
+from dsr.errors import DataError, NumericError
 from dsr.patches import PatchGeometry, build_groups
 from dsr.scenes import default_scene, synth_scene
 from dsr.shrinkage import prox_low_rank
@@ -169,6 +171,21 @@ class TestInitialization:
         np.testing.assert_array_equal(default_initialization(psi).values,
                                       mask_fill(psi).values)
 
+    @pytest.mark.parametrize("kind", ["decimation", "mask"])
+    def test_out_holds_the_same_bytes(self, problem, kind):
+        """Written into a given array, as the solve writes its first
+        iterate into shared memory, the initialization has the same bytes;
+        the array's old contents do not show."""
+        vol, _, psi, _ = problem
+        if kind == "mask":
+            mask = np.zeros(vol.dims.total_voxels, dtype=bool)
+            mask[::5] = True
+            psi = apply_sampling(SamplingOperator.from_mask(vol.dims, mask), vol)
+        out = np.full(vol.dims.total_voxels, np.nan)
+        init = default_initialization(psi, out=out)
+        assert np.shares_memory(init.values, out)
+        assert out.tobytes() == default_initialization(psi).values.tobytes()
+
 
 @pytest.mark.parametrize("chunk", [1, 7, patches_mod.CHUNK_GROUPS])
 def test_objective_matches_naive(problem, monkeypatch, chunk):
@@ -305,30 +322,162 @@ class TestChunkedBlockPass:
         return psi, build_groups(guide, PatchGeometry(window=(3, 3, 1)))
 
     @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
-    def test_one_iteration_peak_memory(self, large, algo):
-        """The initialization that the solve makes and then writes over, the
-        feedback volume it swaps with, the one-byte reference counts and one
-        chunk's workspace: about 2.6 volumes, beside the table's flat member
-        index, which matching stored. The int64 counts are narrowed before
-        the feedback is allocated, so they do not add to that peak. admm3d
-        keeps ``rho * counts``, one float64 volume, in place of the counts
-        and adds its dual and its prox's block stack, about 3.7 volumes
-        besides the dual. Holding every block of the video at once takes
-        over 100 volumes."""
+    def test_one_iteration_peak_memory(self, large, monkeypatch, algo):
+        """The iterate that the solve makes and then writes over, the
+        feedback volume, the one-byte reference counts and one chunk's
+        workspace: about 2.6 volumes, beside the table's flat member index,
+        which matching stored. The int64 counts are narrowed before the
+        feedback is allocated, so they do not add to that peak. admm3d keeps
+        ``rho * counts``, one float64 volume, in place of the counts and adds
+        its dual and its prox's block stack, about 3.7 volumes besides the
+        dual. Holding every block of the video at once takes over 100
+        volumes. ``tracemalloc`` does not see the shared mapping that holds
+        the iterate, the result slots and admm3d's dual, so their bytes are
+        added to the traced peak whole."""
         psi, table = large
         cfg = SolverConfig(algo=algo, lam=12.0, max_iter=1, geometry=table.geometry)
         volume = psi.operator.dims.total_voxels * 8
         dual = table.n_groups * table.geometry.patch_side ** 2 * table.geometry.group_size * 8
+        shared, allocate = [], solvers_mod._shared
+
+        def recorded(shape):
+            arr = allocate(shape)
+            shared.append(arr.nbytes)
+            return arr
+
+        monkeypatch.setattr(solvers_mod, "_shared", recorded)
         tracemalloc.start()
         try:
             solvers_mod._iterate(psi, table, cfg, None)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] + sum(shared)
         finally:
             tracemalloc.stop()
+        assert sum(shared) >= volume + (dual if algo == "admm3d" else 0)
         if algo == "admm3d":
             assert peak < dual + 4 * volume
         else:
             assert peak < 3 * volume
+
+
+def _fingerprint(est, rep) -> tuple:
+    """The estimate's bytes and every trace value, each float by its repr."""
+    return est.values.tobytes(), repr([(e.rel_change, e.primal_residual, e.objective)
+                                       for e in rep.trace])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedBlockPass:
+    """A solve's block pass runs on ``min(patches._worker_count(), chunks
+    per pass)`` processes, and the number changes no byte of the estimate
+    or the trace. No helper outlives its solve, however the solve ends."""
+
+    @pytest.mark.parametrize("chunk", [10, 256], ids=["11_chunks", "one_chunk"])
+    @pytest.mark.parametrize("algo", ["gds3d", "gds2d", "ds3d", "admm3d"])
+    def test_worker_count_does_not_change_results(self, problem, monkeypatch, algo, chunk):
+        """108 groups in chunks of 10 end in a partial chunk of 8."""
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", chunk)
+        cfg = SolverConfig(algo=algo, lam=0.5, max_iter=5, tol=0.0, geometry=GEOM,
+                           track_objective=True)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(patches_mod, "_worker_count", lambda: workers)
+            est, rep = run_pipeline(psi, guide, cfg)
+            assert rep.workers == min(workers, math.ceil(108 / chunk))
+            assert (rep.wait_s > 0) == (rep.workers > 1)
+            runs.append(_fingerprint(est, rep))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        _no_child_left()
+
+    @pytest.mark.parametrize("why", ["thread", "no_fork"])
+    def test_one_process_without_a_safe_fork(self, problem, monkeypatch, why):
+        """A fork copies only the calling thread, so a solve forks no helper
+        while another thread runs, nor where ``os.fork`` is missing."""
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        if why == "thread":
+            other.start()
+        else:
+            monkeypatch.delattr(os, "fork")
+        try:
+            _, rep = run_pipeline(psi, guide, cfg)
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join(30)
+        assert (rep.workers, rep.wait_s) == (1, 0.0)
+
+    def test_normal_solve_leaves_no_child(self, problem, monkeypatch):
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 3)
+        _, rep = run_pipeline(psi, guide, SolverConfig(algo="admm3d", lam=0.5, max_iter=3,
+                                                       geometry=GEOM))
+        assert rep.workers == 3
+        _no_child_left()
+
+    @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
+    def test_helper_that_dies_is_a_numeric_error(self, problem, monkeypatch, algo):
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        parent, prox = os.getpid(), solvers_mod.prox_low_rank
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return prox(*args, **kwargs)
+
+        monkeypatch.setattr(solvers_mod, "prox_low_rank", dying)
+        cfg = SolverConfig(algo=algo, lam=0.5, max_iter=3, geometry=GEOM)
+        with pytest.raises(NumericError, match="ended in the middle of a pass"):
+            run_pipeline(psi, guide, cfg)
+        _no_child_left()
+
+    def test_helper_exception_is_raised_in_the_parent(self, problem, monkeypatch):
+        """An exception raised in a helper reaches the caller as it was
+        raised, as the parent's own chunks' exceptions do."""
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        parent, prox = os.getpid(), solvers_mod.prox_low_rank
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise NumericError("synthetic prox failure")
+            return prox(*args, **kwargs)
+
+        monkeypatch.setattr(solvers_mod, "prox_low_rank", failing)
+        cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, geometry=GEOM)
+        with pytest.raises(NumericError, match="synthetic prox failure"):
+            run_pipeline(psi, guide, cfg)
+        _no_child_left()
+
+    def test_parent_failure_leaves_no_child(self, problem, monkeypatch):
+        """A non-finite iterate raises in the parent after the helpers ran a
+        pass; they are told to leave and waited for."""
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+
+        def poisoned(*args, **kwargs):
+            out = admm_phi_step(*args, **kwargs)
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(solvers_mod, "admm_phi_step", poisoned)
+        cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, geometry=GEOM)
+        with pytest.raises(NumericError, match="non-finite"):
+            run_pipeline(psi, guide, cfg)
+        _no_child_left()
 
 
 @pytest.mark.parametrize("algo", ["gds3d", "gds2d", "ds3d", "admm3d"])
