@@ -18,8 +18,8 @@ bytes the group table stores per member, and the solve's faults are also
 given per iteration. The solve also reports its peak working set in
 volumes (8 bytes per voxel): the ``tracemalloc`` peak plus every byte of
 the shared mappings that the solve allocates and ``tracemalloc`` does not
-see (the iterate, the helpers' result slots and admm3d's dual), its own
-reference counts included.
+see (the iterate, the helpers' index and result slots and admm3d's
+dual), its own reference counts included.
 BLAS runs on one thread unless the environment says otherwise, as in
 ``perfbench``.
 """
@@ -36,7 +36,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from dsr import solvers  # noqa: E402  (after the BLAS pin)
-from dsr.patches import CHUNK_GROUPS, build_groups  # noqa: E402
+from dsr.patches import build_groups  # noqa: E402
 from dsr.scenes import default_scene, synth_scene  # noqa: E402
 from dsr.solvers import (GUIDED_ALGORITHMS, SolverConfig, default_initialization,  # noqa: E402
                          solve_admm, solve_simplified)
@@ -104,8 +104,8 @@ def main(argv=None) -> int:
     dual = (table.n_groups * geom.group_size * geom.patch_side ** 2 * 8
             if args.algo == "admm3d" else 0)
     print(f"solve: {rep.iterations} iterations, {faults / rep.iterations:.1f} minor "
-          f"page faults per iteration, {-(-table.n_groups // CHUNK_GROUPS)} chunks of "
-          f"at most {CHUNK_GROUPS} groups, traced peak {peak / volume:.2f} volumes "
+          f"page faults per iteration, {table.n_chunks} chunks of "
+          f"at most {table.chunk_shape()[0]} groups, traced peak {peak / volume:.2f} volumes "
           f"({peak / 1e6:.1f} MB, {sum(shared) / volume:.2f} volumes of them shared"
           + (f", {dual / volume:.2f} the dual)" if dual else ")"))
     return 0

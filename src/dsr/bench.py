@@ -30,7 +30,7 @@ from .solvers import (
     DEFAULT_SOLVER,
     SolverConfig,
     default_lambda_grid,
-    run_pipeline,
+    run_pipeline,  # noqa: F401  (perfbench rebinds dsr.bench.run_pipeline)
     select_lambda,
 )
 from .volumes import (
@@ -114,9 +114,8 @@ def _solve_cell(ref: DepthVolume, guide, grid: ExperimentGrid, base: SolverConfi
                 algo: str, factor: int, seed: int) -> DepthVolume:
     op = SamplingOperator.decimation(ref.dims, factor)
     psi = add_noise(apply_sampling(op, ref), grid.input_snr_db, seed)
-    if algo == "linear":
-        return run_pipeline(psi, guide, base)[0]
-    cands = list(grid.lambdas) or default_lambda_grid(psi, grid.input_snr_db)
+    cands = ([None] if algo == "linear" else
+             list(grid.lambdas) or default_lambda_grid(psi, grid.input_snr_db))
     cfg = replace(base, algo=algo, lam=cands[0])
     return select_lambda(psi, guide, cfg, cands, ref)[1]
 

@@ -103,8 +103,8 @@ class PatchGroupTable:
                             f"{self.geometry.group_size} columns of type {_index_dtype(d)}, "
                             f"got {getattr(top, 'dtype', type(top).__name__)} of shape "
                             f"{np.shape(top)}")
-        for start in range(0, self.n_groups, CHUNK_GROUPS):
-            x, y, t = self._decode(slice(start, start + CHUNK_GROUPS))
+        for c in range(self.n_chunks):
+            x, y, t = self._decode(self.chunk(c))
             if (t.min() < 0 or t.max() >= d.frames
                     or y.max() > d.height - ps or x.max() > d.width - ps):
                 raise DataError("group table members lie outside the volume")
@@ -142,19 +142,28 @@ class PatchGroupTable:
         np.add(np.tile(top, ps * ps), off, out=out.reshape(len(top), -1))
         return out
 
+    @property
+    def n_chunks(self) -> int:
+        """Chunks the table is cut into: runs of ``CHUNK_GROUPS`` groups."""
+        return -(-self.n_groups // CHUNK_GROUPS)
+
+    def chunk(self, c: int) -> slice:
+        """The groups of chunk ``c``, in table order; the last chunk may be short."""
+        start = c * CHUNK_GROUPS
+        return slice(start, min(start + CHUNK_GROUPS, self.n_groups))
+
     def chunk_shape(self) -> tuple[int, int, int]:
-        """Shape (groups, B, L) of the largest chunk ``chunks`` yields."""
+        """Shape (groups, B, L) of the largest chunk."""
         geom = self.geometry
         return min(CHUNK_GROUPS, self.n_groups), geom.patch_side ** 2, geom.group_size
 
     def chunks(self, index: np.ndarray):
-        """Yield (groups, gather_indices(groups)) for consecutive runs of
-        ``CHUNK_GROUPS`` groups, in table order. Every index is written into
-        ``index``, an int64 buffer of ``chunk_shape()``, so each holds only
-        until the next chunk is yielded."""
-        for start in range(0, self.n_groups, CHUNK_GROUPS):
-            groups = slice(start, min(start + CHUNK_GROUPS, self.n_groups))
-            yield groups, self.gather_indices(groups, index[:groups.stop - start])
+        """Yield (groups, gather_indices(groups)) for every chunk, in table
+        order. Every index is written into ``index``, an int64 buffer of
+        ``chunk_shape()``, so each holds only until the next chunk is yielded."""
+        for c in range(self.n_chunks):
+            groups = self.chunk(c)
+            yield groups, self.gather_indices(groups, index[:groups.stop - groups.start])
 
 
 def _worker_count() -> int:

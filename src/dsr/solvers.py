@@ -15,10 +15,10 @@ the default initialization it makes, or one copy of the caller's, which it
 never writes.
 
 The groups are independent, so each block pass runs its chunks on every
-usable core: the solve forks helper processes once, each gathers and
-shrinks the chunks the parent orders from the shared iterate, and the
-parent adds every chunk's result into the feedback in table order, so the
-bytes do not depend on the number of processes.
+usable core: the solve forks helper processes once, and every process runs
+a chunk the same way, from its gather index to its update, on the shared
+iterate. The parent adds every chunk's result into the feedback in table
+order, so the bytes do not depend on the number of processes.
 
 Algorithm variants select what drives the block matching: the intensity guide
 (gds3d, gds2d, admm3d), or the interpolated depth itself (ds3d). gds2d
@@ -220,9 +220,8 @@ def _relative(change: float, scale: float) -> float:
     return change / scale if scale > 0 else change
 
 
-#: A chunk order to a helper: the chunk's first group and the group after
-#: its last; a negative first group tells the helper to leave.
-_ORDER = struct.Struct("<qq")
+#: A chunk order to a helper: the chunk's number; end of file means leave.
+_ORDER = struct.Struct("<q")
 #: A helper's answer to one order: the chunk's two norms from the update, and
 #: the byte count of a pickled exception that follows, 0 when none does.
 _ANSWER = struct.Struct("<ddq")
@@ -271,55 +270,55 @@ def _helper_count(table: PatchGroupTable) -> int:
     only the calling thread and their locks might be held."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 0
-    chunks = -(-table.n_groups // patches.CHUNK_GROUPS)
-    return min(patches._worker_count(), chunks) - 1
+    return min(patches._worker_count(), table.n_chunks) - 1
 
 
 @dataclass
 class _Workspace:
     """One solve's chunk buffers, allocated once and reused by every chunk
     of every block pass, and the helper processes that share the pass. Each
-    process has its own gather index, gathered blocks and prox scratch (a
-    helper gets copies when it forks), and writes the result of each chunk
-    it runs into its own block stack of ``slots``, from which the parent
-    scatters it: the parent's is private, the helpers' are in shared memory.
-    admm3d allocates one more block stack for its dual arithmetic next to
-    the dual. No prox writes into its input, since a product into its own
-    input works on a copy.
+    process has its own gathered blocks and prox scratch (a helper gets
+    copies when it forks) and its own gather index and result block stack,
+    in ``indices`` and ``slots``: the parent's private, each helper's pair in
+    shared memory, the index as an int64 view. admm3d allocates one more
+    block stack for its dual arithmetic next to the dual. No prox writes into
+    its input, since a product into its own input works on a copy.
 
     ``helpers`` holds (pid, order pipe, answer pipe) of each helper while
     ``forked`` runs, and ``wait_s`` the seconds the parent waited for their
     answers."""
 
-    index: np.ndarray
+    indices: list
+    slots: list
     blocks: np.ndarray
     prox: np.ndarray
-    slots: list
     helpers: list = field(default_factory=list)
     wait_s: float = 0.0
 
     @classmethod
     def allocate(cls, table: PatchGroupTable, helpers: int) -> "_Workspace":
         shape = table.chunk_shape()
-        slots = [np.empty(shape), *(_shared((helpers, *shape)) if helpers else ())]
-        return cls(np.empty(shape, dtype=np.int64), np.empty(shape), prox_work(*shape), slots)
+        shared = _shared((helpers, 2, *shape)) if helpers else np.empty((0, 2, *shape))
+        return cls([np.empty(shape, dtype=np.int64), *shared[:, 0].view(np.int64)],
+                   [np.empty(shape), *shared[:, 1]], np.empty(shape), prox_work(*shape))
 
-    def _run(self, values, idx, groups: slice, worker: int, update) -> tuple[float, float]:
-        """Gather one chunk's blocks of ``values`` and apply ``update`` into
-        this process's slot. The table has checked that every index lies in
-        the volume, so the gather checks none."""
-        n = len(idx)
+    def _run(self, values, table, chunk: int, worker: int, update) -> tuple[float, float]:
+        """Build chunk ``chunk``'s gather index into process ``worker``'s
+        index slot, gather its blocks of ``values`` and apply ``update`` into
+        that process's result slot. The table has checked that every index
+        lies in the volume, so the gather checks none."""
+        groups = table.chunk(chunk)
+        n = groups.stop - groups.start
+        idx = table.gather_indices(groups, self.indices[worker][:n])
         blocks = np.take(values, idx, out=self.blocks[:n], mode="clip")
         return update(groups, blocks, self.slots[worker][:n])
 
-    def _order(self, table: PatchGroupTable, chunk: int) -> None:
-        """Send chunk ``chunk`` of the table to the helper that runs it."""
-        start = chunk * patches.CHUNK_GROUPS
-        stop = min(start + patches.CHUNK_GROUPS, table.n_groups)
-        os.write(self.helpers[chunk % (len(self.helpers) + 1) - 1][1], _ORDER.pack(start, stop))
+    def _order(self, chunk: int) -> None:
+        """Send chunk ``chunk`` to the helper that runs it."""
+        os.write(self.helpers[chunk % (len(self.helpers) + 1) - 1][1], _ORDER.pack(chunk))
 
     def _answer(self, worker: int) -> tuple[float, float]:
-        """The norms helper ``worker`` posts once its slot holds its chunk;
+        """The norms helper ``worker`` posts once its slots hold its chunk;
         the helper's exception when it raised one, and a NumericError when
         it ended without an answer."""
         pid, _, answers = self.helpers[worker - 1]
@@ -342,43 +341,44 @@ class _Workspace:
 
         With W processes, chunk c runs on process c mod W: the parent is
         process 0 and the helpers run the update they forked with. Each
-        helper runs one chunk at a time, ordered from here as soon as its
-        slot is free. The parent builds every chunk's gather index, scatters
-        the chunks and folds their norms in table order, so ``out`` has the
-        bytes of one whole-table sum and the norms those of one fold over
-        the table, whatever W is."""
+        process runs a chunk through ``_run``; a helper runs one at a time,
+        ordered from here as soon as its slots are free. The parent scatters
+        each chunk from the slots of the process that ran it and folds the
+        norms, in table order, so ``out`` has the bytes of one whole-table
+        sum and the norms those of one fold over the table, whatever W is."""
         out.fill(0.0)
         workers = len(self.helpers) + 1
-        n_chunks = -(-table.n_groups // patches.CHUNK_GROUPS)
-        for chunk in range(1, min(workers, n_chunks)):
-            self._order(table, chunk)
+        for chunk in range(1, min(workers, table.n_chunks)):
+            self._order(chunk)
         folded = _NO_NORMS
-        for chunk, (groups, idx) in enumerate(table.chunks(self.index)):
+        for chunk in range(table.n_chunks):
             worker = chunk % workers
             norms = (self._answer(worker) if worker else
-                     self._run(values, idx, groups, 0, update))
-            scatter_sum(self.slots[worker][:len(idx)], idx, out)
-            if worker and chunk + workers < n_chunks:
-                self._order(table, chunk + workers)
+                     self._run(values, table, chunk, 0, update))
+            groups = table.chunk(chunk)
+            n = groups.stop - groups.start
+            scatter_sum(self.slots[worker][:n], self.indices[worker][:n], out)
+            if worker and chunk + workers < table.n_chunks:
+                self._order(chunk + workers)
             folded = tuple(map(math.hypot, folded, norms))
         return folded
 
     @contextmanager
     def forked(self, values: np.ndarray, table: PatchGroupTable, update, helpers: int):
-        """Fork ``helpers`` processes that run ``update`` on the chunks the
-        block pass orders, for as long as the block lasts. When it ends,
-        also by an exception, each helper is told to leave and is waited
-        for, so none outlives the solve."""
+        """Fork up to ``helpers`` processes that run ``update`` on the
+        chunks the block pass orders, for as long as the block lasts; after
+        a failed fork, as under a process limit, the forked ones share the
+        pass. When the block ends, also by an exception, each helper's order
+        pipe is closed and it is waited for, so none outlives the solve."""
         try:
             for worker in range(1, helpers + 1):
-                orders, order_end = os.pipe()
-                answer_end, answers = os.pipe()
+                orders, order_end, answer_end, answers = fds = os.pipe() + os.pipe()
                 try:
                     pid = os.fork()
                 except OSError:
-                    for fd in (orders, order_end, answer_end, answers):
+                    for fd in fds:
                         os.close(fd)
-                    raise
+                    break
                 if pid == 0:
                     self._serve(values, table, update, worker, orders, answers,
                                 (order_end, answer_end,
@@ -390,10 +390,6 @@ class _Workspace:
             yield
         finally:
             for pid, orders, answers in self.helpers:
-                try:
-                    os.write(orders, _ORDER.pack(-1, -1))
-                except OSError:  # the helper has already ended
-                    pass
                 os.close(orders)
                 os.close(answers)
                 try:
@@ -405,12 +401,12 @@ class _Workspace:
     def _serve(self, values, table: PatchGroupTable, update, worker: int, orders: int,
                answers: int, inherited) -> None:
         """A helper's whole life: close the parent's pipe ends it
-        ``inherited``, then run each ordered chunk into slot ``worker`` and
-        post its norms, until a leave order or the end of file that the
-        parent's exit leaves. It ends only through ``os._exit``, since
-        unwinding would run the parent's code in this process; an exception
-        is posted for the parent to raise. An interrupt is the parent's to
-        handle: it tells its helpers to leave."""
+        ``inherited``, then run each ordered chunk into the slots of process
+        ``worker`` and post its norms, until the end of file of its order
+        pipe. It ends only through ``os._exit``, since unwinding would run
+        the parent's code in this process; an exception is posted for the
+        parent to raise. An interrupt is the parent's to handle: it tells
+        its helpers to leave."""
         status = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -418,12 +414,7 @@ class _Workspace:
                 os.close(fd)
             os.set_blocking(orders, False)
             while len(order := _recv(orders, _ORDER.size)) == _ORDER.size:
-                start, stop = _ORDER.unpack(order)
-                if start < 0:
-                    break
-                groups = slice(start, stop)
-                idx = table.gather_indices(groups, self.index[:stop - start])
-                norms = self._run(values, idx, groups, worker, update)
+                norms = self._run(values, table, *_ORDER.unpack(order), worker, update)
                 os.write(answers, _ANSWER.pack(*norms, 0))
             status = 0
         except BaseException as exc:  # noqa: B036  (posted, then the process ends)
@@ -452,9 +443,9 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     which every pass streams the table's chunks, and for admm3d the dual,
     also in shared memory, and the block stack of its dual arithmetic.
     admm3d's first pass, on the initialization, runs here alone. Then the
-    solve forks its helpers (``_helper_count``), which run their share of
-    every later pass's chunks and are gone when it returns, also when it
-    raises.
+    solve forks its helpers (``_helper_count``, fewer when a fork fails),
+    which run their share of every later pass's chunks and are gone when it
+    returns, also when it raises.
 
     The block pass writes the feedback, and the data step turns it into the
     new iterate in place. The change of the iterate goes over the old
@@ -510,6 +501,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     trace: list[TraceEntry] = []
     stop_reason = "max_iter"
     with ws.forked(phi, table, update, helpers):
+        workers = len(ws.helpers) + 1
         for k in range(cfg.max_iter):
             if not admm:
                 ws.block_pass(phi, table, feedback, update)
@@ -538,7 +530,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
 
     feedback[:] = phi
     report = SolveReport(len(trace), stop_reason, trace, time.perf_counter() - t_start,
-                         cfg.algo, cfg.lam, helpers + 1, ws.wait_s)
+                         cfg.algo, cfg.lam, workers, ws.wait_s)
     return DepthVolume(op.dims, feedback), report
 
 

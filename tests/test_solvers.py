@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import threading
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import pytest
 import dsr.patches as patches_mod
 import dsr.solvers as solvers_mod
 from dsr.errors import DataError, NumericError
-from dsr.patches import PatchGeometry, build_groups
+from dsr.patches import PatchGeometry, PatchGroupTable, build_groups
 from dsr.scenes import default_scene, synth_scene
 from dsr.shrinkage import prox_low_rank
 from dsr.solvers import (
@@ -332,7 +333,7 @@ class TestChunkedBlockPass:
         its dual and its prox's block stack, about 3.7 volumes besides the
         dual. Holding every block of the video at once takes over 100
         volumes. ``tracemalloc`` does not see the shared mapping that holds
-        the iterate, the result slots and admm3d's dual, so their bytes are
+        the iterate, the helpers' slots and admm3d's dual, so their bytes are
         added to the traced peak whole."""
         psi, table = large
         cfg = SolverConfig(algo=algo, lam=12.0, max_iter=1, geometry=table.geometry)
@@ -424,8 +425,14 @@ class TestForkedBlockPass:
         assert rep.workers == 3
         _no_child_left()
 
-    @pytest.mark.parametrize("algo", ["gds3d", "admm3d"])
-    def test_helper_that_dies_is_a_numeric_error(self, problem, monkeypatch, algo):
+    @pytest.mark.parametrize("algo,death", [
+        pytest.param("gds3d", "exit", id="gds3d"),
+        pytest.param("admm3d", "exit", id="admm3d"),
+        pytest.param("gds3d", "unpicklable", id="unpicklable_exception")])
+    def test_helper_that_dies_is_a_numeric_error(self, problem, monkeypatch, algo, death):
+        """A helper that ends without an answer, because it exited or raised
+        an exception that cannot be pickled for the parent, is a
+        NumericError in the parent."""
         _, guide, psi, _ = problem
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
         monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
@@ -433,13 +440,91 @@ class TestForkedBlockPass:
 
         def dying(*args, **kwargs):
             if os.getpid() != parent:
-                os._exit(1)
+                if death == "exit":
+                    os._exit(1)
+                exc = NumericError("synthetic prox failure")
+                exc.hook = lambda: None  # a local function does not pickle
+                raise exc
             return prox(*args, **kwargs)
 
         monkeypatch.setattr(solvers_mod, "prox_low_rank", dying)
         cfg = SolverConfig(algo=algo, lam=0.5, max_iter=3, geometry=GEOM)
         with pytest.raises(NumericError, match="ended in the middle of a pass"):
             run_pipeline(psi, guide, cfg)
+        _no_child_left()
+
+    def test_parent_builds_only_its_own_indices(self, problem, monkeypatch):
+        """Every process builds the gather index of the chunks it runs and
+        no other: with W = 2 the parent builds ⌈n/2⌉ of a pass's n chunks'
+        indices, chunks 0, 2, 4, ..., and scatters the helper's from its
+        shared slot, to the bytes of a pass on one process."""
+        _, _, psi, table = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        values = solvers_mod._shared((table.dims.total_voxels,))
+        default_initialization(psi, out=values)
+        built, gather = [], PatchGroupTable.gather_indices
+
+        def counted(self, groups, out):
+            built.append(groups)
+            return gather(self, groups, out)
+
+        monkeypatch.setattr(PatchGroupTable, "gather_indices", counted)
+        sums = []
+        for helpers in (0, 1):
+            ws = solvers_mod._Workspace.allocate(table, helpers)
+            out = np.empty_like(values)
+            built.clear()
+            with ws.forked(values, table, solvers_mod._extract, helpers):
+                assert len(ws.helpers) == helpers
+                ws.block_pass(values, table, out, solvers_mod._extract)
+            sums.append(out.tobytes())
+        assert table.n_chunks == 11
+        assert built == [table.chunk(c) for c in range(0, 11, 2)]
+        assert sums[1] == sums[0]
+        _no_child_left()
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_failed_fork_shrinks_the_pass(self, problem, monkeypatch, failing_call):
+        """A fork refused as under a process limit ends the forking: the
+        processes already running share the pass, ``workers`` counts them
+        and the bytes are those of one process."""
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        cfg = SolverConfig(algo="admm3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
+        expect = _fingerprint(*run_pipeline(psi, guide, cfg))
+        calls, fork = [], os.fork
+
+        def refusing():
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refusing)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 3)
+        est, rep = run_pipeline(psi, guide, cfg)
+        assert (len(calls), rep.workers) == (failing_call, failing_call)
+        assert _fingerprint(est, rep) == expect
+        _no_child_left()
+
+    def test_helpers_reaped_by_the_kernel(self, problem, monkeypatch):
+        """Under SIGCHLD = SIG_IGN the kernel reaps each helper as it ends,
+        so the solve's wait finds no child; the solve still returns the
+        bytes of one process."""
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
+        expect = _fingerprint(*run_pipeline(psi, guide, cfg))
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            est, rep = run_pipeline(psi, guide, cfg)
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert rep.workers == 2
+        assert _fingerprint(est, rep) == expect
         _no_child_left()
 
     def test_helper_exception_is_raised_in_the_parent(self, problem, monkeypatch):
