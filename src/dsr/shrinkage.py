@@ -12,9 +12,8 @@ default geometry), and one batched ``matmul`` gives B P, or P B for a wide
 block. A block whose Frobenius norm is at most the threshold gets P = 0.
 Most patch groups keep just one singular value above the threshold, and for
 those six batched mat-vec power steps on the Gram matrix G certify the
-rank-1 answer, P = c v v^T, when a bound on the second eigenvalue of G is
-at most the squared threshold: the tail sum tr G - v^T G v or, where that
-is too loose, the Frobenius norm of G deflated by v. Every other block
+rank-1 answer, P = c v v^T, when one bound on the second eigenvalue of G,
+from G deflated by v, is at most the squared threshold. Every other block
 takes P from one symmetric eigendecomposition of G. The fallback took about
 4 % of the blocks of a 64x64x16 decimation solve at lam = 12, 6 % of a
 320x240x8 sparse solve at lam = 6, and about 31 % of a 24x24x8 weight
@@ -113,8 +112,8 @@ def _top_eigenpairs(gram: np.ndarray, trace: np.ndarray, tau: float):
     """The rank-1 certificate of ``prox_low_rank`` for each Gram matrix of a
     stack with traces ``trace``. Returns the estimated top eigenvector v and
     Rayleigh quotient mu of each, whether its block is live
-    (tr G > tau**2), and whether its rank-1 answer is certified: by the tail
-    sum tr G - mu, or else by the Frobenius bound on G deflated by v.
+    (tr G > tau**2), and whether its rank-1 answer is certified by the
+    bound on G deflated by v.
     """
     # start from the column with the largest diagonal; G / tr G has
     # eigenvalues <= 1 and a top one >= 1/k, so six steps neither overflow
@@ -129,22 +128,15 @@ def _top_eigenpairs(gram: np.ndarray, trace: np.ndarray, tau: float):
     gv = np.einsum("gij,gj->gi", gram, vec)
     mu = np.einsum("gi,gi->g", vec, gv)
     resid = np.linalg.norm(gv - mu[:, None] * vec, axis=-1)
+    # the tail: tr G - mu, or ||QGQ||_F with 2 k**2 ulps of ||G||_F**2 for
+    # the rounding of the sums of at most k**2 products that it cancels
+    frob2 = np.einsum("gij,gij->g", gram, gram)
+    k = gram.shape[-1]
+    tail = np.minimum(trace - mu, np.sqrt(np.maximum(frob2 - mu * mu - 2.0 * resid * resid, 0.0)
+                                          + 2.0 * k * k * _EPS * frob2))
     tau2 = tau * tau
     live = trace > tau2
-    tail_sum = trace - mu
-    certified = live & (tail_sum <= tau2) & (resid < _GAP_SHARE * (2.0 * mu - trace))
-    # with Q = I - v v^T, QGQ has rank at most k - 1 and trace tr G - mu, so
-    # tr G - mu <= sqrt(k - 1) ||QGQ||_F: only these blocks can pass the bound
-    k = gram.shape[-1]
-    maybe = np.flatnonzero(live & ~certified & (tail_sum <= np.sqrt(k - 1) * tau2))
-    if maybe.size:
-        g, m, r = gram[maybe], mu[maybe], resid[maybe]
-        frob2 = np.einsum("gij,gij->g", g, g)
-        # ||QGQ||_F**2 = ||G||_F**2 - mu**2 - 2 ||r||**2 cancels; 2 k**2 ulps of
-        # ||G||_F**2 cover the rounding of the sums of at most k**2 products
-        margin = 2.0 * k * k * _EPS * frob2
-        tail = np.sqrt(np.maximum(frob2 - m * m - 2.0 * r * r, 0.0) + margin)
-        certified[maybe] = (tail <= tau2) & (r < _GAP_SHARE * (m - tail))
+    certified = live & (tail <= tau2) & (resid < _GAP_SHARE * (mu - tail))
     return vec, mu, live, certified
 
 
@@ -175,15 +167,16 @@ def prox_low_rank(mat: np.ndarray, lam: float, nu: float, out: np.ndarray | None
       largest diagonal, each divided by tr G and normalised once at the
       end, give a unit vector v; mu = v^T G v and r = G v - mu v. With
       Q = I - v v^T, Courant-Fischer puts every eigenvalue of G but the top
-      one at or below the largest of QGQ, so at or below both
-      tr(QGQ) = tr G - mu and ||QGQ||_F = sqrt(||G||_F**2 - mu**2 - 2 ||r||**2).
-      The tail t is the first, the tail sum; for a block that fails the
-      test below with it, but whose tail sum is at most sqrt(k - 1) tau**2
-      (QGQ has rank k - 1 at most, so no other block can pass), t is the
-      second, with 2 k**2 ulps of ||G||_F**2 added to its square for the
-      rounding of the sums it cancels. If t <= tau**2, only s1 survives the
-      shrinkage. The gap between mu and the rest is then at least
-      d = mu - t, and if ||r|| < 1e-12 d, Davis-Kahan bounds the angle
+      one at or below the largest of QGQ, so at or below
+      ||QGQ||_F = sqrt(||G||_F**2 - mu**2 - 2 ||r||**2) <= tr QGQ = tr G - mu
+      (QGQ is positive semi-definite). The tail t is the smaller of the two
+      as computed, the first with 2 k**2 ulps of ||G||_F**2 added to its
+      square for the rounding of the sums it cancels: a floor of about
+      k sqrt(2 eps) ||G||_F, above tau**2 once s1 > 2000 tau (a flat patch
+      of depths in millimetres), that the trace does not carry. If
+      t <= tau**2, only s1 survives the shrinkage. The gap between mu and
+      the rest is then at least d = mu - t, and if ||r|| < 1e-12 d,
+      Davis-Kahan bounds the angle
       between v and the top eigenvector by ||r|| / d < 1e-12 (and
       s1**2 - mu by ||r||**2 / d). Then P = c v v^T with
       c = f(sqrt(mu)) / sqrt(mu), within about 1e-12 * s1 of the exact prox.

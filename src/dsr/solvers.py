@@ -201,7 +201,7 @@ def default_initialization(psi: Measurements, out: np.ndarray | None = None) -> 
     """Interpolate decimation measurements, nearest-fill mask measurements;
     into the flat float64 array ``out`` when given."""
     if psi.operator.kind == "decimation":
-        return linear_interpolate(psi, psi.operator.dims, out=out)
+        return linear_interpolate(psi, out=out)
     return mask_fill(psi, out=out)
 
 
@@ -227,7 +227,7 @@ _ORDER = struct.Struct("<q")
 _ANSWER = struct.Struct("<ddq")
 #: The two norms of an update that folds none.
 _NO_NORMS = (0.0, 0.0)
-#: Seconds a wait on a pipe polls before it sleeps in ``select``. Between
+#: Seconds a wait on a pipe polls before it sleeps in ``poll``. Between
 #: chunks a hand-off takes well under a chunk's time; a process that slept
 #: each time would lose more than that waking up.
 _SPIN_S = 0.002
@@ -241,15 +241,20 @@ def _shared(shape) -> np.ndarray:
 
 def _recv(fd: int, size: int) -> bytes:
     """``size`` bytes from the non-blocking pipe ``fd``, or fewer at end of
-    file. It polls for ``_SPIN_S``, then sleeps in ``select`` between reads."""
-    data = b""
+    file. It polls for ``_SPIN_S``, then sleeps in ``poll`` between reads,
+    which takes a descriptor of any number, unlike ``select``; end of file
+    wakes it as a hang-up."""
+    data, poller = b"", None
     spin_until = time.perf_counter() + _SPIN_S
     while len(data) < size:
         try:
             part = os.read(fd, size - len(data))
         except BlockingIOError:
-            if time.perf_counter() > spin_until:
-                select.select([fd], [], [])
+            if poller is not None:
+                poller.poll()
+            elif time.perf_counter() > spin_until:
+                poller = select.poll()
+                poller.register(fd, select.POLLIN)
             continue
         if not part:
             break
@@ -367,18 +372,22 @@ class _Workspace:
     def forked(self, values: np.ndarray, table: PatchGroupTable, update, helpers: int):
         """Fork up to ``helpers`` processes that run ``update`` on the
         chunks the block pass orders, for as long as the block lasts; after
-        a failed fork, as under a process limit, the forked ones share the
-        pass. When the block ends, also by an exception, each helper's order
-        pipe is closed and it is waited for, so none outlives the solve."""
+        a failed pipe or fork, as under a descriptor or process limit, the
+        forked ones share the pass. When the block ends, also by an
+        exception, each helper's order pipe is closed and it is waited for,
+        so none outlives the solve."""
         try:
             for worker in range(1, helpers + 1):
-                orders, order_end, answer_end, answers = fds = os.pipe() + os.pipe()
+                fds = ()
                 try:
+                    fds += os.pipe()
+                    fds += os.pipe()
                     pid = os.fork()
                 except OSError:
                     for fd in fds:
                         os.close(fd)
                     break
+                orders, order_end, answer_end, answers = fds
                 if pid == 0:
                     self._serve(values, table, update, worker, orders, answers,
                                 (order_end, answer_end,

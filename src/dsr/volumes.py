@@ -252,8 +252,7 @@ def _bilinear_axis(coords: np.ndarray, step: int, n_samples: int):
     return i0, i1, frac
 
 
-def linear_interpolate(m: Measurements, hi_dims: FrameDims,
-                       out: np.ndarray | None = None) -> DepthVolume:
+def linear_interpolate(m: Measurements, out: np.ndarray | None = None) -> DepthVolume:
     """Per-frame bilinear upsampling of decimation measurements to the full grid.
 
     Exact at sample locations; rows/columns beyond the last sample replicate
@@ -264,10 +263,8 @@ def linear_interpolate(m: Measurements, hi_dims: FrameDims,
     if op.kind != "decimation":
         raise DataError("linear_interpolate requires a decimation operator "
                         "(use mask_fill for mask measurements)")
-    if op.dims != hi_dims:
-        raise DataError(f"operator dims {op.dims} do not match target dims {hi_dims}")
     f = op.factor
-    w, h, t = hi_dims.width, hi_dims.height, hi_dims.frames
+    w, h, t = op.dims.width, op.dims.height, op.dims.frames
     nx = len(range(0, w, f))
     ny = len(range(0, h, f))
     low = m.values.reshape(t, ny, nx)
@@ -283,7 +280,7 @@ def linear_interpolate(m: Measurements, hi_dims: FrameDims,
         top = g[np.ix_(yi0, xi0)] * (1.0 - xf) + g[np.ix_(yi0, xi1)] * xf
         bot = g[np.ix_(yi1, xi0)] * (1.0 - xf) + g[np.ix_(yi1, xi1)] * xf
         out[k] = top * (1.0 - yf) + bot * yf
-    return DepthVolume(hi_dims, out.reshape(-1))
+    return DepthVolume(op.dims, out.reshape(-1))
 
 
 def _nearest_sample(mask: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ dims = FrameDims(64, 64, 16)
 depth, _ = synth_scene(default_scene(dims, seed=0))
 psi = add_noise(apply_sampling(SamplingOperator.decimation(dims, 2), depth), 30.0, 0)
 print(hashlib.sha256(psi.values.tobytes()).hexdigest())
-print(repr(snr_db(depth.values, linear_interpolate(psi, dims).values)))
+print(repr(snr_db(depth.values, linear_interpolate(psi).values)))
 print(default_lambda_grid(psi, 30.0))
 print(bench_from_config(json.load(open("bench.json")), "library-bench"))
 """

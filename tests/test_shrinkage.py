@@ -11,6 +11,9 @@ from dsr.shrinkage import (
     prox_work,
     shrink_threshold,
 )
+from dsr.patches import PatchGeometry, build_groups
+from dsr.scenes import default_scene, synth_scene
+from dsr.volumes import FrameDims, SamplingOperator, apply_sampling, linear_interpolate
 from oracles import prox_low_rank_ref, soft_threshold_ref
 
 lams = st.floats(0.1, 10.0)
@@ -202,6 +205,16 @@ def _rank1_zero_column(rng):
         right / np.linalg.norm(right, axis=2, keepdims=True))
 
 
+def _scene_blocks():
+    """Every patch-group block, with the default geometry, of a 32x32x6
+    default scene decimated x3 and linearly interpolated back."""
+    depth, guide = synth_scene(default_scene(FrameDims(32, 32, 6)))
+    est = linear_interpolate(apply_sampling(SamplingOperator.decimation(depth.dims, 3), depth))
+    table = build_groups(guide, PatchGeometry())
+    index = np.empty(table.chunk_shape(), dtype=np.int64)
+    return np.concatenate([est.values[idx] for _, idx in table.chunks(index)])
+
+
 def _mixed_routes(rng):
     """At (lam, nu) = (12, 0.02): certified rank-1, zeroed and fallback blocks,
     interleaved; returns the stack and the indices of each kind."""
@@ -356,15 +369,16 @@ class TestProxRoutes:
         assert np.all(np.abs(out - ref).max(axis=(1, 2)) <= 1e-12 * peak)
 
     def test_every_block_the_tail_sum_certifies_stays_certified(self):
-        """The Frobenius bound only adds blocks: each block that passes the
-        tail-sum test tr G - mu <= tau**2 with ||r|| < 1e-12 (2 mu - tr G)
-        is still certified, on the mixed-route stack and on random stacks of
-        a strong rank-1 part plus noise of spread-out size."""
+        """The bound only adds blocks to the tail-sum test
+        tr G - mu <= tau**2 with ||r|| < 1e-12 (2 mu - tr G): each block that
+        passes it is certified, on the mixed-route stack, on random stacks of
+        a strong rank-1 part plus noise of spread-out size and on every patch
+        group of a scene decimated x3 and interpolated back."""
         rng = np.random.default_rng(29)
         rank1 = rng.standard_normal((512, 25, 1)) @ rng.standard_normal((512, 1, 10))
         noise = rng.standard_normal((512, 25, 10)) * 10.0 ** rng.uniform(-3, 0, (512, 1, 1))
         added = 0
-        for stack in (_mixed_routes(rng)[0], TAU * (rank1 + noise)):
+        for stack in (_mixed_routes(rng)[0], TAU * (rank1 + noise), _scene_blocks()):
             gram = _grams(stack)
             trace = np.einsum("gii->g", gram)
             vec, mu, live, certified = shrinkage_mod._top_eigenpairs(gram, trace, TAU)
@@ -374,6 +388,21 @@ class TestProxRoutes:
             assert np.all(certified[by_sum])
             added += np.count_nonzero(certified & ~by_sum)
         assert added > 0
+
+    def test_trace_certifies_where_the_frobenius_floor_tops_tau_squared(self, fallback_calls):
+        """Flat patches of depths in millimetres: s1 is about 9,000 tau, so
+        the rounding floor of the Frobenius bound, 2 k**2 ulps of
+        ||G||_F**2, is above tau**2 by itself; tr G - mu is not, and every
+        block is certified and agrees with the full-SVD prox."""
+        rng = np.random.default_rng(31)
+        stack = rng.uniform(1500.0, 2500.0, (16, 1, 1)) + 1e-6 * rng.standard_normal((16, 25, 10))
+        frob2 = np.einsum("gij,gij->g", _grams(stack), _grams(stack))
+        assert np.all(2 * 10**2 * np.finfo(float).eps * frob2 > TAU**4)
+        out = prox_low_rank(stack, 12.0, 0.02)
+        assert _fallback_count(fallback_calls) == 0
+        peak = np.abs(stack).max(axis=(1, 2))
+        ref = prox_low_rank_ref(stack, 12.0, 0.02)
+        assert np.all(np.abs(out - ref).max(axis=(1, 2)) <= 1e-12 * peak)
 
     @pytest.mark.parametrize("spectrum", [[0.9, 0.9 * (1 - 1e-8)], [3.0, 3.0 * (1 - 1e-8)],
                                           [1.2, 0.96]])

@@ -1,5 +1,7 @@
+import errno
 import math
 import os
+import resource
 import signal
 import threading
 import tracemalloc
@@ -159,7 +161,7 @@ class TestInitialization:
     def test_decimation_uses_interpolation(self, problem):
         _, _, psi, _ = problem
         init = default_initialization(psi)
-        expect = linear_interpolate(psi, psi.operator.dims)
+        expect = linear_interpolate(psi)
         np.testing.assert_array_equal(init.values, expect.values)
 
     def test_mask_uses_nearest_fill(self, rng, random_volume):
@@ -371,6 +373,11 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    """The process's open descriptors, or None where /proc does not list them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 class TestForkedBlockPass:
     """A solve's block pass runs on ``min(patches._worker_count(), chunks
     per pass)`` processes, and the number changes no byte of the estimate
@@ -483,28 +490,62 @@ class TestForkedBlockPass:
         assert sums[1] == sums[0]
         _no_child_left()
 
-    @pytest.mark.parametrize("failing_call", [1, 2])
-    def test_failed_fork_shrinks_the_pass(self, problem, monkeypatch, failing_call):
-        """A fork refused as under a process limit ends the forking: the
-        processes already running share the pass, ``workers`` counts them
-        and the bytes are those of one process."""
+    @pytest.mark.parametrize("refused,failing_call,workers",
+                             [("fork", 1, 1), ("fork", 2, 2), ("pipe", 2, 1), ("pipe", 4, 2)],
+                             ids=["1", "2", "pipe_2", "pipe_4"])
+    def test_failed_fork_shrinks_the_pass(self, problem, monkeypatch, refused, failing_call,
+                                          workers):
+        """A fork refused as under a process limit, or a pipe refused as
+        under a descriptor limit, ends the forking: the processes already
+        running share the pass, ``workers`` counts them, the bytes are those
+        of one process and every descriptor opened for the refused helper is
+        closed again. A helper takes two pipes before its fork."""
         _, guide, psi, _ = problem
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
         cfg = SolverConfig(algo="admm3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
         monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
         expect = _fingerprint(*run_pipeline(psi, guide, cfg))
-        calls, fork = [], os.fork
+        calls, original = [], getattr(os, refused)
 
         def refusing():
             calls.append(None)
             if len(calls) == failing_call:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
+                if refused == "fork":
+                    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+                raise OSError(errno.EMFILE, "Too many open files")
+            return original()
 
-        monkeypatch.setattr(os, "fork", refusing)
+        monkeypatch.setattr(os, refused, refusing)
         monkeypatch.setattr(patches_mod, "_worker_count", lambda: 3)
+        fds = _open_fds()
         est, rep = run_pipeline(psi, guide, cfg)
-        assert (len(calls), rep.workers) == (failing_call, failing_call)
+        assert _open_fds() == fds
+        assert (len(calls), rep.workers) == (failing_call, workers)
+        assert _fingerprint(est, rep) == expect
+        _no_child_left()
+
+    def test_waits_take_descriptors_above_fd_setsize(self, problem, monkeypatch):
+        """With 1,100 descriptors held, the pass's pipes are numbered above
+        the 1,024 that ``select`` accepts; with no spin every wait sleeps,
+        and the solve still returns the bytes of one process."""
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+            pytest.skip("the soft open-file limit is below 1,200")
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        monkeypatch.setattr(solvers_mod, "_SPIN_S", 0.0)
+        cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
+        expect = _fingerprint(*run_pipeline(psi, guide, cfg))
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        held = []
+        try:
+            for _ in range(1100):
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            est, rep = run_pipeline(psi, guide, cfg)
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert rep.workers == 2
         assert _fingerprint(est, rep) == expect
         _no_child_left()
 
@@ -721,7 +762,7 @@ class TestRunPipeline:
     def test_linear_returns_initialization(self, problem):
         _, _, psi, _ = problem
         est, rep = run_pipeline(psi, None, SolverConfig(algo="linear"))
-        expect = linear_interpolate(psi, psi.operator.dims)
+        expect = linear_interpolate(psi)
         np.testing.assert_array_equal(est.values, expect.values)
         assert rep.iterations == 0
         assert rep.stop_reason == "tolerance"

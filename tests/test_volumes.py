@@ -247,7 +247,7 @@ class TestLinearInterpolate:
         dims = FrameDims(13, 11, 2)
         vol = DepthVolume(dims, rng.uniform(1, 9, dims.total_voxels))
         op = SamplingOperator.decimation(dims, factor)
-        out = linear_interpolate(apply_sampling(op, vol), dims)
+        out = linear_interpolate(apply_sampling(op, vol))
         low = vol.frames()[:, ::factor, ::factor]
         for k in range(dims.frames):
             expect = bilinear_naive(low[k], factor, dims.width, dims.height)
@@ -257,14 +257,13 @@ class TestLinearInterpolate:
         dims = FrameDims(16, 12, 3)
         vol = DepthVolume(dims, rng.uniform(1, 9, dims.total_voxels))
         op = SamplingOperator.decimation(dims, 4)
-        out = linear_interpolate(apply_sampling(op, vol), dims)
+        out = linear_interpolate(apply_sampling(op, vol))
         np.testing.assert_array_equal(out.values[op.indices],
                                       vol.values[op.indices])
 
     def test_factor_one_is_identity(self, random_volume):
         op = SamplingOperator.decimation(random_volume.dims, 1)
-        out = linear_interpolate(apply_sampling(op, random_volume),
-                                 random_volume.dims)
+        out = linear_interpolate(apply_sampling(op, random_volume))
         np.testing.assert_array_equal(out.values, random_volume.values)
 
     def test_edge_replication(self):
@@ -272,7 +271,7 @@ class TestLinearInterpolate:
         frames = np.arange(5.0).reshape(1, 1, 5).repeat(2, axis=1)
         vol = DepthVolume.from_frames(frames)
         op = SamplingOperator.decimation(vol.dims, 3)
-        out = linear_interpolate(apply_sampling(op, vol), vol.dims).frames()
+        out = linear_interpolate(apply_sampling(op, vol)).frames()
         assert out[0, 0, 4] == out[0, 0, 3] == 3.0
 
     def test_requires_decimation(self, random_volume):
@@ -280,7 +279,7 @@ class TestLinearInterpolate:
             random_volume.dims, np.ones(random_volume.dims.total_voxels, bool))
         m = apply_sampling(op, random_volume)
         with pytest.raises(DataError):
-            linear_interpolate(m, random_volume.dims)
+            linear_interpolate(m)
 
 
 class TestMaskFill:
