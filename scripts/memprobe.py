@@ -14,8 +14,10 @@ of the child processes it has waited for (``ru_maxrss`` of
 ``RUSAGE_CHILDREN``: the solve's block-pass helpers, which share the
 parent's pages until they write them, so the two peaks overlap) and the
 minor page faults (``ru_minflt``) the stage took; the match line adds the
-bytes the group table stores per member, and the solve's faults are also
-given per iteration. The solve also reports its peak working set in
+bytes the group table stores per member and the ``tracemalloc`` peak of
+``build_groups`` (the table and each matching thread's buffers), in bytes
+and in volumes (8 bytes per voxel), and the solve's faults are also given
+per iteration. The solve also reports its peak working set in
 volumes (8 bytes per voxel): the ``tracemalloc`` peak plus every byte of
 the shared mappings that the solve allocates and ``tracemalloc`` does not
 see (the iterate, the helpers' index and result slots and admm3d's
@@ -80,9 +82,16 @@ def main(argv=None) -> int:
     else:
         init = match_on = default_initialization(psi)
         report("init")
-    table = build_groups(match_on, cfg.geometry)
+    volume = 8 * depth.dims.total_voxels
+    tracemalloc.start()
+    try:
+        table = build_groups(match_on, cfg.geometry)
+        match_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
-    report("match", f"  table {stored / table.top_left.size:.1f} bytes per member")
+    report("match", f"  table {stored / table.top_left.size:.1f} bytes per member, traced "
+                    f"peak {match_peak} bytes ({match_peak / volume:.2f} volumes)")
     shared, allocate = [], solvers._shared
 
     def recorded(shape):
@@ -99,7 +108,6 @@ def main(argv=None) -> int:
         tracemalloc.stop()
         solvers._shared = allocate
     faults = report("solve", f"  workers {rep.workers}")
-    volume = 8 * depth.dims.total_voxels
     geom = table.geometry
     dual = (table.n_groups * geom.group_size * geom.patch_side ** 2 * 8
             if args.algo == "admm3d" else 0)

@@ -4,22 +4,25 @@ Reference patches sit on a stride grid per frame (last row/column clamped so
 borders stay covered). For each reference, the L most similar patches inside
 a clamped space-time search window are grouped; similarity is the sum of
 squared differences on the guide volume, so grouping follows object motion
-without explicit motion estimation. A group is stored once, as the flat
-voxel index of each member's top-left pixel. Grouped patches form B x L
-blocks whose columns are vectorized patches, gathered one chunk of groups at
-a time through the table's gather index; ``scatter_sum`` adds block entries
-back, and the diagonal of the composed operator is the per-voxel reference
-count.
+without explicit motion estimation. Each sum is added from per-band
+squared-difference images in the order of numpy's own ``np.sum`` over the
+patch's contiguous vector, so it has those bits. A group is stored once, as
+the flat voxel index of each member's top-left pixel. Grouped patches form
+B x L blocks whose columns are vectorized patches, gathered one chunk of
+groups at a time through the table's gather index; ``scatter_sum`` adds
+block entries back, and the diagonal of the composed operator is the
+per-voxel reference count.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError
 from .volumes import FrameDims
@@ -174,36 +177,275 @@ def _worker_count() -> int:
 
 
 def _runs(positions: list[int], stride: int, first: int, stop: int):
-    """Grid indices [first, stop) as (index slice, position slice) pairs: one
+    """Grid indices [first, stop) as (index slice, first position) pairs: one
     run on the stride grid, one for the clamped last position."""
     regular = positions[-1] // stride + 1
-    return [(slice(a, b), slice(positions[a], positions[b - 1] + 1, stride))
+    return [(slice(a, b), positions[a])
             for a, b in ((first, min(stop, regular)), (max(first, regular), stop))
             if a < b]
 
 
+def _pairwise_order(n: int, start: int = 0):
+    """The order in which numpy's float add reduction sums the n terms
+    ``start`` .. ``start + n - 1`` of one contiguous row (``pairwise_sum``
+    in numpy's ``loops_utils.h.src``), as a tree: an int is a term, a pair
+    (left, right) is the sum of two subtrees. Fewer than 8 terms add left to
+    right. Up to 128 terms go into 8 running sums, term i into sum i % 8;
+    these add as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), and the
+    last n % 8 terms follow one by one. More terms split in two at n / 2
+    rounded down to a multiple of 8, and the halves' sums add. numpy starts
+    each left-to-right sum from 0, which changes no sum of squares: 0 + x is
+    x for every x but -0.0, and no square is -0.0."""
+    def fold(terms):
+        tree = terms[0]
+        for term in terms[1:]:
+            tree = (tree, term)
+        return tree
+
+    if n < 8:
+        return fold(range(start, start + n))
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return (_pairwise_order(half, start), _pairwise_order(n - half, start + half))
+    body = start + n - n % 8
+    s = [fold(range(start + j, body, 8)) for j in range(8)]
+    return fold([(((s[0], s[1]), (s[2], s[3])), ((s[4], s[5]), (s[6], s[7]))),
+                 *range(body, start + n)])
+
+
+def _sum_plan(n: int) -> tuple[list[tuple[int, int, int]], int, int]:
+    """Whole-array adds that sum n terms in ``_pairwise_order(n)``.
+
+    Operands 0 .. n - 1 are the terms and n, n + 1, ... partial sums.
+    Returns the adds as (out, a, b), meaning out = a + b, the number of
+    partial sums they use and the operand that ends up holding the total.
+    An add writes into a partial sum among its own inputs where it has one,
+    so 25 terms take 24 adds and 4 partial sums."""
+    adds, free, used = [], [], 0
+
+    def emit(tree) -> int:
+        nonlocal used
+        if isinstance(tree, int):
+            return tree
+        a, b = emit(tree[0]), emit(tree[1])
+        partial = [x for x in (a, b) if x >= n]
+        if partial:
+            out = partial[0]
+        elif free:
+            out = free.pop()
+        else:
+            out, used = n + used, used + 1
+        adds.append((out, a, b))
+        free.extend(partial[1:])
+        return out
+
+    total = emit(_pairwise_order(n))
+    return adds, used, total
+
+
+#: Elements of a worker's squared-difference image, about: the window rows
+#: of offsets are scored in equal chunks that fit it, at least one row each.
+#: Its adds then cover 14,000 to 17,000 elements each at the default
+#: geometry; with much smaller ones the interpreter lock changes hands so
+#: often that two workers run slower than one. Results do not depend on it.
+DIFF_ELEMENTS = 2 ** 18
+
+
+class _Scorer:
+    """Distances of every reference of a band to every window offset.
+
+    Settings of one volume and geometry; the buffers are each worker's
+    ``_Workspace``. A frame's reference grid is cut into bands of whole grid
+    rows, ``band_rows`` of them, about ``CHUNK_GROUPS`` references. A band's
+    grid rows on the stride grid, and the clamped last one, are each a run.
+
+    A run of nr grid rows from pixel row y0 covers the R = s * (nr - 1) + ps
+    rows from y0. Against one candidate frame and a chunk of k window rows
+    (dy) it forms the squared differences
+
+        D[r, dy, dx, x] = (band[r + dy, x + dx] - ref[r, x]) ** 2
+
+    with one subtract and one square, where ``ref`` holds the run's rows of
+    the reference frame and ``band`` the candidate frame's rows from
+    y0 - hy, bordered with inf, so a candidate outside the volume scores
+    inf. Each squared difference is formed once, not once per patch that
+    covers it. D is laid out (row, offset, column), with the columns padded
+    to a multiple of s; flattened to D2 of shape (R, offsets * columns),
+    pixel (a, b) of every reference on the stride grid for every offset is
+    the strided view D2[a::s, b::s] (whose last lane, never a reference's,
+    may run ps - s elements past its row), and of the clamped last column
+    x_c the view D2[a::s, x_c + b::columns]. A patch's distance is the sum
+    of its ps * ps views, added by ``_sum_plan`` in numpy's own order for a
+    contiguous vector, so each distance has the bits of ``np.sum`` over
+    that patch's squared differences, whatever the band and the chunk.
+    Lanes past a row's last reference are added and thrown away, one per
+    offset at 320 columns.
+    """
+
+    def __init__(self, dims: FrameDims, geom: PatchGeometry):
+        ps, s = geom.patch_side, geom.stride
+        wx, wy, wt = geom.window
+        self.dims, self.ps, self.stride = dims, ps, s
+        self.half_x, self.half_y, self.half_t = wx // 2, wy // 2, (wt - 1) // 2
+        self.window = (wt, 2 * self.half_y + 1, 2 * self.half_x + 1)  # offsets (dt, dy, dx)
+        self.ys, self.xs = (grid_positions(n, ps, s) for n in (dims.height, dims.width))
+        self.band_rows = min(max(1, CHUNK_GROUPS // len(self.xs)), len(self.ys))
+        self.regular = self.xs[-1] // s + 1  # references per grid row on the stride grid
+        self.clamped = self.xs[-1] if self.regular < len(self.xs) else None
+        self.cols = -(-dims.width // s) * s
+        self.rows = self._rows(self.band_rows)  # pixel rows of the longest run
+        n_dy, n_dx = self.window[1:]
+        per_dy = self.rows * n_dx * self.cols
+        chunks = -(-n_dy // max(1, DIFF_ELEMENTS // per_dy))
+        self.dy_chunk = -(-n_dy // chunks)
+        self.adds, self.n_partial, self.total = _sum_plan(ps * ps)
+
+    def _rows(self, nr: int) -> int:
+        """Pixel rows of a run of nr grid rows."""
+        return self.stride * (nr - 1) + self.ps
+
+    def _views(self, ws, nr: int, k: int):
+        """D for runs of nr grid rows and chunks of k window rows, as (R, k,
+        dx, columns) and as D2, and the operands and total of the sums of
+        the grid lanes and of the clamped column; made once per worker and
+        shape."""
+        key = (nr, k)
+        if key not in ws.views:
+            ps, s, cols = self.ps, self.stride, self.cols
+            offsets = k * self.window[2]
+            lanes, pitch = offsets * cols // s, offsets * cols
+            d2 = ws.diff[:self._rows(nr) * pitch].reshape(-1, pitch)
+            rows = [slice(a, a + s * (nr - 1) + 1, s) for a in range(ps)]
+            item = d2.itemsize
+
+            def operands(term, shape):
+                size = shape[0] * shape[1]
+                return ([term(a, b) for a in range(ps) for b in range(ps)]
+                        + [ws.partial[i * size:(i + 1) * size].reshape(shape)
+                           for i in range(self.n_partial)])
+
+            def lattice(a, b):  # D2[a::s, b::s], ``lanes`` long
+                return as_strided(ws.diff[a * pitch + b:], (nr, lanes),
+                                  (s * pitch * item, s * item), writeable=False)
+
+            grid = operands(lattice, (nr, lanes))
+            total = grid[self.total].reshape(nr, offsets, cols // s)[:, :, :self.regular]
+            edge = None
+            if self.clamped is not None:
+                x = self.clamped
+                edge = operands(lambda a, b: d2[rows[a], x + b::cols], (nr, offsets))
+            ws.views[key] = d2.reshape(-1, k, self.window[2], cols), d2, grid, total, edge
+        return ws.views[key]
+
+    def _sum(self, operands):
+        for out, a, b in self.adds:
+            np.add(operands[a], operands[b], out=operands[out])
+        return operands[self.total]
+
+    def _score_run(self, ws, ref_frame, cand_frame, y0: int, out: np.ndarray) -> None:
+        """Write into ``out``, shape (nr, references per grid row, dy, dx),
+        the distance of each reference of the run from pixel row y0 to the
+        candidate at each (dy, dx) offset in ``cand_frame``."""
+        nr, n_rows = out.shape[0], self._rows(out.shape[0])
+        w, half_x, half_y = self.dims.width, self.half_x, self.half_y
+        ref = ws.ref[:n_rows]
+        ref[:, :w] = ref_frame[y0:y0 + n_rows]
+        # the candidate frame's rows y0 - hy .. y0 + n_rows + hy, inf outside
+        lo, n_band = y0 - half_y, n_rows + 2 * half_y
+        inner = ws.band[:n_band, half_x:half_x + w]
+        top = min(n_band, max(0, -lo))
+        bottom = max(top, min(n_band, self.dims.height - lo))
+        inner[:top] = np.inf
+        inner[top:bottom] = cand_frame[lo + top:lo + bottom]
+        inner[bottom:] = np.inf
+        for dy in range(0, self.window[1], self.dy_chunk):
+            k = min(self.dy_chunk, self.window[1] - dy)
+            diff, d2, grid, total, edge = self._views(ws, nr, k)
+            np.subtract(ws.cands[:n_rows, dy:dy + k], ref[:, None, None], out=diff)
+            np.square(d2, out=d2)
+            self._sum(grid)
+            chunk = out[:, :, dy:dy + k].reshape(nr, out.shape[1], -1)
+            np.copyto(chunk[:, :self.regular].transpose(0, 2, 1), total)
+            if edge is not None:
+                np.copyto(chunk[:, self.regular], self._sum(edge))
+
+    def distances(self, ws, frames: np.ndarray, t: int, first: int) -> np.ndarray:
+        """The distances, shape (references, offsets), of the band of grid
+        rows from ``first`` in frame t of ``frames`` (T, H, W), written into
+        ``ws.dist``: inf where the candidate lies outside the volume, 0 at
+        the reference's own offset."""
+        stop = min(first + self.band_rows, len(self.ys))
+        dist = ws.dist[:(stop - first) * len(self.xs)]
+        grid = dist.reshape(stop - first, len(self.xs), *self.window)
+        dts = range(max(0, self.half_t - t), min(self.window[0], len(frames) + self.half_t - t))
+        grid[:, :, :dts.start] = np.inf
+        grid[:, :, dts.stop:] = np.inf
+        for rows, y0 in _runs(self.ys, self.stride, first, stop):
+            run = grid[rows.start - first:rows.stop - first]
+            for dt in dts:
+                self._score_run(ws, frames[t], frames[t + dt - self.half_t], y0, run[:, :, dt])
+        return dist
+
+
 @dataclass
 class _Workspace:
-    """One worker's buffers, sized for the largest band: the distances, a
-    copy to partition, the selection masks, and the squared differences of
-    one row of offsets."""
+    """One worker's buffers, sized for the largest band: the distances, and
+    ``_Scorer``'s buffers with the views into them, made as each shape is
+    first needed. One scratch buffer holds D and the partial sums while a
+    band is scored, and then the copy to partition and the two selection
+    masks, eight to a float."""
 
     dist: np.ndarray
+    ref: np.ndarray
+    band: np.ndarray
+    cands: np.ndarray
+    diff: np.ndarray
+    partial: np.ndarray
     part: np.ndarray
     keep: np.ndarray
     tie: np.ndarray
-    diff: np.ndarray
-
-    @classmethod
-    def allocate(cls, n_refs: int, n_offsets: int, diff_size: int) -> "_Workspace":
-        grid = (n_refs, n_offsets)
-        return cls(np.empty(grid), np.empty(grid), np.empty(grid, bool),
-                   np.empty(grid, bool), np.empty(diff_size))
+    views: dict
 
     @staticmethod
-    def nbytes(n_refs: int, n_offsets: int, diff_size: int) -> int:
+    def _sizes(scorer: _Scorer) -> dict[str, int]:
+        """Floats in each buffer, as Python ints; ``scratch`` holds the
+        others from ``diff`` on."""
+        refs = scorer.band_rows * len(scorer.xs)
+        dist = refs * scorer.window[0] * scorer.window[1] * scorer.window[2]
+        lanes = scorer.dy_chunk * scorer.window[2] * scorer.cols  # per row of D
+        sizes = {"dist": dist, "ref": scorer.rows * scorer.cols,
+                 "band": (scorer.rows + 2 * scorer.half_y) * (scorer.cols + 2 * scorer.half_x),
+                 # the last lattice view of D runs ps - s elements past it
+                 "diff": scorer.rows * lanes + scorer.ps - scorer.stride,
+                 "partial": scorer.n_partial * scorer.band_rows * lanes // scorer.stride,
+                 "masks": -(-dist // 8)}
+        sizes["scratch"] = max(sizes["diff"] + sizes["partial"], dist + 2 * sizes["masks"])
+        return sizes
+
+    @classmethod
+    def allocate(cls, scorer: _Scorer) -> "_Workspace":
+        grid = (scorer.band_rows * len(scorer.xs), math.prod(scorer.window))
+        n, sizes = grid[0] * grid[1], cls._sizes(scorer)
+        # columns past the frame hold 0 in ref and inf in band, so inf in D
+        ref = np.zeros((scorer.rows, scorer.cols))
+        band = np.full((scorer.rows + 2 * scorer.half_y, scorer.cols + 2 * scorer.half_x),
+                       np.inf)
+        # cands[r, dy, dx, x] is band[r + dy, x + dx]
+        step, item = band.strides[0], band.itemsize
+        cands = as_strided(band, (scorer.rows, *scorer.window[1:], scorer.cols),
+                           (step, step, item, item), writeable=False)
+        scratch, diff, masks = np.zeros(sizes["scratch"]), sizes["diff"], sizes["masks"]
+        keep, tie = (scratch[n + i * masks:n + (i + 1) * masks].view(bool)[:n].reshape(grid)
+                     for i in range(2))
+        return cls(np.empty(grid), ref, band, cands, scratch[:diff],
+                   scratch[diff:diff + sizes["partial"]], scratch[:n].reshape(grid), keep, tie,
+                   {})
+
+    @classmethod
+    def nbytes(cls, scorer: _Scorer) -> int:
         """The bytes ``allocate`` takes, as a Python int."""
-        return n_refs * n_offsets * (8 + 8 + 1 + 1) + diff_size * 8
+        sizes = cls._sizes(scorer)
+        return 8 * (sizes["dist"] + sizes["ref"] + sizes["band"] + sizes["scratch"])
 
 
 def _select(flat: np.ndarray, n_sel: int, ws: _Workspace) -> np.ndarray:
@@ -273,21 +515,18 @@ def _index_dtype(dims: FrameDims) -> np.dtype:
 
 def check_geometry(dims: FrameDims, geom: PatchGeometry) -> None:
     """Raise DataError when ``build_groups`` on a volume of ``dims`` would
-    allocate a group table, bordered guide or band workspace larger than
-    numpy can address. The sizes are Python ints and nothing is allocated;
-    a size that numpy can address but memory cannot hold passes, and so
-    does a patch larger than a frame, which ``build_groups`` rejects."""
+    allocate a group table or a band workspace (a band's distances and
+    selection masks, and the scorer's buffers) larger than numpy can
+    address. The sizes are Python ints and nothing is allocated; a size that
+    numpy can address but memory cannot hold passes, and so does a patch
+    larger than a frame, which ``build_groups`` rejects."""
     w, h, ps = dims.width, dims.height, geom.patch_side
     if ps > min(w, h):
         return
-    wx, wy, wt = geom.window
-    ys, xs = (grid_positions(n, ps, geom.stride) for n in (h, w))
-    band = max(1, CHUNK_GROUPS // len(xs)) * len(xs)
-    dx, dy = 2 * (wx // 2) + 1, 2 * (wy // 2) + 1  # offsets searched along x and y
-    sizes = {"group table": (dims.frames * len(ys) * len(xs) * geom.group_size
+    scorer = _Scorer(dims, geom)
+    sizes = {"group table": (dims.frames * len(scorer.ys) * len(scorer.xs) * geom.group_size
                              * _index_dtype(dims).itemsize),
-             "bordered guide": dims.frames * (h + dy - 1) * (w + dx - 1) * 8,
-             "band workspace": _Workspace.nbytes(band, wt * dy * dx, band * dx * ps * ps)}
+             "band workspace": _Workspace.nbytes(scorer)}
     for what, size in sizes.items():
         if size > np.iinfo(np.intp).max:
             raise DataError(f"window {geom.window} and group size {geom.group_size} need a "
@@ -303,7 +542,8 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     the temporally adjacent frames. The L smallest SSD candidates are kept,
     ties broken lexicographically by (t, y, x); the reference always comes
     first. Matching depends only on the guide, never on the depth being
-    reconstructed.
+    reconstructed. Each SSD has the bits of numpy's sum over the patch's
+    contiguous vector of squared differences (see ``_Scorer``).
 
     Each frame's reference grid is cut into bands of whole grid rows of about
     ``CHUNK_GROUPS`` references. The bands are matched on every usable core;
@@ -316,72 +556,40 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     if ps > min(w, h):
         raise DataError(f"patch side {ps} exceeds frame size {w}x{h}")
     check_geometry(guide.dims, geom)
-    wx, wy, wt = geom.window
-    half_x, half_y, half_t = wx // 2, wy // 2, (wt - 1) // 2
-
-    # an inf border makes every candidate outside the frame score inf; in the
-    # bordered frame, the window of a reference at (y, x) starts at (y, x)
-    bordered = np.pad(guide.frames(), ((0, 0), (half_y, half_y), (half_x, half_x)),
-                      constant_values=np.inf)
-    windows = sliding_window_view(bordered, (ps, ps), axis=(1, 2))
-    # SSD per reference and window offset (dt, dy, dx), offsets ascending: the
-    # candidate (t, y, x) ascends with the offset, so the (value, offset)
-    # order of a row is the (dist, t, y, x) order; the center offset is the
-    # reference itself, and delta is each offset's step in the flat index
-    shape = (2 * half_t + 1, 2 * half_y + 1, 2 * half_x + 1)
-    n_offsets = shape[0] * shape[1] * shape[2]
+    scorer = _Scorer(guide.dims, geom)
+    ys, xs, shape = scorer.ys, scorer.xs, scorer.window
+    # distances per reference and window offset (dt, dy, dx), offsets
+    # ascending: the candidate (t, y, x) ascends with the offset, so the
+    # (value, offset) order of a row is the (dist, t, y, x) order; the center
+    # offset is the reference itself, and delta is each offset's step in the
+    # flat index
+    n_offsets = math.prod(shape)
     center = n_offsets // 2
     off_t, off_y, off_x = np.indices(shape, dtype=np.int64).reshape(3, -1)
-    delta = ((off_t - half_t) * h + off_y - half_y) * w + off_x - half_x
-    # row_windows[u, y, x, dx] is the candidate window at (y, x + dx)
-    row_windows = np.moveaxis(sliding_window_view(windows, shape[2], axis=2), -1, 3)
-    ys, xs = (grid_positions(n, ps, geom.stride) for n in (h, w))
-    band_rows = max(1, CHUNK_GROUPS // len(xs))
-    x_runs = _runs(xs, geom.stride, 0, len(xs))
+    delta = (((off_t - scorer.half_t) * h + off_y - scorer.half_y) * w
+             + off_x - scorer.half_x)
     # flat index of each reference's top-left pixel in frame 0, grid order
     refs = (np.array(ys, dtype=np.int64)[:, None] * w + xs).reshape(-1)
     top_left = np.empty((t_total, len(refs), geom.group_size),
                         dtype=_index_dtype(guide.dims))
     n_sel = min(geom.group_size - 1, n_offsets)
+    frames = guide.frames()
 
     def match(unit, ws):
         t, first = unit
-        stop = min(first + band_rows, len(ys))
-        n = (stop - first) * len(xs)
-        dist = ws.dist[:n].reshape(stop - first, len(xs), *shape)
-        dt_range = range(max(0, half_t - t), min(shape[0], t_total + half_t - t))
-        dist[:, :, :dt_range.start] = np.inf
-        dist[:, :, dt_range.stop:] = np.inf
-        for iy, py in _runs(ys, geom.stride, first, stop):
-            rows = slice(iy.start - first, iy.stop - first)
-            for ix, px in x_runs:
-                ref = windows[t, py.start + half_y:py.stop + half_y:py.step,
-                              px.start + half_x:px.stop + half_x:px.step, None]
-                diff = ws.diff[:ref.shape[0] * ref.shape[1] * shape[2] * ps * ps]
-                diff = diff.reshape(ref.shape[0], ref.shape[1], shape[2], ps, ps)
-                for dt in dt_range:
-                    cands = row_windows[t + dt - half_t]
-                    for dy in range(shape[1]):
-                        np.subtract(cands[py.start + dy:py.stop + dy:py.step, px], ref,
-                                    out=diff)
-                        np.square(diff, out=diff)
-                        # numpy's sum of each contiguous patch vector: the
-                        # same additions, in the same order, for every band
-                        diff.reshape(diff.shape[:3] + (-1,)).sum(
-                            axis=-1, out=dist[rows, ix, dt, dy])
-        flat = dist.reshape(n, n_offsets)
+        flat = scorer.distances(ws, frames, t, first)
         flat[:, center] = np.inf
-        out = top_left[t, first * len(xs):stop * len(xs)]
-        out[:] = (refs[first * len(xs):stop * len(xs)] + t * h * w)[:, None]
+        rows = slice(first * len(xs), first * len(xs) + len(flat))
+        out = top_left[t, rows]
+        out[:] = (refs[rows] + t * h * w)[:, None]
         if n_sel:
             pick = _select(flat, n_sel, ws)
             # an inf pick is no candidate: it keeps the reference
             pick[np.isinf(np.take_along_axis(flat, pick, axis=1))] = center
             out[:, 1:1 + n_sel] += delta[pick]
 
-    units = [(t, first) for t in range(t_total) for first in range(0, len(ys), band_rows)]
-    max_refs = band_rows * len(xs)
-    workspaces = [_Workspace.allocate(max_refs, n_offsets, max_refs * shape[2] * ps * ps)
+    units = [(t, first) for t in range(t_total) for first in range(0, len(ys), scorer.band_rows)]
+    workspaces = [_Workspace.allocate(scorer)
                   for _ in range(min(_worker_count(), len(units)))]
     _run_units(units, match, workspaces)
     return PatchGroupTable(geom, guide.dims, top_left.reshape(-1, geom.group_size))

@@ -108,16 +108,17 @@ _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
 
 
-def _top_eigenpairs(gram: np.ndarray, trace: np.ndarray, tau: float):
+def _top_eigenpairs(gram: np.ndarray, trace: np.ndarray, frob2: np.ndarray, tau: float):
     """The rank-1 certificate of ``prox_low_rank`` for each Gram matrix of a
-    stack with traces ``trace``. Returns the estimated top eigenvector v and
-    Rayleigh quotient mu of each, whether its block is live
-    (tr G > tau**2), and whether its rank-1 answer is certified by the
-    bound on G deflated by v.
+    stack with traces ``trace`` and squared Frobenius norms ``frob2``, all
+    finite. Returns the estimated top eigenvector v and Rayleigh quotient mu
+    of each, whether its block is live (tr G > tau**2), and whether its
+    rank-1 answer is certified by the bound on G deflated by v.
     """
     # start from the column with the largest diagonal; G / tr G has
     # eigenvalues <= 1 and a top one >= 1/k, so six steps neither overflow
-    # nor underflow, and the floor keeps an all-zero block's divisions finite
+    # nor underflow once G v is finite, which a finite ||G||_F**2 ensures,
+    # and the floor keeps an all-zero block's divisions finite
     top = np.argmax(np.einsum("gii->gi", gram), axis=-1)
     vec = gram[np.arange(len(gram)), :, top]
     divisor = np.where(trace > 0, trace, 1.0)[:, None]
@@ -130,7 +131,6 @@ def _top_eigenpairs(gram: np.ndarray, trace: np.ndarray, tau: float):
     resid = np.linalg.norm(gv - mu[:, None] * vec, axis=-1)
     # the tail: tr G - mu, or ||QGQ||_F with 2 k**2 ulps of ||G||_F**2 for
     # the rounding of the sums of at most k**2 products that it cancels
-    frob2 = np.einsum("gij,gij->g", gram, gram)
     k = gram.shape[-1]
     tail = np.minimum(trace - mu, np.sqrt(np.maximum(frob2 - mu * mu - 2.0 * resid * resid, 0.0)
                                           + 2.0 * k * k * _EPS * frob2))
@@ -184,9 +184,11 @@ def prox_low_rank(mat: np.ndarray, lam: float, nu: float, out: np.ndarray | None
       reusing the Gram matrix the certificate formed.
 
     Every entry of B enters tr G squared, so a NaN or infinite entry makes
-    the trace non-finite; so does a finite block whose Gram matrix
-    overflows (entries above about 1e154). Only those blocks are checked
-    for finiteness, and a non-finite entry is a DataError raised before
+    the trace non-finite, and with it ||G||_F**2; so does a finite block
+    whose Gram matrix overflows (entries above about 1e154), and ||G||_F**2
+    alone overflows from entries of about 1e77, where the power steps
+    would. Only the blocks with a non-finite ||G||_F**2 are checked for
+    finiteness, and a non-finite entry is a DataError raised before
     ``out`` is written. A finite one takes the eigendecomposition route on
     the Gram matrix of an exact power-of-two rescale of itself, with its
     singular values scaled back before f; no other block's bytes depend
@@ -214,7 +216,9 @@ def prox_low_rank(mat: np.ndarray, lam: float, nu: float, out: np.ndarray | None
     with np.errstate(over="ignore", invalid="ignore"):
         _gram(blocks, out=gram)
         trace = np.einsum("gii->g", gram)
-    rescaled = np.flatnonzero(~np.isfinite(trace))
+        frob2 = np.einsum("gij,gij->g", gram, gram)
+    # a non-finite trace makes ||G||_F**2 non-finite too
+    rescaled = np.flatnonzero(~np.isfinite(frob2))
     if rescaled.size:
         big = blocks[rescaled]
         if not all_finite(big):
@@ -223,11 +227,12 @@ def prox_low_rank(mat: np.ndarray, lam: float, nu: float, out: np.ndarray | None
         # below touches them
         gram[rescaled] = 0.0
         trace[rescaled] = 0.0
+        frob2[rescaled] = 0.0
 
     def fn(s):
         return nu_shrink(s, lam, nu)
 
-    vec, mu, live, certified = _top_eigenpairs(gram, trace, shrink_threshold(lam, nu))
+    vec, mu, live, certified = _top_eigenpairs(gram, trace, frob2, shrink_threshold(lam, nu))
     s = np.sqrt(mu, out=np.ones_like(mu), where=certified)
     np.einsum("gi,gj->gij", np.where(certified, fn(s) / s, 0.0)[:, None] * vec, vec, out=proj)
     fallback = np.flatnonzero(live & ~certified)

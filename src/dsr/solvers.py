@@ -36,6 +36,7 @@ import signal
 import struct
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -262,6 +263,16 @@ def _recv(fd: int, size: int) -> bytes:
     return data
 
 
+def _leave(pid: int, orders: int, answers: int) -> None:
+    """Close a helper's pipe ends, which tells it to leave, and wait for it."""
+    os.close(orders)
+    os.close(answers)
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
+        pass
+
+
 def _extract(groups, blocks, out) -> tuple[float, float]:
     """The identity update of a block pass: each chunk's blocks unchanged."""
     np.copyto(out, blocks)
@@ -373,7 +384,11 @@ class _Workspace:
         """Fork up to ``helpers`` processes that run ``update`` on the
         chunks the block pass orders, for as long as the block lasts; after
         a failed pipe or fork, as under a descriptor or process limit, the
-        forked ones share the pass. When the block ends, also by an
+        forked ones share the pass. A fork that warns, as Python 3.12 and
+        later do in a process with more threads than this one (a BLAS pool),
+        also ends the forking: its helper is told to leave and waited for,
+        and then the warning is issued, so a filter that makes it an error
+        fails the solve with no helper left. When the block ends, also by an
         exception, each helper's order pipe is closed and it is waited for,
         so none outlives the solve."""
         try:
@@ -382,7 +397,10 @@ class _Workspace:
                 try:
                     fds += os.pipe()
                     fds += os.pipe()
-                    pid = os.fork()
+                    # a warning raised inside os.fork would lose the child's pid
+                    with warnings.catch_warnings(record=True) as warned:
+                        warnings.simplefilter("always")
+                        pid = os.fork()
                 except OSError:
                     for fd in fds:
                         os.close(fd)
@@ -392,20 +410,19 @@ class _Workspace:
                     self._serve(values, table, update, worker, orders, answers,
                                 (order_end, answer_end,
                                  *(fd for _, *fds in self.helpers for fd in fds)))
+                self.helpers.append((pid, order_end, answer_end))
                 os.close(orders)
                 os.close(answers)
+                if warned:
+                    _leave(*self.helpers.pop())
+                    for w in warned:
+                        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+                    break
                 os.set_blocking(answer_end, False)
-                self.helpers.append((pid, order_end, answer_end))
             yield
         finally:
-            for pid, orders, answers in self.helpers:
-                os.close(orders)
-                os.close(answers)
-                try:
-                    os.waitpid(pid, 0)
-                except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
-                    pass
-            self.helpers.clear()
+            while self.helpers:
+                _leave(*self.helpers.pop(0))
 
     def _serve(self, values, table: PatchGroupTable, update, worker: int, orders: int,
                answers: int, inherited) -> None:

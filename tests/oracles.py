@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dsr.patches import scatter_sum
 from dsr.shrinkage import prox_low_rank
@@ -73,6 +74,64 @@ def match_groups_naive(guide_frames: np.ndarray, patch: int, stride: int,
                     members.append((x, y, t))
                 groups.append((members, padded))
     return groups
+
+
+def match_distances_ref(guide_frames: np.ndarray, patch: int, stride: int,
+                        window: tuple[int, int, int]) -> np.ndarray:
+    """Block matching's squared distances as ``build_groups`` scored them
+    before its squared-difference images: the candidates read from a
+    sliding-window view of the guide bordered with inf, and each distance
+    numpy's sum over the contiguous vector of one patch's squared
+    differences. Shape (T, references per frame, offsets), offsets
+    (dt, dy, dx) ascending; inf where the candidate lies outside the volume,
+    0 at the reference's own offset."""
+    n_t, height, width = guide_frames.shape
+    wx, wy, wt = window
+    half_x, half_y, half_t = wx // 2, wy // 2, (wt - 1) // 2
+    ys = np.array(grid_positions_naive(height, patch, stride))
+    xs = np.array(grid_positions_naive(width, patch, stride))
+    bordered = np.pad(guide_frames, ((0, 0), (half_y, half_y), (half_x, half_x)),
+                      constant_values=np.inf)
+    windows = sliding_window_view(bordered, (patch, patch), axis=(1, 2))
+    shape = (2 * half_t + 1, 2 * half_y + 1, 2 * half_x + 1)
+    dist = np.full((n_t, len(ys), len(xs)) + shape, np.inf)
+    for t in range(n_t):
+        ref = windows[t][np.ix_(ys + half_y, xs + half_x)]
+        for dt in range(shape[0]):
+            if not 0 <= t + dt - half_t < n_t:
+                continue
+            for dy in range(shape[1]):
+                for dx in range(shape[2]):
+                    diff = windows[t + dt - half_t][np.ix_(ys + dy, xs + dx)] - ref
+                    dist[t, :, :, dt, dy, dx] = np.square(diff).reshape(
+                        len(ys), len(xs), -1).sum(axis=-1)
+    return dist.reshape(n_t, len(ys) * len(xs), -1)
+
+
+def match_table_ref(guide_frames: np.ndarray, patch: int, stride: int,
+                    window: tuple[int, int, int], group_size: int) -> np.ndarray:
+    """The group table's ``top_left``, as int64, from ``match_distances_ref``
+    and a stable sort of each reference's distances: the reference, then the
+    group_size - 1 nearest candidates by (distance, offset), the reference
+    again in place of each inf pick."""
+    n_t, height, width = guide_frames.shape
+    wx, wy, wt = window
+    half = np.array([(wt - 1) // 2, wy // 2, wx // 2])
+    dist = match_distances_ref(guide_frames, patch, stride, window)
+    center = dist.shape[-1] // 2
+    dist[:, :, center] = np.inf
+    n_sel = min(group_size - 1, dist.shape[-1])
+    pick = np.argsort(dist, axis=-1, kind="stable")[:, :, :n_sel]
+    pick[np.isinf(np.take_along_axis(dist, pick, axis=-1))] = center
+    off = np.indices(2 * half + 1).reshape(3, -1) - half[:, None]
+    delta = (off[0] * height + off[1]) * width + off[2]
+    ys = grid_positions_naive(height, patch, stride)
+    xs = grid_positions_naive(width, patch, stride)
+    refs = ((np.arange(n_t)[:, None, None] * height + np.array(ys)[:, None]) * width
+            + np.array(xs)).reshape(n_t, -1)
+    top = np.repeat(refs[:, :, None], group_size, axis=-1)
+    top[:, :, 1:1 + n_sel] += delta[pick]
+    return top.reshape(-1, group_size)
 
 
 # ------------------------------------------------------- patch extraction

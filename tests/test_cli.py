@@ -521,7 +521,8 @@ class TestScripts:
         assert [line.split()[0] for line in stages] == ["init", "match", "solve"]
         assert all(float(line.split()[1]) > 0 and float(line.split()[2]) >= 0
                    and int(line.split()[3]) >= 0 for line in stages)
-        assert stages[1].endswith("  table 4.0 bytes per member")
+        assert re.search(r"  table 4\.0 bytes per member, traced peak [1-9]\d* bytes "
+                         r"\(\d+\.\d\d volumes\)$", stages[1])
         # 12x12x3 makes 48 groups, one chunk, so the solve runs on one process
         assert stages[2].endswith("  workers 1")
         assert summary.startswith("solve: 3 iterations, ")

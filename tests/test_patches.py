@@ -20,7 +20,8 @@ from dsr.patches import (
 from dsr.scenes import default_scene, synth_scene
 from dsr.solvers import _extract, _Workspace
 from dsr.volumes import FrameDims, IntensityVolume
-from oracles import counts_naive, extract_naive, match_groups_naive, scatter_naive, whole_index
+from oracles import (counts_naive, extract_naive, match_distances_ref, match_groups_naive,
+                     match_table_ref, scatter_naive, whole_index)
 
 SMALL_GEOM = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=4)
 
@@ -147,6 +148,67 @@ class TestBuildGroups:
             assert [tuple(map(int, trip)) for trip in got[p]] == members, f"group {p} differs"
             assert _padded(got[p]) == padded
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_distances_and_table_match_the_oracle_scorer(self, data):
+        """Every distance has the bits of numpy's sum over the patch's
+        contiguous vector of squared differences, and the table is the
+        oracle's, for patch sizes 1 to 7 at every stride, even and odd
+        windows, one or three frames searched, clamped last rows and
+        columns, frames smaller than the window, constant guides (exact
+        ties), groups larger than the candidate count and bands from one
+        grid row up to the whole frame."""
+        patch = data.draw(st.integers(1, 7), label="patch")
+        stride = data.draw(st.integers(1, patch), label="stride")
+        dims = FrameDims(data.draw(st.integers(patch, patch + 10), label="w"),
+                         data.draw(st.integers(patch, patch + 10), label="h"),
+                         data.draw(st.integers(1, 3), label="t"))
+        window = (data.draw(st.integers(1, 8), label="wx"),
+                  data.draw(st.integers(1, 8), label="wy"),
+                  data.draw(st.sampled_from([1, 3]), label="wt"))
+        positions = (dims.width - patch + 1) * (dims.height - patch + 1) * dims.frames
+        big_l = data.draw(st.integers(1, positions + 1), label="L")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = data.draw(st.sampled_from([
+            rng.uniform(0, 1, dims.total_voxels),
+            rng.integers(0, 4, dims.total_voxels) / 10,
+            np.full(dims.total_voxels, 0.5),
+        ]), label="guide")
+        guide = IntensityVolume(dims, values)
+        geom = PatchGeometry(patch, stride, window, big_l)
+        frames = guide.frames()
+        expect = match_distances_ref(frames, patch, stride, window)
+        grid_rows = len(grid_positions(dims.height, patch, stride))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patches_mod, "CHUNK_GROUPS", data.draw(
+                st.integers(1, grid_rows * len(grid_positions(dims.width, patch, stride))),
+                label="band"))
+            mp.setattr(patches_mod, "_worker_count", lambda: 2)
+            scorer = patches_mod._Scorer(dims, geom)
+            ws = patches_mod._Workspace.allocate(scorer)
+            for t in range(dims.frames):
+                got = np.concatenate([scorer.distances(ws, frames, t, first).copy()
+                                      for first in range(0, grid_rows, scorer.band_rows)])
+                assert got.tobytes() == expect[t].tobytes(), f"frame {t} differs"
+            table = build_groups(guide, geom)
+        top_left = match_table_ref(frames, patch, stride, window, big_l)
+        assert table.top_left.astype(np.int64).tobytes() == top_left.tobytes()
+
+    def test_sum_plan_is_numpys_reduction_order(self):
+        """The adds of ``_sum_plan(n)`` give the bits of ``np.add.reduce``
+        over contiguous rows, for n = 1 to 200 terms of either sign spread
+        over 24 decades: n - 1 adds, and 4 partial sums for a 5 x 5 patch."""
+        rng = np.random.default_rng(41)
+        for n in range(1, 201):
+            rows = rng.choice([-1.0, 1.0], (64, n)) * 10.0 ** rng.uniform(-12, 12, (64, n))
+            adds, n_partial, total = patches_mod._sum_plan(n)
+            operands = [rows[:, i] for i in range(n)] + [np.empty(64) for _ in range(n_partial)]
+            for out, a, b in adds:
+                np.add(operands[a], operands[b], out=operands[out])
+            assert len(adds) == n - 1
+            assert operands[total].tobytes() == np.add.reduce(rows, axis=-1).tobytes(), n
+        assert patches_mod._sum_plan(25)[1] == 4
+
     def test_reference_comes_first(self, random_guide):
         table = _table(random_guide)
         xs = grid_positions(random_guide.dims.width, 3, 2)
@@ -225,29 +287,25 @@ class TestBuildGroups:
         _table(random_guide)
         assert threading.active_count() == baseline
 
-    def test_peak_memory_stays_within_6_volumes(self):
-        """Each worker holds one band's buffers; no buffer spans a frame's
-        references times the window."""
-        dims = FrameDims(320, 240, 8)
+    @pytest.mark.parametrize("dims, limit_mb", [(FrameDims(320, 240, 8), 8.8),
+                                                (FrameDims(64, 64, 16), 6.6)],
+                             ids=["320x240x8", "64x64x16"])
+    def test_peak_memory_is_the_table_and_two_workspaces(self, monkeypatch, dims, limit_mb):
+        """Two workers hold one band's buffers each; nothing spans the
+        volume but the table. The traced peaks were 8.2 MB (1.7 volumes, of
+        which the table is 2.7 MB) and 6.2 MB (the table is 0.3 MB); no
+        bordered guide is made."""
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
         _, guide = synth_scene(default_scene(dims))
+        scorer = patches_mod._Scorer(dims, PatchGeometry())
         tracemalloc.start()
         try:
-            build_groups(guide, PatchGeometry())
+            table = build_groups(guide, PatchGeometry())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * dims.total_voxels * 8
-
-    def test_peak_memory_stays_within_16_volumes(self):
-        dims = FrameDims(320, 240, 8)
-        _, guide = synth_scene(default_scene(dims))
-        tracemalloc.start()
-        try:
-            build_groups(guide, PatchGeometry())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * dims.total_voxels * 8
+        held = table.top_left.nbytes + 2 * patches_mod._Workspace.nbytes(scorer)
+        assert held < peak < limit_mb * 1e6
 
 
 class TestBlockOperators:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,7 +383,8 @@ class TestProxRoutes:
         for stack in (_mixed_routes(rng)[0], TAU * (rank1 + noise), _scene_blocks()):
             gram = _grams(stack)
             trace = np.einsum("gii->g", gram)
-            vec, mu, live, certified = shrinkage_mod._top_eigenpairs(gram, trace, TAU)
+            frob2 = np.einsum("gij,gij->g", gram, gram)
+            vec, mu, live, certified = shrinkage_mod._top_eigenpairs(gram, trace, frob2, TAU)
             resid = np.linalg.norm(np.einsum("gij,gj->gi", gram, vec) - mu[:, None] * vec,
                                    axis=-1)
             by_sum = live & (trace - mu <= TAU**2) & (resid < 1e-12 * (2 * mu - trace))
@@ -423,6 +426,26 @@ class TestProxRoutes:
         peaks = np.abs(stack[[1, 4]]).max(axis=(1, 2)) / scale.ravel()
         assert np.all((0.5 <= peaks) & (peaks < 1.0))
         np.testing.assert_array_equal(sent, _grams(stack[[1, 4]] / scale[:, :, None]))
+
+    @pytest.mark.parametrize("peak", [1e78, 1e100, 1e153])
+    def test_overflowing_frobenius_norm_takes_the_rescaled_route(self, fallback_calls, peak):
+        """A finite rank-1 block whose trace is finite but whose ||G||_F**2
+        overflows, as from entries of about 1e77 to 1e154, would overflow
+        the power steps; it takes the rescaled route, warns of nothing and
+        gives the SVD reference."""
+        rng = np.random.default_rng(37)
+        block = peak * np.outer(rng.uniform(0.5, 1.0, 25), rng.uniform(0.5, 1.0, 10))
+        gram = _grams(block[None])
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.trace(gram[0]))
+            assert not np.isfinite(np.einsum("gij,gij->g", gram, gram)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_low_rank(block, 12.0, 0.02)
+        ((_, scale),) = fallback_calls
+        assert np.ndim(scale)
+        ref = prox_low_rank_ref(block, 12.0, 0.02)
+        assert np.abs(out - ref).max() <= 1e-9 * np.abs(block).max()
 
     def test_checks_run_before_either_route(self, fallback_calls):
         with pytest.raises(DataError):

@@ -524,6 +524,47 @@ class TestForkedBlockPass:
         assert _fingerprint(est, rep) == expect
         _no_child_left()
 
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_fork_that_warns_ends_the_forking(self, problem, monkeypatch, action):
+        """Python 3.12 and later warn (``DeprecationWarning``) from
+        ``os.fork`` in a process with more OS threads than the caller, as an
+        OpenBLAS pool makes it. The suite runs on Python 3.11, so a fork
+        whose parent warns after a real fork stands in. The warning ends the
+        forking: the helper just forked is told to leave and waited for,
+        and the warning is issued after that. Under an error filter the
+        solve raises it; otherwise the solve has the bytes of one process.
+        Either way no descriptor and no child is left."""
+        _, guide, psi, _ = problem
+        monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
+        cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
+        expect = _fingerprint(*run_pipeline(psi, guide, cfg))
+        forks, real_fork = [], os.fork
+
+        def warning_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+                warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 3)
+        fds = _open_fds()
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            if action == "error":
+                with pytest.raises(DeprecationWarning, match="multi-threaded"):
+                    run_pipeline(psi, guide, cfg)
+            else:
+                est, rep = run_pipeline(psi, guide, cfg)
+                assert rep.workers == 1
+                assert _fingerprint(est, rep) == expect
+        assert len(forks) == 1
+        assert _open_fds() == fds
+        _no_child_left()
+
     def test_waits_take_descriptors_above_fd_setsize(self, problem, monkeypatch):
         """With 1,100 descriptors held, the pass's pipes are numbered above
         the 1,024 that ``select`` accepts; with no spin every wait sleeps,
