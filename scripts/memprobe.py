@@ -13,15 +13,16 @@ prints the process's peak resident set (``ru_maxrss``), the largest peak
 of the child processes it has waited for (``ru_maxrss`` of
 ``RUSAGE_CHILDREN``: the solve's block-pass helpers, which share the
 parent's pages until they write them, so the two peaks overlap) and the
-minor page faults (``ru_minflt``) the stage took; the match line adds the
-bytes the group table stores per member and the ``tracemalloc`` peak of
-``build_groups`` (the table and each matching thread's buffers), in bytes
-and in volumes (8 bytes per voxel), and the solve's faults are also given
-per iteration. The solve also reports its peak working set in
-volumes (8 bytes per voxel): the ``tracemalloc`` peak plus every byte of
-the shared mappings that the solve allocates and ``tracemalloc`` does not
-see (the iterate, the helpers' index and result slots and admm3d's
-dual), its own reference counts included.
+minor page faults (``ru_minflt``) the stage took. ``tracemalloc`` does not
+see shared memory, so the probe records every array that ``dsr.pool.shared``
+maps and adds its bytes to the traced peak of the stage that made it. The
+match line adds the bytes the group table stores per member, the peak of
+``build_groups`` (the parent's one band workspace, and the table, which is
+shared), in bytes and in volumes (8 bytes per voxel), and the processes
+that matched; the solve's faults are also given per iteration. The solve
+also reports its peak working set in volumes: the ``tracemalloc`` peak plus
+the shared mappings the solve allocates (the iterate, the helpers' index
+and result slots and admm3d's dual), its own reference counts included.
 BLAS runs on one thread unless the environment says otherwise, as in
 ``perfbench``.
 """
@@ -37,7 +38,7 @@ import numpy as np
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from dsr import solvers  # noqa: E402  (after the BLAS pin)
+from dsr import pool  # noqa: E402  (after the BLAS pin)
 from dsr.patches import build_groups  # noqa: E402
 from dsr.scenes import default_scene, synth_scene  # noqa: E402
 from dsr.solvers import (GUIDED_ALGORITHMS, SolverConfig, default_initialization,  # noqa: E402
@@ -83,30 +84,38 @@ def main(argv=None) -> int:
         init = match_on = default_initialization(psi)
         report("init")
     volume = 8 * depth.dims.total_voxels
-    tracemalloc.start()
-    try:
-        table = build_groups(match_on, cfg.geometry)
-        match_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
-    report("match", f"  table {stored / table.top_left.size:.1f} bytes per member, traced "
-                    f"peak {match_peak} bytes ({match_peak / volume:.2f} volumes)")
-    shared, allocate = [], solvers._shared
+    shared, allocate = [], pool.shared
+    processes, answers = [], pool.Pool.answers
 
-    def recorded(shape):
-        arr = allocate(shape)
+    def recorded(shape, dtype=np.float64):
+        arr = allocate(shape, dtype)
         shared.append(arr.nbytes)
         return arr
 
-    solvers._shared = recorded
-    tracemalloc.start()
+    def counted(self, run):
+        processes.append(self.workers)
+        return answers(self, run)
+
+    def traced(call):
+        """call(), its traced peak plus the shared bytes it mapped, and those bytes."""
+        shared.clear()
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] + sum(shared), sum(shared)
+        finally:
+            tracemalloc.stop()
+
+    pool.shared, pool.Pool.answers = recorded, counted
     try:
-        _, rep = solve(psi, table, cfg, init=init)
-        peak = tracemalloc.get_traced_memory()[1] + sum(shared)
+        table, match_peak, _ = traced(lambda: build_groups(match_on, cfg.geometry))
+        stored = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+        report("match", f"  table {stored / table.top_left.size:.1f} bytes per member, traced "
+                        f"peak {match_peak} bytes ({match_peak / volume:.2f} volumes), "
+                        f"processes {processes[-1]}")
+        (_, rep), peak, solve_shared = traced(lambda: solve(psi, table, cfg, init=init))
     finally:
-        tracemalloc.stop()
-        solvers._shared = allocate
+        pool.shared, pool.Pool.answers = allocate, answers
     faults = report("solve", f"  workers {rep.workers}")
     geom = table.geometry
     dual = (table.n_groups * geom.group_size * geom.patch_side ** 2 * 8
@@ -114,7 +123,7 @@ def main(argv=None) -> int:
     print(f"solve: {rep.iterations} iterations, {faults / rep.iterations:.1f} minor "
           f"page faults per iteration, {table.n_chunks} chunks of "
           f"at most {table.chunk_shape()[0]} groups, traced peak {peak / volume:.2f} volumes "
-          f"({peak / 1e6:.1f} MB, {sum(shared) / volume:.2f} volumes of them shared"
+          f"({peak / 1e6:.1f} MB, {solve_shared / volume:.2f} volumes of them shared"
           + (f", {dual / volume:.2f} the dual)" if dual else ")"))
     return 0
 

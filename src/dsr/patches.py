@@ -17,13 +17,12 @@ per-voxel reference count.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import pool
 from .errors import DataError
 from .volumes import FrameDims
 
@@ -169,13 +168,6 @@ class PatchGroupTable:
             yield groups, self.gather_indices(groups, index[:groups.stop - groups.start])
 
 
-def _worker_count() -> int:
-    """Cores this process may run on; matching uses all of them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _runs(positions: list[int], stride: int, first: int, stop: int):
     """Grid indices [first, stop) as (index slice, first position) pairs: one
     run on the stride grid, one for the clamped last position."""
@@ -245,9 +237,10 @@ def _sum_plan(n: int) -> tuple[list[tuple[int, int, int]], int, int]:
 
 #: Elements of a worker's squared-difference image, about: the window rows
 #: of offsets are scored in equal chunks that fit it, at least one row each.
-#: Its adds then cover 14,000 to 17,000 elements each at the default
-#: geometry; with much smaller ones the interpreter lock changes hands so
-#: often that two workers run slower than one. Results do not depend on it.
+#: Results do not depend on it. Timed on two forked processes (medians of
+#: three tables, 2-core VM): 2**16 took 0.16 s at 64x64x16 against 0.14 s,
+#: as the ~30 numpy calls per chunk repeat more often; 2**19 took 1.01 s at
+#: 320x240x8 against 0.84 s; 2**17 was 2-3 % slower at both sizes.
 DIFF_ELEMENTS = 2 ** 18
 
 
@@ -472,40 +465,6 @@ def _select(flat: np.ndarray, n_sel: int, ws: _Workspace) -> np.ndarray:
     return np.take_along_axis(cols, np.argsort(vals, axis=1, kind="stable"), axis=1)
 
 
-def _run_units(units, work, workspaces) -> None:
-    """Call work(unit, workspace) for every unit. The calling thread takes
-    the first workspace, one helper thread each of the others, and all draw
-    units in order from one queue. Every helper has ended before this
-    returns; the first exception raised in any of them is raised here."""
-    lock = threading.Lock()
-    todo = iter(units)
-    errors = []
-
-    def drain(ws):
-        try:
-            while not errors:
-                with lock:
-                    unit = next(todo, None)
-                if unit is None:
-                    return
-                work(unit, ws)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    started = []
-    try:
-        for ws in workspaces[1:]:
-            helper = threading.Thread(target=drain, args=(ws,))
-            helper.start()
-            started.append(helper)
-        drain(workspaces[0])
-    finally:
-        for helper in started:
-            helper.join()
-    if errors:
-        raise errors[0]
-
-
 def _index_dtype(dims: FrameDims) -> np.dtype:
     """The integer type of a group table on a volume of ``dims``: int32 while
     it holds the voxel count, so every flat index and every in-patch sum,
@@ -546,10 +505,12 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
     contiguous vector of squared differences (see ``_Scorer``).
 
     Each frame's reference grid is cut into bands of whole grid rows of about
-    ``CHUNK_GROUPS`` references. The bands are matched on every usable core;
-    each writes only its own rows of the table, so the table does not depend
-    on the number of workers or on the band size. A geometry that fails
-    ``check_geometry`` is a DataError before anything is allocated.
+    ``CHUNK_GROUPS`` references. The bands are matched on the processes of a
+    ``pool.Pool``, each in its own copy of one workspace; each writes only
+    its own rows of the table, which is in shared memory, so the table does
+    not depend on the number of processes or on the band size. A geometry
+    that fails ``check_geometry`` is a DataError before anything is
+    allocated.
     """
     w, h, t_total = guide.dims.width, guide.dims.height, guide.dims.frames
     ps = geom.patch_side
@@ -570,13 +531,15 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
              + off_x - scorer.half_x)
     # flat index of each reference's top-left pixel in frame 0, grid order
     refs = (np.array(ys, dtype=np.int64)[:, None] * w + xs).reshape(-1)
-    top_left = np.empty((t_total, len(refs), geom.group_size),
-                        dtype=_index_dtype(guide.dims))
+    top_left = pool.shared((t_total, len(refs), geom.group_size), _index_dtype(guide.dims))
     n_sel = min(geom.group_size - 1, n_offsets)
     frames = guide.frames()
 
-    def match(unit, ws):
-        t, first = unit
+    units = [(t, first) for t in range(t_total) for first in range(0, len(ys), scorer.band_rows)]
+    ws = _Workspace.allocate(scorer)
+
+    def match(unit: int, worker: int) -> tuple[float, float]:
+        t, first = units[unit]
         flat = scorer.distances(ws, frames, t, first)
         flat[:, center] = np.inf
         rows = slice(first * len(xs), first * len(xs) + len(flat))
@@ -587,11 +550,12 @@ def build_groups(guide, geom: PatchGeometry) -> PatchGroupTable:
             # an inf pick is no candidate: it keeps the reference
             pick[np.isinf(np.take_along_axis(flat, pick, axis=1))] = center
             out[:, 1:1 + n_sel] += delta[pick]
+        return 0.0, 0.0  # no answer: the rows are in the shared table
 
-    units = [(t, first) for t in range(t_total) for first in range(0, len(ys), scorer.band_rows)]
-    workspaces = [_Workspace.allocate(scorer)
-                  for _ in range(min(_worker_count(), len(units)))]
-    _run_units(units, match, workspaces)
+    procs = pool.Pool(len(units))
+    with procs.forked(match):
+        for _ in procs.answers(match):
+            pass
     return PatchGroupTable(geom, guide.dims, top_left.reshape(-1, geom.group_size))
 
 

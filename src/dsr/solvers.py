@@ -14,9 +14,9 @@ data step turns into the new iterate. The first iterate is the solve's own:
 the default initialization it makes, or one copy of the caller's, which it
 never writes.
 
-The groups are independent, so each block pass runs its chunks on every
-usable core: the solve forks helper processes once, and every process runs
-a chunk the same way, from its gather index to its update, on the shared
+The groups are independent, so each block pass runs its chunks on the
+processes of a ``pool.Pool``, forked once per solve; every process runs a
+chunk the same way, from its gather index to its update, on the shared
 iterate. The parent adds every chunk's result into the feedback in table
 order, so the bytes do not depend on the number of processes.
 
@@ -28,21 +28,13 @@ restricts matching to single frames.
 from __future__ import annotations
 
 import math
-import mmap
-import os
-import pickle
-import select
-import signal
-import struct
-import threading
 import time
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from . import patches
+from . import patches, pool
 from .errors import DataError, NumericError, all_finite, as_list, as_number
 from .patches import PatchGeometry, PatchGroupTable, build_groups, scatter_sum
 from .shrinkage import prox_low_rank, prox_work
@@ -221,56 +213,8 @@ def _relative(change: float, scale: float) -> float:
     return change / scale if scale > 0 else change
 
 
-#: A chunk order to a helper: the chunk's number; end of file means leave.
-_ORDER = struct.Struct("<q")
-#: A helper's answer to one order: the chunk's two norms from the update, and
-#: the byte count of a pickled exception that follows, 0 when none does.
-_ANSWER = struct.Struct("<ddq")
 #: The two norms of an update that folds none.
 _NO_NORMS = (0.0, 0.0)
-#: Seconds a wait on a pipe polls before it sleeps in ``poll``. Between
-#: chunks a hand-off takes well under a chunk's time; a process that slept
-#: each time would lose more than that waking up.
-_SPIN_S = 0.002
-
-
-def _shared(shape) -> np.ndarray:
-    """A zero-filled float64 array in anonymous shared memory: what a forked
-    helper writes there the parent reads, and the reverse."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
-
-
-def _recv(fd: int, size: int) -> bytes:
-    """``size`` bytes from the non-blocking pipe ``fd``, or fewer at end of
-    file. It polls for ``_SPIN_S``, then sleeps in ``poll`` between reads,
-    which takes a descriptor of any number, unlike ``select``; end of file
-    wakes it as a hang-up."""
-    data, poller = b"", None
-    spin_until = time.perf_counter() + _SPIN_S
-    while len(data) < size:
-        try:
-            part = os.read(fd, size - len(data))
-        except BlockingIOError:
-            if poller is not None:
-                poller.poll()
-            elif time.perf_counter() > spin_until:
-                poller = select.poll()
-                poller.register(fd, select.POLLIN)
-            continue
-        if not part:
-            break
-        data += part
-    return data
-
-
-def _leave(pid: int, orders: int, answers: int) -> None:
-    """Close a helper's pipe ends, which tells it to leave, and wait for it."""
-    os.close(orders)
-    os.close(answers)
-    try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
-        pass
 
 
 def _extract(groups, blocks, out) -> tuple[float, float]:
@@ -279,46 +223,31 @@ def _extract(groups, blocks, out) -> tuple[float, float]:
     return _NO_NORMS
 
 
-def _helper_count(table: PatchGroupTable) -> int:
-    """Processes to fork beside this one for a solve's block pass: one per
-    further usable core, at most one per further chunk of a pass. None
-    without ``os.fork``, or while other threads run, since a fork copies
-    only the calling thread and their locks might be held."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0
-    return min(patches._worker_count(), table.n_chunks) - 1
-
-
 @dataclass
 class _Workspace:
     """One solve's chunk buffers, allocated once and reused by every chunk
-    of every block pass, and the helper processes that share the pass. Each
-    process has its own gathered blocks and prox scratch (a helper gets
-    copies when it forks) and its own gather index and result block stack,
-    in ``indices`` and ``slots``: the parent's private, each helper's pair in
-    shared memory, the index as an int64 view. admm3d allocates one more
-    block stack for its dual arithmetic next to the dual. No prox writes into
-    its input, since a product into its own input works on a copy.
-
-    ``helpers`` holds (pid, order pipe, answer pipe) of each helper while
-    ``forked`` runs, and ``wait_s`` the seconds the parent waited for their
-    answers."""
+    of every block pass. Each process has its own gathered blocks and prox
+    scratch (a helper gets copies when it forks) and its own gather index
+    and result block stack, in ``indices`` and ``slots``: the parent's
+    private, each helper's pair in shared memory, the index as an int64
+    view. admm3d allocates one more block stack for its dual arithmetic next
+    to the dual. No prox writes into its input, since a product into its own
+    input works on a copy."""
 
     indices: list
     slots: list
     blocks: np.ndarray
     prox: np.ndarray
-    helpers: list = field(default_factory=list)
-    wait_s: float = 0.0
 
     @classmethod
-    def allocate(cls, table: PatchGroupTable, helpers: int) -> "_Workspace":
-        shape = table.chunk_shape()
-        shared = _shared((helpers, 2, *shape)) if helpers else np.empty((0, 2, *shape))
-        return cls([np.empty(shape, dtype=np.int64), *shared[:, 0].view(np.int64)],
-                   [np.empty(shape), *shared[:, 1]], np.empty(shape), prox_work(*shape))
+    def allocate(cls, table: PatchGroupTable, processes: int) -> "_Workspace":
+        shape, helpers = table.chunk_shape(), processes - 1
+        slots = pool.shared((helpers, 2, *shape)) if helpers > 0 else np.empty((0, 2, *shape))
+        return cls([np.empty(shape, dtype=np.int64), *slots[:, 0].view(np.int64)],
+                   [np.empty(shape), *slots[:, 1]], np.empty(shape), prox_work(*shape))
 
-    def _run(self, values, table, chunk: int, worker: int, update) -> tuple[float, float]:
+    def run(self, values, table: PatchGroupTable, update, chunk: int,
+            worker: int) -> tuple[float, float]:
         """Build chunk ``chunk``'s gather index into process ``worker``'s
         index slot, gather its blocks of ``values`` and apply ``update`` into
         that process's result slot. The table has checked that every index
@@ -329,128 +258,19 @@ class _Workspace:
         blocks = np.take(values, idx, out=self.blocks[:n], mode="clip")
         return update(groups, blocks, self.slots[worker][:n])
 
-    def _order(self, chunk: int) -> None:
-        """Send chunk ``chunk`` to the helper that runs it."""
-        os.write(self.helpers[chunk % (len(self.helpers) + 1) - 1][1], _ORDER.pack(chunk))
-
-    def _answer(self, worker: int) -> tuple[float, float]:
-        """The norms helper ``worker`` posts once its slots hold its chunk;
-        the helper's exception when it raised one, and a NumericError when
-        it ended without an answer."""
-        pid, _, answers = self.helpers[worker - 1]
-        t_wait = time.perf_counter()
-        head = _recv(answers, _ANSWER.size)
-        if len(head) < _ANSWER.size:
-            raise NumericError(f"block-pass helper {pid} ended in the middle of a pass")
-        *norms, size = _ANSWER.unpack(head)
-        if size:
-            raise pickle.loads(_recv(answers, size))
-        self.wait_s += time.perf_counter() - t_wait
-        return norms
-
-    def block_pass(self, values: np.ndarray, table: PatchGroupTable, out: np.ndarray,
-                   update) -> tuple[float, float]:
-        """Set ``out`` to the sum of ``update(groups, blocks, result)`` over
-        the table's chunks, where ``blocks`` are the chunk's blocks of
-        ``values`` and ``update`` writes the chunk's result into ``result``;
-        return the two norms each update returns, folded with ``hypot``.
-
-        With W processes, chunk c runs on process c mod W: the parent is
-        process 0 and the helpers run the update they forked with. Each
-        process runs a chunk through ``_run``; a helper runs one at a time,
-        ordered from here as soon as its slots are free. The parent scatters
-        each chunk from the slots of the process that ran it and folds the
-        norms, in table order, so ``out`` has the bytes of one whole-table
-        sum and the norms those of one fold over the table, whatever W is."""
+    def block_pass(self, answers, table: PatchGroupTable, out: np.ndarray) -> tuple[float, float]:
+        """Set ``out`` to the sum of the chunks' results, scattered from the
+        slots of the process ``Pool.answers`` names for each, and fold the
+        updates' norms with ``hypot``, both in table order: the bytes of one
+        whole-table sum and fold, whatever process ran each chunk."""
         out.fill(0.0)
-        workers = len(self.helpers) + 1
-        for chunk in range(1, min(workers, table.n_chunks)):
-            self._order(chunk)
         folded = _NO_NORMS
-        for chunk in range(table.n_chunks):
-            worker = chunk % workers
-            norms = (self._answer(worker) if worker else
-                     self._run(values, table, chunk, 0, update))
+        for chunk, (worker, norms) in enumerate(answers):
             groups = table.chunk(chunk)
             n = groups.stop - groups.start
             scatter_sum(self.slots[worker][:n], self.indices[worker][:n], out)
-            if worker and chunk + workers < table.n_chunks:
-                self._order(chunk + workers)
             folded = tuple(map(math.hypot, folded, norms))
         return folded
-
-    @contextmanager
-    def forked(self, values: np.ndarray, table: PatchGroupTable, update, helpers: int):
-        """Fork up to ``helpers`` processes that run ``update`` on the
-        chunks the block pass orders, for as long as the block lasts; after
-        a failed pipe or fork, as under a descriptor or process limit, the
-        forked ones share the pass. A fork that warns, as Python 3.12 and
-        later do in a process with more threads than this one (a BLAS pool),
-        also ends the forking: its helper is told to leave and waited for,
-        and then the warning is issued, so a filter that makes it an error
-        fails the solve with no helper left. When the block ends, also by an
-        exception, each helper's order pipe is closed and it is waited for,
-        so none outlives the solve."""
-        try:
-            for worker in range(1, helpers + 1):
-                fds = ()
-                try:
-                    fds += os.pipe()
-                    fds += os.pipe()
-                    # a warning raised inside os.fork would lose the child's pid
-                    with warnings.catch_warnings(record=True) as warned:
-                        warnings.simplefilter("always")
-                        pid = os.fork()
-                except OSError:
-                    for fd in fds:
-                        os.close(fd)
-                    break
-                orders, order_end, answer_end, answers = fds
-                if pid == 0:
-                    self._serve(values, table, update, worker, orders, answers,
-                                (order_end, answer_end,
-                                 *(fd for _, *fds in self.helpers for fd in fds)))
-                self.helpers.append((pid, order_end, answer_end))
-                os.close(orders)
-                os.close(answers)
-                if warned:
-                    _leave(*self.helpers.pop())
-                    for w in warned:
-                        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-                    break
-                os.set_blocking(answer_end, False)
-            yield
-        finally:
-            while self.helpers:
-                _leave(*self.helpers.pop(0))
-
-    def _serve(self, values, table: PatchGroupTable, update, worker: int, orders: int,
-               answers: int, inherited) -> None:
-        """A helper's whole life: close the parent's pipe ends it
-        ``inherited``, then run each ordered chunk into the slots of process
-        ``worker`` and post its norms, until the end of file of its order
-        pipe. It ends only through ``os._exit``, since unwinding would run
-        the parent's code in this process; an exception is posted for the
-        parent to raise. An interrupt is the parent's to handle: it tells
-        its helpers to leave."""
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            for fd in inherited:
-                os.close(fd)
-            os.set_blocking(orders, False)
-            while len(order := _recv(orders, _ORDER.size)) == _ORDER.size:
-                norms = self._run(values, table, *_ORDER.unpack(order), worker, update)
-                os.write(answers, _ANSWER.pack(*norms, 0))
-            status = 0
-        except BaseException as exc:  # noqa: B036  (posted, then the process ends)
-            try:
-                raised = pickle.dumps(exc)
-                os.write(answers, _ANSWER.pack(*_NO_NORMS, len(raised)) + raised)
-            except BaseException:  # noqa: B036  (the parent sees the end of file)
-                pass
-        finally:
-            os._exit(status)
 
 
 def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
@@ -468,10 +288,8 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     keeps only ``rho * counts``), the feedback volume, one workspace through
     which every pass streams the table's chunks, and for admm3d the dual,
     also in shared memory, and the block stack of its dual arithmetic.
-    admm3d's first pass, on the initialization, runs here alone. Then the
-    solve forks its helpers (``_helper_count``, fewer when a fork fails),
-    which run their share of every later pass's chunks and are gone when it
-    returns, also when it raises.
+    admm3d's first pass, on the initialization, runs here alone; then the
+    solve forks the helpers of its ``Pool`` for every later pass.
 
     The block pass writes the feedback, and the data step turns it into the
     new iterate in place. The change of the iterate goes over the old
@@ -484,7 +302,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     helpers.
     """
     op = psi.operator
-    phi = _shared((op.dims.total_voxels,))
+    phi = pool.shared((op.dims.total_voxels,))
     if init is None:
         default_initialization(psi, out=phi)
     else:
@@ -499,10 +317,10 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
     # the one private volume goes where the int64 counts were, before any
     # chunk-sized buffer can split that space
     feedback = np.empty_like(phi)
-    helpers = _helper_count(table)
-    ws = _Workspace.allocate(table, helpers)
+    procs = pool.Pool(table.n_chunks)
+    ws = _Workspace.allocate(table, procs.size)
     if admm:
-        dual = _shared((table.n_groups, *table.chunk_shape()[1:]))
+        dual = pool.shared((table.n_groups, *table.chunk_shape()[1:]))
         step = np.empty(table.chunk_shape())
 
         def update(groups, b_phi, out):
@@ -518,7 +336,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
             return extracted, resid_norm
 
         # blocks start as exact extractions of the initialization, the dual at zero
-        ws.block_pass(phi, table, feedback, _extract)
+        ws.block_pass(procs.answers(partial(ws.run, phi, table, _extract)), table, feedback)
     else:
         def update(groups, blocks, out):
             prox_low_rank(blocks, cfg.lam, cfg.nu, out=out, work=ws.prox)
@@ -526,11 +344,12 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
 
     trace: list[TraceEntry] = []
     stop_reason = "max_iter"
-    with ws.forked(phi, table, update, helpers):
-        workers = len(ws.helpers) + 1
+    run = partial(ws.run, phi, table, update)
+    with procs.forked(run):
+        workers = procs.workers
         for k in range(cfg.max_iter):
             if not admm:
-                ws.block_pass(phi, table, feedback, update)
+                ws.block_pass(procs.answers(run), table, feedback)
                 feedback /= counts
             new = admm_phi_step(psi, base, feedback, rho, out=feedback)
             if not all_finite(new):
@@ -541,7 +360,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
                                                     scale))
             phi[:] = new
             if admm:
-                extracted, resid_norm = ws.block_pass(phi, table, feedback, update)
+                extracted, resid_norm = ws.block_pass(procs.answers(run), table, feedback)
                 entry.primal_residual = _relative(resid_norm, extracted)
             if cfg.track_objective:
                 entry.objective = objective_nuclear(DepthVolume(op.dims, phi), psi, table,
@@ -556,7 +375,7 @@ def _iterate(psi: Measurements, table: PatchGroupTable, cfg: SolverConfig,
 
     feedback[:] = phi
     report = SolveReport(len(trace), stop_reason, trace, time.perf_counter() - t_start,
-                         cfg.algo, cfg.lam, workers, ws.wait_s)
+                         cfg.algo, cfg.lam, workers, procs.wait_s)
     return DepthVolume(op.dims, feedback), report
 
 

@@ -269,25 +269,29 @@ class TestSolve:
         assert "data error" in capsys.readouterr().err
 
     def test_helper_that_dies_exits_3(self, workspace, tmp_path, monkeypatch):
-        """A block-pass helper that ends mid-pass is a numeric failure: exit
-        3, no output, and no child process left behind."""
-        monkeypatch.setattr(dsr.patches, "_worker_count", lambda: 2)
-        parent, prox = os.getpid(), dsr.solvers.prox_low_rank
+        """A helper process that ends mid-pass, in the solve's block pass or
+        in block matching, is a numeric failure: exit 3, no output, and no
+        child process left behind."""
+        monkeypatch.setattr(dsr.pool, "_worker_count", lambda: 2)
+        parent = os.getpid()
+        for module, name in ((dsr.solvers, "prox_low_rank"), (dsr.patches, "_select")):
+            step = getattr(module, name)
 
-        def dying(*args, **kwargs):
-            if os.getpid() != parent:
-                os._exit(1)
-            return prox(*args, **kwargs)
+            def dying(*args, step=step, **kwargs):
+                if os.getpid() != parent:
+                    os._exit(1)
+                return step(*args, **kwargs)
 
-        monkeypatch.setattr(dsr.solvers, "prox_low_rank", dying)
-        out = tmp_path / "out"
-        code = main(["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
-                     "--guide", str(workspace / "scene" / "guide.dsrv"),
-                     "--lambda", "2.0", *SOLVE_GEOM, "--out", str(out)])
-        assert code == 3
-        assert not (out / "run.json").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+            monkeypatch.setattr(module, name, dying)
+            out = tmp_path / name
+            code = main(["solve", "--algo", "gds3d", "--meas", str(workspace / "meas"),
+                         "--guide", str(workspace / "scene" / "guide.dsrv"),
+                         "--lambda", "2.0", *SOLVE_GEOM, "--out", str(out)])
+            monkeypatch.setattr(module, name, step)
+            assert code == 3, name
+            assert not (out / "run.json").exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
     def test_numeric_failure_exit_3(self, workspace, tmp_path, monkeypatch):
         def explode(*a, **kw):
@@ -522,7 +526,7 @@ class TestScripts:
         assert all(float(line.split()[1]) > 0 and float(line.split()[2]) >= 0
                    and int(line.split()[3]) >= 0 for line in stages)
         assert re.search(r"  table 4\.0 bytes per member, traced peak [1-9]\d* bytes "
-                         r"\(\d+\.\d\d volumes\)$", stages[1])
+                         r"\(\d+\.\d\d volumes\), processes [1-9]\d*$", stages[1])
         # 12x12x3 makes 48 groups, one chunk, so the solve runs on one process
         assert stages[2].endswith("  workers 1")
         assert summary.startswith("solve: 3 iterations, ")

@@ -21,6 +21,7 @@ import pytest
 
 import dsr
 import dsr.patches
+import dsr.pool
 import dsr.solvers
 from dsr.patches import PatchGeometry, PatchGroupTable, build_groups
 from dsr.solvers import SolverConfig
@@ -75,7 +76,7 @@ def test_solver_loop_calls_tracer_hooks_every_iteration(monkeypatch, algo):
     geom = PatchGeometry(patch_side=3, stride=2, window=(5, 5, 3), group_size=4)
     table = build_groups(guide, geom)
     monkeypatch.setattr(dsr.patches, "CHUNK_GROUPS", 50)
-    monkeypatch.setattr(dsr.patches, "_worker_count", lambda: 1)
+    monkeypatch.setattr(dsr.pool, "_worker_count", lambda: 1)
     n_chunks = math.ceil(table.n_groups / 50)
 
     log = []
@@ -218,10 +219,44 @@ def test_bench_catches_only_failed_cells():
     assert set(_caught(path)) == {("DataError", "NumericError")}
 
 
+def _callers(name):
+    """(file, innermost function) of every call to the dotted ``name``
+    under ``src/dsr``."""
+    found = set()
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == name:
+            found.add((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path, None)
+    return found
+
+
+def test_one_process_pool():
+    """Every parallel pass runs on ``dsr.pool``: one function forks, no
+    module starts a thread, and one function reads the usable core count,
+    so a second runner cannot creep back unnoticed."""
+    assert _callers("os.fork") == {("pool.py", "forked")}
+    threads = [f"{path.name}:{node.lineno}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if (isinstance(node, ast.Attribute) and ast.unparse(node) == "threading.Thread")
+               or (isinstance(node, ast.ImportFrom) and node.module == "threading"
+                   and "Thread" in [alias.name for alias in node.names])]
+    assert threads == []
+    assert _callers("os.sched_getaffinity") | _callers("os.cpu_count") == {
+        ("pool.py", "_worker_count")}
+
+
 def test_import_starts_no_pool_machinery():
     """``import dsr`` in a fresh interpreter loads neither
-    ``concurrent.futures`` nor ``multiprocessing``: matching runs on plain
-    threads, and the CLI's start-up time does not pay for a pool module."""
+    ``concurrent.futures`` nor ``multiprocessing``: every parallel pass
+    forks through ``dsr.pool``, and the CLI's start-up time does not pay
+    for a pool module."""
     code = ("import sys, dsr, dsr.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
             "if m in sys.modules))")

@@ -6,11 +6,13 @@ import signal
 import threading
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 import dsr.patches as patches_mod
+import dsr.pool as pool_mod
 import dsr.solvers as solvers_mod
 from dsr.errors import DataError, NumericError
 from dsr.patches import PatchGeometry, PatchGroupTable, build_groups
@@ -341,14 +343,14 @@ class TestChunkedBlockPass:
         cfg = SolverConfig(algo=algo, lam=12.0, max_iter=1, geometry=table.geometry)
         volume = psi.operator.dims.total_voxels * 8
         dual = table.n_groups * table.geometry.patch_side ** 2 * table.geometry.group_size * 8
-        shared, allocate = [], solvers_mod._shared
+        shared, allocate = [], pool_mod.shared
 
-        def recorded(shape):
-            arr = allocate(shape)
+        def recorded(shape, dtype=np.float64):
+            arr = allocate(shape, dtype)
             shared.append(arr.nbytes)
             return arr
 
-        monkeypatch.setattr(solvers_mod, "_shared", recorded)
+        monkeypatch.setattr(pool_mod, "shared", recorded)
         tracemalloc.start()
         try:
             solvers_mod._iterate(psi, table, cfg, None)
@@ -378,8 +380,49 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+@pytest.fixture
+def call(monkeypatch):
+    """``call(caller, problem, cfg)`` runs one caller of the process pool
+    on ``problem``: ``build_groups`` alone, or a ``solve`` on the table
+    already built, so only one of them forks. It returns the processes
+    that ran the call's last pass and the bytes of its result."""
+    seen, answers = [], pool_mod.Pool.answers
+
+    def spied(self, run):
+        seen.append(self.workers)
+        return answers(self, run)
+
+    monkeypatch.setattr(pool_mod.Pool, "answers", spied)
+
+    def call(caller, problem, cfg):
+        _, guide, psi, table = problem
+        if caller == "build_groups":
+            built = build_groups(guide, cfg.geometry)
+            return seen[-1], built.top_left.tobytes()
+        solve = solve_admm if cfg.algo == "admm3d" else solve_simplified
+        est, rep = solve(psi, table, cfg)
+        return rep.workers, _fingerprint(est, rep)
+
+    return call
+
+
+def _in_helpers(monkeypatch, caller, action):
+    """Have every helper process of ``caller`` call ``action()`` at each of
+    its units: from the solve's prox, or from matching's selection."""
+    module, name = (patches_mod, "_select") if caller == "build_groups" else (
+        solvers_mod, "prox_low_rank")
+    parent, step = os.getpid(), getattr(module, name)
+
+    def in_helpers(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, in_helpers)
+
+
 class TestForkedBlockPass:
-    """A solve's block pass runs on ``min(patches._worker_count(), chunks
+    """A solve's block pass runs on ``min(pool._worker_count(), chunks
     per pass)`` processes, and the number changes no byte of the estimate
     or the trace. No helper outlives its solve, however the solve ends."""
 
@@ -393,7 +436,7 @@ class TestForkedBlockPass:
                            track_objective=True)
         runs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(patches_mod, "_worker_count", lambda: workers)
+            monkeypatch.setattr(pool_mod, "_worker_count", lambda: workers)
             est, rep = run_pipeline(psi, guide, cfg)
             assert rep.workers == min(workers, math.ceil(108 / chunk))
             assert (rep.wait_s > 0) == (rep.workers > 1)
@@ -401,13 +444,16 @@ class TestForkedBlockPass:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         _no_child_left()
 
-    @pytest.mark.parametrize("why", ["thread", "no_fork"])
-    def test_one_process_without_a_safe_fork(self, problem, monkeypatch, why):
-        """A fork copies only the calling thread, so a solve forks no helper
-        while another thread runs, nor where ``os.fork`` is missing."""
-        _, guide, psi, _ = problem
+    @pytest.mark.parametrize("why,caller", [
+        ("thread", "solve"), ("no_fork", "solve"),
+        ("thread", "build_groups"), ("no_fork", "build_groups")],
+        ids=["thread", "no_fork", "build_groups_thread", "build_groups_no_fork"])
+    def test_one_process_without_a_safe_fork(self, problem, monkeypatch, call, why, caller):
+        """A fork copies only the calling thread, so neither a solve nor
+        matching forks a helper while another thread runs, nor where
+        ``os.fork`` is missing."""
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 2)
         cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
@@ -416,48 +462,50 @@ class TestForkedBlockPass:
         else:
             monkeypatch.delattr(os, "fork")
         try:
-            _, rep = run_pipeline(psi, guide, cfg)
+            processes, _ = call(caller, problem, cfg)
         finally:
             release.set()
             if other.is_alive():
                 other.join(30)
-        assert (rep.workers, rep.wait_s) == (1, 0.0)
+        assert processes == 1
 
     def test_normal_solve_leaves_no_child(self, problem, monkeypatch):
         _, guide, psi, _ = problem
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 3)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 3)
         _, rep = run_pipeline(psi, guide, SolverConfig(algo="admm3d", lam=0.5, max_iter=3,
                                                        geometry=GEOM))
         assert rep.workers == 3
         _no_child_left()
 
-    @pytest.mark.parametrize("algo,death", [
-        pytest.param("gds3d", "exit", id="gds3d"),
-        pytest.param("admm3d", "exit", id="admm3d"),
-        pytest.param("gds3d", "unpicklable", id="unpicklable_exception")])
-    def test_helper_that_dies_is_a_numeric_error(self, problem, monkeypatch, algo, death):
+    @pytest.mark.parametrize("caller,algo,death", [
+        pytest.param("solve", "gds3d", "exit", id="gds3d"),
+        pytest.param("solve", "admm3d", "exit", id="admm3d"),
+        pytest.param("solve", "gds3d", "unpicklable", id="unpicklable_exception"),
+        pytest.param("build_groups", "gds3d", "exit", id="build_groups"),
+        pytest.param("build_groups", "gds3d", "unpicklable",
+                     id="build_groups_unpicklable_exception")])
+    def test_helper_that_dies_is_a_numeric_error(self, problem, monkeypatch, call, caller,
+                                                 algo, death):
         """A helper that ends without an answer, because it exited or raised
         an exception that cannot be pickled for the parent, is a
-        NumericError in the parent."""
-        _, guide, psi, _ = problem
+        NumericError in the parent, in a solve and in matching alike."""
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
-        parent, prox = os.getpid(), solvers_mod.prox_low_rank
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 2)
 
-        def dying(*args, **kwargs):
-            if os.getpid() != parent:
-                if death == "exit":
-                    os._exit(1)
-                exc = NumericError("synthetic prox failure")
-                exc.hook = lambda: None  # a local function does not pickle
-                raise exc
-            return prox(*args, **kwargs)
+        def die():
+            if death == "exit":
+                os._exit(1)
+            exc = NumericError("synthetic helper failure")
+            exc.hook = lambda: None  # a local function does not pickle
+            raise exc
 
-        monkeypatch.setattr(solvers_mod, "prox_low_rank", dying)
+        _in_helpers(monkeypatch, caller, die)
         cfg = SolverConfig(algo=algo, lam=0.5, max_iter=3, geometry=GEOM)
+        fds = _open_fds()
         with pytest.raises(NumericError, match="ended in the middle of a pass"):
-            run_pipeline(psi, guide, cfg)
+            call(caller, problem, cfg)
+        assert _open_fds() == fds
         _no_child_left()
 
     def test_parent_builds_only_its_own_indices(self, problem, monkeypatch):
@@ -467,7 +515,7 @@ class TestForkedBlockPass:
         shared slot, to the bytes of a pass on one process."""
         _, _, psi, table = problem
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
-        values = solvers_mod._shared((table.dims.total_voxels,))
+        values = pool_mod.shared((table.dims.total_voxels,))
         default_initialization(psi, out=values)
         built, gather = [], PatchGroupTable.gather_indices
 
@@ -477,34 +525,41 @@ class TestForkedBlockPass:
 
         monkeypatch.setattr(PatchGroupTable, "gather_indices", counted)
         sums = []
-        for helpers in (0, 1):
-            ws = solvers_mod._Workspace.allocate(table, helpers)
+        for processes in (1, 2):
+            monkeypatch.setattr(pool_mod, "_worker_count", lambda: processes)
+            procs = pool_mod.Pool(table.n_chunks)
+            ws = solvers_mod._Workspace.allocate(table, procs.size)
+            run = partial(ws.run, values, table, solvers_mod._extract)
             out = np.empty_like(values)
             built.clear()
-            with ws.forked(values, table, solvers_mod._extract, helpers):
-                assert len(ws.helpers) == helpers
-                ws.block_pass(values, table, out, solvers_mod._extract)
+            with procs.forked(run):
+                assert procs.workers == processes
+                ws.block_pass(procs.answers(run), table, out)
             sums.append(out.tobytes())
         assert table.n_chunks == 11
         assert built == [table.chunk(c) for c in range(0, 11, 2)]
         assert sums[1] == sums[0]
         _no_child_left()
 
-    @pytest.mark.parametrize("refused,failing_call,workers",
-                             [("fork", 1, 1), ("fork", 2, 2), ("pipe", 2, 1), ("pipe", 4, 2)],
-                             ids=["1", "2", "pipe_2", "pipe_4"])
-    def test_failed_fork_shrinks_the_pass(self, problem, monkeypatch, refused, failing_call,
-                                          workers):
+    @pytest.mark.parametrize("caller,refused,failing_call,workers", [
+        ("solve", "fork", 1, 1), ("solve", "fork", 2, 2),
+        ("solve", "pipe", 2, 1), ("solve", "pipe", 4, 2),
+        ("build_groups", "fork", 1, 1), ("build_groups", "fork", 2, 2),
+        ("build_groups", "pipe", 2, 1), ("build_groups", "pipe", 4, 2)],
+        ids=["1", "2", "pipe_2", "pipe_4", "build_groups_1", "build_groups_2",
+             "build_groups_pipe_2", "build_groups_pipe_4"])
+    def test_failed_fork_shrinks_the_pass(self, problem, monkeypatch, call, caller, refused,
+                                          failing_call, workers):
         """A fork refused as under a process limit, or a pipe refused as
-        under a descriptor limit, ends the forking: the processes already
-        running share the pass, ``workers`` counts them, the bytes are those
-        of one process and every descriptor opened for the refused helper is
-        closed again. A helper takes two pipes before its fork."""
-        _, guide, psi, _ = problem
+        under a descriptor limit, ends the forking of a solve or of
+        matching: the processes already running share the pass, the bytes
+        are those of one process and every descriptor opened for the
+        refused helper is closed again. A helper takes two pipes before its
+        fork."""
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
         cfg = SolverConfig(algo="admm3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
-        expect = _fingerprint(*run_pipeline(psi, guide, cfg))
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 1)
+        _, expect = call(caller, problem, cfg)
         calls, original = [], getattr(os, refused)
 
         def refusing():
@@ -516,29 +571,32 @@ class TestForkedBlockPass:
             return original()
 
         monkeypatch.setattr(os, refused, refusing)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 3)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 3)
         fds = _open_fds()
-        est, rep = run_pipeline(psi, guide, cfg)
+        processes, got = call(caller, problem, cfg)
         assert _open_fds() == fds
-        assert (len(calls), rep.workers) == (failing_call, workers)
-        assert _fingerprint(est, rep) == expect
+        assert (len(calls), processes) == (failing_call, workers)
+        assert got == expect
         _no_child_left()
 
-    @pytest.mark.parametrize("action", ["error", "ignore"])
-    def test_fork_that_warns_ends_the_forking(self, problem, monkeypatch, action):
+    @pytest.mark.parametrize("caller,action", [
+        ("solve", "error"), ("solve", "ignore"),
+        ("build_groups", "error"), ("build_groups", "ignore")],
+        ids=["error", "ignore", "build_groups_error", "build_groups_ignore"])
+    def test_fork_that_warns_ends_the_forking(self, problem, monkeypatch, call, caller,
+                                              action):
         """Python 3.12 and later warn (``DeprecationWarning``) from
         ``os.fork`` in a process with more OS threads than the caller, as an
         OpenBLAS pool makes it. The suite runs on Python 3.11, so a fork
         whose parent warns after a real fork stands in. The warning ends the
-        forking: the helper just forked is told to leave and waited for,
-        and the warning is issued after that. Under an error filter the
-        solve raises it; otherwise the solve has the bytes of one process.
-        Either way no descriptor and no child is left."""
-        _, guide, psi, _ = problem
+        forking of a solve or of matching: the helper just forked is told to
+        leave and waited for, and the warning is issued after that. Under an
+        error filter the call raises it; otherwise it has the bytes of one
+        process. Either way no descriptor and no child is left."""
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
         cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
-        expect = _fingerprint(*run_pipeline(psi, guide, cfg))
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 1)
+        _, expect = call(caller, problem, cfg)
         forks, real_fork = [], os.fork
 
         def warning_fork():
@@ -550,17 +608,15 @@ class TestForkedBlockPass:
             return pid
 
         monkeypatch.setattr(os, "fork", warning_fork)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 3)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 3)
         fds = _open_fds()
         with warnings.catch_warnings():
             warnings.simplefilter(action)
             if action == "error":
                 with pytest.raises(DeprecationWarning, match="multi-threaded"):
-                    run_pipeline(psi, guide, cfg)
+                    call(caller, problem, cfg)
             else:
-                est, rep = run_pipeline(psi, guide, cfg)
-                assert rep.workers == 1
-                assert _fingerprint(est, rep) == expect
+                assert call(caller, problem, cfg) == (1, expect)
         assert len(forks) == 1
         assert _open_fds() == fds
         _no_child_left()
@@ -573,11 +629,11 @@ class TestForkedBlockPass:
             pytest.skip("the soft open-file limit is below 1,200")
         _, guide, psi, _ = problem
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
-        monkeypatch.setattr(solvers_mod, "_SPIN_S", 0.0)
+        monkeypatch.setattr(pool_mod, "_SPIN_S", 0.0)
         cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 1)
         expect = _fingerprint(*run_pipeline(psi, guide, cfg))
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 2)
         held = []
         try:
             for _ in range(1100):
@@ -597,9 +653,9 @@ class TestForkedBlockPass:
         _, guide, psi, _ = problem
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
         cfg = SolverConfig(algo="gds3d", lam=0.5, max_iter=3, tol=0.0, geometry=GEOM)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 1)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 1)
         expect = _fingerprint(*run_pipeline(psi, guide, cfg))
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 2)
         old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             est, rep = run_pipeline(psi, guide, cfg)
@@ -614,7 +670,7 @@ class TestForkedBlockPass:
         raised, as the parent's own chunks' exceptions do."""
         _, guide, psi, _ = problem
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 2)
         parent, prox = os.getpid(), solvers_mod.prox_low_rank
 
         def failing(*args, **kwargs):
@@ -633,7 +689,7 @@ class TestForkedBlockPass:
         pass; they are told to leave and waited for."""
         _, guide, psi, _ = problem
         monkeypatch.setattr(patches_mod, "CHUNK_GROUPS", 10)
-        monkeypatch.setattr(patches_mod, "_worker_count", lambda: 2)
+        monkeypatch.setattr(pool_mod, "_worker_count", lambda: 2)
 
         def poisoned(*args, **kwargs):
             out = admm_phi_step(*args, **kwargs)
